@@ -344,6 +344,40 @@ def hconcat(parts: Sequence[Tensor]) -> Tensor:
     return tape._record(out, tuple(parts), backward)
 
 
+def vconcat(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate matrices with equal column counts along axis 0."""
+    _check(len(parts) > 0, "vconcat: need at least one part")
+    tape = _tape_of(*parts)
+    _check(all(p.data.ndim == 2 for p in parts), "vconcat: parts must be 2-D")
+    d = parts[0].data.shape[1]
+    _check(all(p.data.shape[1] == d for p in parts), "vconcat: column counts differ")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=0), tape, False)
+    heights = [p.data.shape[0] for p in parts]
+
+    def backward(g):
+        off = 0
+        for p, h in zip(parts, heights):
+            if p.requires_grad:
+                p._accumulate(g[off:off + h])
+            off += h
+
+    return tape._record(out, tuple(parts), backward)
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Same entries in row-major order under a new shape of at most two axes."""
+    tape = _tape_of(x)
+    _check(int(np.prod(shape)) == x.data.size,
+           f"reshape: cannot view {x.data.shape} as {shape}")
+    out = Tensor(x.data.reshape(shape), tape, False)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g.reshape(x.data.shape))
+
+    return tape._record(out, (x,), backward)
+
+
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack equally sized vectors into a matrix, one vector per row."""
     _check(len(parts) > 0, "stack_rows: need at least one part")
@@ -368,9 +402,12 @@ def rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            x._accumulate(gx)
+            # one flat bincount over (row, column) cells; it adds the gathered
+            # rows in index order, as np.add.at would
+            n, d = x.data.shape
+            cells = (idx[:, None] * d + np.arange(d)).ravel()
+            gx = np.bincount(cells, weights=g.ravel(), minlength=n * d)
+            x._accumulate(gx.reshape(n, d))
 
     return tape._record(out, (x,), backward)
 
@@ -479,22 +516,16 @@ def segment_softmax(x: Tensor, offsets: np.ndarray) -> Tensor:
     tape = _tape_of(x)
     _check(x.data.ndim == 1, "segment_softmax: need 1-D")
     offsets = _check_offsets(offsets, x.data.size)
-    y = np.empty_like(x.data)
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        seg = x.data[a:b]
-        e = np.exp(seg - seg.max())
-        y[a:b] = e / e.sum()
+    starts = offsets[:-1]
+    sizes = np.diff(offsets)
+    e = np.exp(x.data - np.repeat(np.maximum.reduceat(x.data, starts), sizes))
+    y = e / np.repeat(np.add.reduceat(e, starts), sizes)
     out = Tensor(y, tape, False)
 
     def backward(g):
-        if not x.requires_grad:
-            return
-        gx = np.empty_like(y)
-        for a, b in zip(offsets[:-1], offsets[1:]):
-            ys = y[a:b]
-            gs = g[a:b]
-            gx[a:b] = ys * (gs - float(np.dot(gs, ys)))
-        x._accumulate(gx)
+        if x.requires_grad:
+            inner = np.repeat(np.add.reduceat(g * y, starts), sizes)
+            x._accumulate(y * (g - inner))
 
     return tape._record(out, (x,), backward)
 

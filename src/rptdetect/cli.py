@@ -26,7 +26,7 @@ from .hetgraph import (
     validate_labels,
 )
 from .matcher import build_neighbor_index, enumerate_instances, k_order_neighbors, metapath_neighbors
-from .model import ModelConfig, forward, load_params, save_params
+from .model import ModelConfig, load_params, save_params
 from .patterns import (
     BUNDLED_METAPATHS,
     applicable_patterns,
@@ -37,8 +37,10 @@ from .stats import evasion_ratio_stats, ratio_table_text, stats_table_text
 from .synth import GenConfig, export as export_dataset, generate, save_ground_truth, scaled_config
 from .training import (
     TrainConfig,
+    _embed_all,
     evaluate,
     psr_sweep,
+    split_dataset,
     timing_sweep,
     train,
 )
@@ -349,16 +351,11 @@ def cmd_eval(args) -> int:
             split = json.load(fh)
         train_ids, test_ids = split["train"], split["test"]
     else:
-        from .training import split_dataset
         train_ids, test_ids = split_dataset(labels, args.psr, args.test_fraction,
                                             args.seed)
-    all_ids = train_ids + test_ids
-    z, p = {}, {}
-    idx = [graph.index[i] for i in all_ids]
-    for start in range(0, len(idx), args.batch_size):
-        res = forward(graph, index, idx[start:start + args.batch_size], params, mc)
-        z.update(res.z)
-        p.update(res.p)
+    embed = _embed_all(graph, index, [graph.index[i] for i in train_ids + test_ids],
+                       params, mc, args.batch_size)
+    z, p = embed.z, embed.p
     test_labels = {i: labels[i] for i in test_ids}
     if args.eval_mode == "direct":
         metrics = evaluate({i: p[graph.index[i]] for i in test_ids}, test_labels, "direct")

@@ -67,6 +67,10 @@ class EmptyBatch(PipelineError):
     pass
 
 
+class DuplicateBatchNode(PipelineError):
+    pass
+
+
 # --- training --------------------------------------------------------------
 
 class InsufficientSamples(PipelineError):

@@ -12,6 +12,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class HetGraph:
 
     Node ids are opaque strings normalized to dense integer indices; edges are
     stored exactly as ingested and expanded into adjacency structures once.
+    Node types are also held as integer codes (``type_code``, indexing the
+    sorted ``type_names``) with each node's row among the nodes of its type
+    (``row_in_type``), the row layout of ``type_features``.  These arrays are
+    built on first use; attributes change only by assigning a new ``x`` list.
     """
 
     def __init__(self, schema: Schema,
@@ -73,7 +78,7 @@ class HetGraph:
         self.schema = schema
         self.ids: list[str] = []
         self.types: list[str] = []
-        self.x: list[np.ndarray] = []
+        self.x = []
         self.index: dict[str, int] = {}
         for node_id, node_type, attrs in nodes:
             if node_type not in schema.node_types:
@@ -109,6 +114,7 @@ class HetGraph:
             self.edges.append((s, t, etype))
 
         n = len(self.ids)
+        self.type_names: tuple[str, ...] = tuple(sorted(schema.node_types))
         self._edge_set: set[tuple[int, int, str]] = set()
         self._out: dict[str, list[list[int]]] = {r: [[] for _ in range(n)]
                                                  for r in schema.edge_types}
@@ -174,8 +180,39 @@ class HetGraph:
     def degree(self, i: int) -> int:
         return self._degree[i]
 
-    def features_of(self, indices: list[int]) -> np.ndarray:
-        return np.stack([self.x[i] for i in indices]) if indices else np.zeros((0, 0))
+    @cached_property
+    def type_code(self) -> np.ndarray:
+        """Each node's type as an index into ``type_names``."""
+        code = {t: k for k, t in enumerate(self.type_names)}
+        return np.array([code[t] for t in self.types], dtype=np.intp)
+
+    @cached_property
+    def row_in_type(self) -> np.ndarray:
+        """Each node's row among the nodes of its type: the row layout of ``type_features``."""
+        rows = np.empty(len(self), dtype=np.intp)
+        for k in range(len(self.type_names)):
+            members = np.flatnonzero(self.type_code == k)
+            rows[members] = np.arange(members.size)
+        return rows
+
+    @property
+    def x(self) -> list[np.ndarray]:
+        """Per-node attribute vectors; assigning a new list drops ``type_features``."""
+        return self._x
+
+    @x.setter
+    def x(self, vectors: list[np.ndarray]) -> None:
+        self._x = vectors
+        self._type_features: dict[str, np.ndarray] = {}
+
+    def type_features(self, node_type: str) -> np.ndarray:
+        """Attributes of every node of the type as one matrix, rows by ``row_in_type``."""
+        if node_type not in self._type_features:
+            dim = self.schema.dim(node_type)
+            rows = [self._x[i] for i in self.nodes_of_type(node_type)]
+            self._type_features[node_type] = (
+                np.stack(rows) if rows else np.zeros((0, dim)))
+        return self._type_features[node_type]
 
     def equals(self, other: "HetGraph") -> bool:
         return (

@@ -15,6 +15,8 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InstanceCapExceeded, MalformedMetapath
 from .hetgraph import HetGraph
 from .patterns import RptPattern, validate_pattern
@@ -199,12 +201,32 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
 
 
 class NeighborIndex:
-    """Per company node and pattern, the ordered list of matched instances."""
+    """Per company node and pattern, the ordered list of matched instances.
+
+    Each pattern's instances are also compiled into CSR arrays for batched
+    gathers: ``nodes[pid]`` holds one row per instance (shape
+    ``[n_inst, n_roles]``, columns in canonical role order, rows sorted by
+    anchor then nodes), and node ``i``'s rows are
+    ``anchor_ptr[pid][i]:anchor_ptr[pid][i + 1]`` (length ``n_nodes + 1``).
+    """
 
     def __init__(self, patterns: Sequence[RptPattern],
-                 per_node: dict[int, dict[str, list[RptInstance]]]):
+                 per_node: dict[int, dict[str, list[RptInstance]]], n_nodes: int):
         self.patterns = tuple(patterns)
         self.per_node = per_node
+        self.anchor_ptr: dict[str, np.ndarray] = {}
+        self.nodes: dict[str, np.ndarray] = {}
+        anchors = sorted(per_node)
+        for p in self.patterns:
+            counts = np.zeros(n_nodes, dtype=np.intp)
+            rows: list[tuple[int, ...]] = []
+            for node in anchors:
+                insts = per_node[node].get(p.pattern_id, [])
+                counts[node] = len(insts)
+                rows.extend(inst.nodes for inst in insts)
+            self.anchor_ptr[p.pattern_id] = np.concatenate(([0], np.cumsum(counts)))
+            self.nodes[p.pattern_id] = np.array(rows, dtype=np.intp).reshape(
+                len(rows), len(p.roles))
 
     @property
     def pattern_ids(self) -> tuple[str, ...]:
@@ -220,6 +242,16 @@ class NeighborIndex:
         """The k-th entry is the node set of the k-th instance (includes the anchor)."""
         return [set(inst.nodes) for inst in self.instances(node, pattern_id)]
 
+    def gather(self, pattern_id: str, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The anchors' instance rows back to back, in anchor order, and each anchor's count."""
+        ptr = self.anchor_ptr[pattern_id]
+        start = ptr[anchors]
+        counts = ptr[anchors + 1] - start
+        # row k of anchor j sits at start[j] + k and lands at (rows before j) + k
+        shift = start - (np.cumsum(counts) - counts)
+        rows = np.arange(counts.sum()) + np.repeat(shift, counts)
+        return self.nodes[pattern_id][rows], counts
+
 
 def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,
                          injective: bool = False,
@@ -233,7 +265,7 @@ def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,
         for inst in enumerate_instances(graph, pattern, injective=injective,
                                         cap=cap, cap_mode=cap_mode):
             per_node[inst.anchor][pattern.pattern_id].append(inst)
-    return NeighborIndex(patterns, per_node)
+    return NeighborIndex(patterns, per_node, len(graph))
 
 
 def metapath_neighbors(graph: HetGraph, metapath: Sequence[str]) -> dict[int, set[int]]:

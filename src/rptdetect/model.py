@@ -21,13 +21,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import EmptyBatch, MissingProjection, ShapeMismatch
+from .errors import DuplicateBatchNode, EmptyBatch, MissingProjection, ShapeMismatch
 from .hetgraph import HetGraph, Schema
 from .matcher import NeighborIndex
 from .patterns import RptPattern
@@ -283,6 +284,20 @@ class ForwardResult:
     loss_tensor: ad.Tensor | None = field(default=None, repr=False)
 
 
+def _check_batch(graph: HetGraph, batch: list[int], company: str,
+                 labels: dict[int, int] | None) -> None:
+    if not batch:
+        raise EmptyBatch("forward needs at least one node")
+    if len(set(batch)) != len(batch):
+        repeated = next(i for i, n in Counter(batch).items() if n > 1)
+        raise DuplicateBatchNode(f"batch node {graph.ids[repeated]} appears more than once")
+    for i in batch:
+        if graph.types[i] != company:
+            raise ValueError(f"batch node {graph.ids[i]} is not of type {company!r}")
+        if labels is not None and i not in labels:
+            raise ValueError(f"batch node {graph.ids[i]} has no label")
+
+
 def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
             params: ModelParams, config: ModelConfig,
             labels: dict[int, int] | None = None,
@@ -291,17 +306,12 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
 
     With ``labels`` the mean binary cross-entropy over the batch is computed
     and the tape kept for ``backward``; without labels only probabilities,
-    embeddings, and attention records are produced.
+    embeddings, and attention records are produced.  Instances come from the
+    index's CSR arrays; a batch may not repeat a node.
     """
     batch = list(batch)
-    if not batch:
-        raise EmptyBatch("forward needs at least one node")
     company = params.company_type
-    for i in batch:
-        if graph.types[i] != company:
-            raise ValueError(f"batch node {graph.ids[i]} is not of type {company!r}")
-        if labels is not None and i not in labels:
-            raise ValueError(f"batch node {graph.ids[i]} has no label")
+    _check_batch(graph, batch, company, labels)
 
     tape = ad.Tape()
     tp = {name: tape.parameter(name, arr) for name, arr in params.arrays.items()}
@@ -309,46 +319,45 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
     attn = _act_tape(config.attn_activation, config.leaky_alpha)
     d = config.embed_dim
     n_batch = len(batch)
+    anchors = np.array(batch, dtype=np.intp)
     patterns = {p.pattern_id: p for p in index.patterns}
     pattern_ids = [pid for pid in params.pattern_ids if pid in patterns]
 
-    # gather instances per pattern, batch order
-    batch_pos = {i: r for r, i in enumerate(batch)}
-    plan: dict[str, dict] = {}
-    needed: set[int] = set(batch)
+    # per pattern: the batch's instance rows with roles anchor-first, the batch
+    # rows that have instances, and the segment offsets of their instances
+    plan: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for pid in pattern_ids:
-        rows_nodes = [i for i in batch if index.instances(i, pid)]
-        if not rows_nodes:
+        nodes, counts = index.gather(pid, anchors)
+        if not len(nodes):
             continue
-        insts = []
-        offsets = [0]
-        for i in rows_nodes:
-            node_insts = index.instances(i, pid)
-            insts.extend(node_insts)
-            offsets.append(len(insts))
-        for inst in insts:
-            needed.update(inst.nodes)
-        plan[pid] = {
-            "nodes": rows_nodes,
-            "instances": insts,
-            "offsets": np.array(offsets, dtype=np.intp),
-            "positions": np.array([batch_pos[i] for i in rows_nodes], dtype=np.intp),
-        }
+        pattern = patterns[pid]
+        cols = [pattern.role_names.index(role) for role, _ in pattern.anchor_first_roles()]
+        positions = np.flatnonzero(counts)
+        offsets = np.concatenate(([0], np.cumsum(counts[positions])))
+        plan[pid] = (nodes[:, cols], positions, offsets)
 
-    # per-type projection of every needed node
-    by_type: dict[str, list[int]] = {}
-    for i in sorted(needed):
-        by_type.setdefault(graph.types[i], []).append(i)
-    H: dict[str, ad.Tensor] = {}
-    pos: dict[str, dict[int, int]] = {}
-    for t, nodes_t in sorted(by_type.items()):
+    # project every needed node, stacked type by type (types in code order)
+    needed = np.unique(np.concatenate(
+        [anchors] + [nodes.ravel() for nodes, _, _ in plan.values()]))
+    codes = graph.type_code[needed]
+    needed = needed[np.argsort(codes, kind="stable")]
+    type_ends = np.cumsum(np.bincount(codes, minlength=len(graph.type_names))).tolist()
+    H_parts = []
+    for t, lo, hi in zip(graph.type_names, [0] + type_ends, type_ends):
+        if lo == hi:
+            continue
         if f"proj::{t}" not in params.arrays:
             raise MissingProjection(f"no projection matrix for node type {t!r}")
-        X = tape.constant(graph.features_of(nodes_t))
-        H[t] = ad.matmul(X, ad.transpose(tp[f"proj::{t}"]))
-        pos[t] = {i: k for k, i in enumerate(nodes_t)}
+        X = tape.constant(graph.type_features(t)[graph.row_in_type[needed[lo:hi]]])
+        H_parts.append(ad.matmul(X, ad.transpose(tp[f"proj::{t}"])))
+    # a trailing all-zero row, read by non-company roles under the company-only ablation
+    zero_row = len(needed)
+    H_parts.append(tape.constant(np.zeros((1, config.proj_dim))))
+    H = ad.vconcat(H_parts)
+    row_of = np.empty(len(graph), dtype=np.intp)
+    row_of[needed] = np.arange(len(needed))
 
-    Xb = tape.constant(graph.features_of(batch))
+    Xb = tape.constant(graph.type_features(company)[graph.row_in_type[anchors]])
     q_all = feat(ad.matmul(Xb, ad.transpose(tp["query"])))
     W_T = ad.transpose(tp["cross_w"])
 
@@ -361,37 +370,26 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
         if pid not in plan:
             logit_cols.append(ad.as_column(tape.constant(np.zeros(n_batch))))
             continue
-        info = plan[pid]
-        pattern = patterns[pid]
-        insts = info["instances"]
-        offsets = info["offsets"]
-        parts = []
-        for role, rtype in pattern.anchor_first_roles():
-            role_idx = pattern.role_names.index(role)
-            if config.company_only and rtype != company:
-                parts.append(tape.constant(np.zeros((len(insts), config.proj_dim))))
-            else:
-                idx = np.array([pos[rtype][inst.nodes[role_idx]] for inst in insts],
-                               dtype=np.intp)
-                parts.append(ad.rows(H[rtype], idx))
-        C = ad.hconcat(parts)
-        head_outs = [feat(ad.matmul(C, ad.transpose(tp[f"inst::{pid}::h{h}"])))
-                     for h in range(config.heads)]
-        h_enc = ad.hconcat(head_outs)
+        nodes, positions, offsets = plan[pid]
+        idx = row_of[nodes]
+        if config.company_only:
+            roles = patterns[pid].anchor_first_roles()
+            idx[:, [rtype != company for _, rtype in roles]] = zero_row
+        n_inst, n_roles = idx.shape
+        C = ad.reshape(ad.rows(H, idx.ravel()), (n_inst, n_roles * config.proj_dim))
+        W_heads = ad.vconcat([tp[f"inst::{pid}::h{h}"] for h in range(config.heads)])
+        h_enc = feat(ad.matmul(C, ad.transpose(W_heads)))
         if config.inner_uniform:
-            weights = np.concatenate([
-                np.full(b - a, 1.0 / (b - a))
-                for a, b in zip(offsets[:-1], offsets[1:])
-            ])
-            alpha = tape.constant(weights)
+            sizes = np.diff(offsets)
+            alpha = tape.constant(np.repeat(1.0 / sizes, sizes))
         else:
             e = attn(ad.matmul(h_enc, tp[f"attn_inst::{pid}"]))
             alpha = ad.segment_softmax(e, offsets)
         alpha_tensors[pid] = alpha
         F = feat(ad.segment_weighted_sum(alpha, h_enc, offsets))
         m = feat(ad.add(ad.matmul(F, W_T), tp["cross_b"]))
-        m_full[pid] = ad.scatter_rows(m, info["positions"], n_batch)
-        mask[info["positions"], col_idx] = True
+        m_full[pid] = ad.scatter_rows(m, positions, n_batch)
+        mask[positions, col_idx] = True
         vq = ad.slice1d(tp[f"attn_cross::{pid}"], 0, d)
         vm = ad.slice1d(tp[f"attn_cross::{pid}"], d, 2 * d)
         s = ad.add(ad.matmul(q_all, vq), ad.matmul(m_full[pid], vm))
@@ -432,24 +430,24 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
 
     alpha_rec: dict[tuple[int, str], np.ndarray] = {}
     for pid, alpha in alpha_tensors.items():
-        info = plan[pid]
-        offsets = info["offsets"]
-        for node, a, b in zip(info["nodes"], offsets[:-1], offsets[1:]):
-            alpha_rec[(node, pid)] = alpha.data[a:b].copy()
-    beta_rec: dict[int, dict[str, float]] = {}
-    for r, node in enumerate(batch):
-        beta_rec[node] = {
-            pid: float(B.data[r, c])
-            for c, pid in enumerate(pattern_ids) if mask[r, c]
-        }
+        _, positions, offsets = plan[pid]
+        weights = alpha.data.copy()
+        bounds = offsets.tolist()
+        alpha_rec.update(((batch[r], pid), weights[a:b]) for r, a, b
+                         in zip(positions.tolist(), bounds[:-1], bounds[1:]))
+    B_rows, mask_rows = B.data.tolist(), mask.tolist()
+    beta_rec = {
+        node: {pid: b for pid, b, on in zip(pattern_ids, B_rows[r], mask_rows[r]) if on}
+        for r, node in enumerate(batch)
+    }
     result = ForwardResult(
         batch=batch,
         loss=loss,
-        p={i: float(p_tensor.data[r]) for r, i in enumerate(batch)},
-        z={i: z.data[r].copy() for r, i in enumerate(batch)},
+        p=dict(zip(batch, p_tensor.data.tolist())),
+        z=dict(zip(batch, z.data.copy())),
         alpha=alpha_rec,
         beta=beta_rec,
-        degenerate={i for r, i in enumerate(batch) if degenerate_rows[r]},
+        degenerate={i for i, dg in zip(batch, degenerate_rows.tolist()) if dg},
     )
     if keep_tape or labels is not None:
         result.tape = tape
@@ -461,8 +459,8 @@ def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int
                       params: ModelParams, config: ModelConfig,
                       labels: dict[int, int] | None = None) -> ForwardResult:
     """Node-at-a-time composition of the reference stages (no tape, no gradients)."""
-    if not batch:
-        raise EmptyBatch("forward needs at least one node")
+    batch = list(batch)
+    _check_batch(graph, batch, params.company_type, labels)
     needed: set[int] = set(batch)
     pattern_by_id = {p.pattern_id: p for p in index.patterns}
     for i in batch:

@@ -222,6 +222,70 @@ def test_segment_softmax_normalizes_each_segment(rng):
         np.testing.assert_allclose(alpha.data[a:b].sum(), 1.0, atol=1e-12)
 
 
+def _segment_softmax_loop(x, g, offsets):
+    """Per-segment reference for segment_softmax: values and input gradient."""
+    y = np.empty_like(x)
+    gx = np.empty_like(x)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        e = np.exp(x[a:b] - x[a:b].max())
+        y[a:b] = e / e.sum()
+        gx[a:b] = y[a:b] * (g[a:b] - np.dot(g[a:b], y[a:b]))
+    return y, gx
+
+
+def test_segment_softmax_matches_per_segment_loop(rng):
+    sizes = rng.integers(1, 12, size=400)
+    sizes[::5] = 1  # many length-1 segments
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    x = rng.normal(size=offsets[-1]) * 5.0
+    x[::7] = 1e3
+    x[3::11] = -1e3
+    g = rng.normal(size=offsets[-1])
+    tape = ad.Tape()
+    xt = tape.parameter("x", x)
+    y = ad.segment_softmax(xt, offsets)
+    grads = tape.backward(ad.dot(y, tape.constant(g)))
+    y_ref, gx_ref = _segment_softmax_loop(x, g, offsets)
+    # reductions may add in another order: allow a few float64 ulps
+    np.testing.assert_allclose(y.data, y_ref, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(grads["x"], gx_ref, rtol=1e-12, atol=1e-14)
+    assert np.all(y.data[offsets[:-1][sizes == 1]] == 1.0)
+
+
+@pytest.mark.parametrize("n_rows,idx", [
+    (7, np.array([5, 0, 5, 2, 6, 0, 5, 1, 1, 4])),  # row 3 never gathered
+    (50, np.random.default_rng(3).integers(0, 50, size=600)),
+])
+def test_rows_backward_matches_add_at(rng, n_rows, idx):
+    X = rng.normal(size=(n_rows, 3))
+    g = rng.normal(size=(idx.size, 3))
+    tape = ad.Tape()
+    gathered = ad.rows(tape.parameter("X", X), idx)
+    flat = ad.reshape(gathered, (idx.size * 3,))
+    grads = tape.backward(ad.dot(flat, tape.constant(g.ravel())))
+    expect = np.zeros_like(X)
+    np.add.at(expect, idx, g)
+    np.testing.assert_allclose(grads["X"], expect, rtol=1e-13, atol=1e-15)
+
+
+def test_vconcat_and_reshape_gradients(rng):
+    def build(params):
+        tape = ad.Tape()
+        a = tape.parameter("a", params["a"])
+        b = tape.parameter("b", params["b"])
+        stacked = ad.vconcat([a, tape.constant(np.ones((1, 3))), b])  # (6, 3)
+        wide = ad.reshape(stacked, (3, 6))
+        return tape, ad.dot(ad.matmul(wide, tape.constant(np.arange(6.0))),
+                            tape.constant([1.0, -0.5, 2.0]))
+
+    _fd(build, {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(3, 3))})
+    tape = ad.Tape()
+    with pytest.raises(ShapeMismatch):
+        ad.reshape(tape.constant(np.ones((2, 3))), (4, 2))
+    with pytest.raises(ShapeMismatch):
+        ad.vconcat([tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 2)))])
+
+
 def test_masked_softmax_rows_gradients_and_masking(rng):
     mask = np.array([[True, True, False],
                      [True, False, True],

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rptdetect
 from rptdetect.cli import main
 
 
@@ -88,6 +91,26 @@ def test_seeded_runs_reproduce_byte_identical_outputs(dataset, tmp_path):
         outs.append(out)
     for name in ("checkpoint.json", "metrics.tsv", "trend.tsv", "loss.tsv",
                  "embeddings.csv", "split.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(dataset, tmp_path):
+    """`rptdetect train` in fresh processes, BLAS pinned to one thread and not."""
+    src = os.path.dirname(os.path.dirname(rptdetect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    outs = []
+    for sub, threads in (("one", "1"), ("default", None)):
+        run_env = dict(env, OPENBLAS_NUM_THREADS=threads) if threads else env
+        out = tmp_path / sub
+        subprocess.run(
+            [sys.executable, "-m", "rptdetect.cli", "train", "--graph", str(dataset),
+             "--out", str(out), "--epochs", "3", "--dim", "8", "--proj-dim", "4",
+             "--batch-size", "64", "--seed", "4", "--test-fraction", "0.3"],
+            env=run_env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    for name in ("checkpoint.json", "embeddings.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 

@@ -48,6 +48,20 @@ def test_full_tax_schema_loads():
     assert len(g) == 5
 
 
+def test_type_codes_and_dense_features_follow_the_nodes():
+    g = make_graph(tax_schema(), [("c0", "company"), ("i0", "item"), ("p0", "person"),
+                                  ("c1", "company"), ("p1", "person")], [])
+    g.x = [np.full(2, float(k)) for k in range(len(g))]
+    assert g.type_names == ("company", "event", "item", "person")
+    for i, t in enumerate(g.types):
+        assert g.type_names[g.type_code[i]] == t
+        assert g.nodes_of_type(t)[g.row_in_type[i]] == i
+        np.testing.assert_array_equal(g.type_features(t)[g.row_in_type[i]], g.x[i])
+    assert g.type_features("event").shape == (0, 2)
+    g.x = [v + 1.0 for v in g.x]  # a new attribute list replaces the dense copies
+    np.testing.assert_array_equal(g.type_features("person"), [[3.0, 3.0], [5.0, 5.0]])
+
+
 def test_schema_requires_heterogeneity():
     with pytest.raises(UnknownType):
         Schema(node_types={"company": 2},

@@ -153,6 +153,24 @@ def test_anchor_inclusion_property(rng):
                 assert node in nbrs, (node, pid, k)
 
 
+def test_csr_arrays_hold_exactly_each_anchors_instances(rng):
+    g = random_typed_graph(rng, 9, 6, 3, edge_rate=0.3)
+    index = build_neighbor_index(g, bundled_patterns(), cap=10_000)
+    for p in index.patterns:
+        pid = p.pattern_id
+        ptr, nodes = index.anchor_ptr[pid], index.nodes[pid]
+        assert ptr.shape == (len(g) + 1,) and ptr[0] == 0
+        assert nodes.shape == (ptr[-1], len(p.roles))
+        for i in range(len(g)):
+            rows = [tuple(r) for r in nodes[ptr[i]:ptr[i + 1]].tolist()]
+            assert rows == [inst.nodes for inst in index.instances(i, pid)], (pid, i)
+        anchors = rng.permutation(g.company_nodes())
+        gathered, counts = index.gather(pid, anchors)
+        expect = [inst.nodes for a in anchors for inst in index.instances(a, pid)]
+        assert [tuple(r) for r in gathered.tolist()] == expect
+        assert counts.tolist() == [len(index.instances(a, pid)) for a in anchors]
+
+
 def test_metapath_shared_person():
     g = make_graph(
         small_schema(),

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from rptdetect import autodiff as ad
 from rptdetect.autodiff import finite_diff_check
-from rptdetect.errors import EmptyBatch, MissingProjection
+from rptdetect.errors import DuplicateBatchNode, EmptyBatch, MissingProjection
 from rptdetect.hetgraph import labels_to_indices
 from rptdetect.matcher import build_neighbor_index
 from rptdetect.model import (
@@ -213,7 +214,6 @@ def test_forward_confident_predictions_drive_loss_to_zero():
     # steer the readout bias to match each label's sign via a huge bias is not
     # possible per-node; instead check the loss formula directly at p -> y
     logits = np.array([80.0 if li[i] else -80.0 for i in batch])
-    from rptdetect import autodiff as ad
     tape = ad.Tape()
     loss = ad.bce_with_logits_mean(tape.constant(logits),
                                    np.array([li[i] for i in batch], float))
@@ -226,10 +226,20 @@ def test_forward_empty_batch_raises():
         forward(graph, index, [], params, config)
 
 
-def test_forward_matches_reference_composition(rng):
-    graph, labels, index, params, config = toy_setup(seed=7)
+def test_forward_rejects_repeated_batch_node_before_tape_work(monkeypatch):
+    graph, labels, index, params, config = toy_setup(seed=1)
+    monkeypatch.setattr(ad, "Tape", None)  # any tape work would raise TypeError
     li = labels_to_indices(graph, labels)
-    batch = sorted(li)
+    with_inst = next(i for i in sorted(li) if index.has_any(i))
+    without = next(i for i in sorted(li) if not index.has_any(i))
+    for repeated in (with_inst, without):
+        batch = [repeated, with_inst if repeated == without else without, repeated]
+        for run in (forward, forward_reference):
+            with pytest.raises(DuplicateBatchNode, match=graph.ids[repeated]):
+                run(graph, index, batch, params, config, labels=li)
+
+
+def assert_forward_matches_reference(graph, index, batch, params, config, li):
     res = forward(graph, index, batch, params, config, labels=li)
     ref = forward_reference(graph, index, batch, params, config, labels=li)
     assert res.loss == pytest.approx(ref.loss, abs=1e-9)
@@ -239,7 +249,27 @@ def test_forward_matches_reference_composition(rng):
         assert res.beta[i].keys() == ref.beta[i].keys()
         for pid in res.beta[i]:
             assert res.beta[i][pid] == pytest.approx(ref.beta[i][pid], abs=1e-10)
+    assert res.alpha.keys() == ref.alpha.keys()
+    for key in res.alpha:
+        np.testing.assert_allclose(res.alpha[key], ref.alpha[key], atol=1e-10)
     assert res.degenerate == ref.degenerate
+
+
+def test_forward_matches_reference_composition(rng):
+    graph, labels, index, params, config = toy_setup(seed=7)
+    li = labels_to_indices(graph, labels)
+    assert_forward_matches_reference(graph, index, sorted(li), params, config, li)
+
+
+@pytest.mark.parametrize("ablation", [(), ("hete",)])
+def test_forward_matches_reference_on_shuffled_mixed_batch(rng, ablation):
+    graph, labels, index, params, config = toy_setup(seed=1, ablation=ablation)
+    li = labels_to_indices(graph, labels)
+    batch = [int(i) for i in rng.permutation(sorted(li))]
+    assert any(index.has_any(i) for i in batch)
+    assert any(not index.has_any(i) for i in batch)
+    assert batch != sorted(batch)
+    assert_forward_matches_reference(graph, index, batch, params, config, li)
 
 
 def test_attention_weights_normalize():
