@@ -33,12 +33,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def value(self) -> np.ndarray:
-        return self.data.copy()
-
-    def item(self) -> float:
-        return float(self.data)
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -67,10 +61,6 @@ class Tape:
         t = Tensor(data, self, requires_grad=True)
         self._params[name] = t
         return t
-
-    @property
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...],
                 backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -198,35 +188,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over a 1-D vector, or independently over each row of a matrix.
-
-    Computed with max-subtraction so large logits stay finite.
-    """
-    tape = _tape_of(x)
-    _check(x.data.ndim in (1, 2), f"softmax: need 1-D or 2-D, got {x.data.shape}")
-    if x.data.ndim == 1:
-        shifted = x.data - x.data.max()
-        e = np.exp(shifted)
-        y = e / e.sum()
-    else:
-        shifted = x.data - x.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y, tape, False)
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        if y.ndim == 1:
-            x._accumulate(y * (g - float(np.dot(g, y))))
-        else:
-            inner = (g * y).sum(axis=1, keepdims=True)
-            x._accumulate(y * (g - inner))
-
-    return tape._record(out, (x,), backward)
-
-
 # --- linear algebra ----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -264,11 +225,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape._record(out, (a, b), backward)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    _check(a.data.ndim == 1 and b.data.ndim == 1, "dot: operands must be 1-D")
-    return matmul(a, b)
-
-
 def transpose(x: Tensor) -> Tensor:
     tape = _tape_of(x)
     _check(x.data.ndim == 2, "transpose: need 2-D")
@@ -281,48 +237,7 @@ def transpose(x: Tensor) -> Tensor:
     return tape._record(out, (x,), backward)
 
 
-def weighted_sum(weights: Tensor, items: Sequence[Tensor]) -> Tensor:
-    """sum_i weights[i] * items[i] for a list of equally shaped vectors."""
-    _check(weights.data.ndim == 1 and len(weights.data) == len(items),
-           "weighted_sum: one weight per item required")
-    tape = _tape_of(weights, *items)
-    _check(all(t.data.shape == items[0].data.shape for t in items),
-           "weighted_sum: items must share a shape")
-    acc = np.zeros_like(items[0].data)
-    for w, t in zip(weights.data, items):
-        acc = acc + w * t.data
-    out = Tensor(acc, tape, False)
-
-    def backward(g):
-        if weights.requires_grad:
-            weights._accumulate(np.array([float(np.sum(g * t.data)) for t in items]))
-        for w, t in zip(weights.data, items):
-            if t.requires_grad:
-                t._accumulate(w * g)
-
-    return tape._record(out, (weights, *items), backward)
-
-
 # --- shape manipulation ------------------------------------------------------
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate scalars/vectors into a single 1-D vector."""
-    _check(len(parts) > 0, "concat: need at least one part")
-    tape = _tape_of(*parts)
-    flats = [p.data.reshape(-1) for p in parts]
-    _check(all(p.data.ndim <= 1 for p in parts), "concat: parts must be scalars or vectors")
-    out = Tensor(np.concatenate(flats), tape, False)
-    sizes = [f.size for f in flats]
-
-    def backward(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                p._accumulate(g[off:off + n].reshape(p.data.shape))
-            off += n
-
-    return tape._record(out, tuple(parts), backward)
-
 
 def hconcat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate matrices with equal row counts along axis 1."""
@@ -378,21 +293,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return tape._record(out, (x,), backward)
 
 
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equally sized vectors into a matrix, one vector per row."""
-    _check(len(parts) > 0, "stack_rows: need at least one part")
-    tape = _tape_of(*parts)
-    _check(all(p.data.ndim == 1 for p in parts), "stack_rows: parts must be 1-D")
-    out = Tensor(np.stack([p.data for p in parts]), tape, False)
-
-    def backward(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                p._accumulate(g[i])
-
-    return tape._record(out, tuple(parts), backward)
-
-
 def rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows of a matrix by index (duplicates allowed)."""
     tape = _tape_of(x)
@@ -408,20 +308,6 @@ def rows(x: Tensor, idx: np.ndarray) -> Tensor:
             cells = (idx[:, None] * d + np.arange(d)).ravel()
             gx = np.bincount(cells, weights=g.ravel(), minlength=n * d)
             x._accumulate(gx.reshape(n, d))
-
-    return tape._record(out, (x,), backward)
-
-
-def row(x: Tensor, i: int) -> Tensor:
-    tape = _tape_of(x)
-    _check(x.data.ndim == 2, "row: need 2-D source")
-    out = Tensor(x.data[i].copy(), tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[i] = g
-            x._accumulate(gx)
 
     return tape._record(out, (x,), backward)
 

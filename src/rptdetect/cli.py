@@ -26,7 +26,7 @@ from .hetgraph import (
     validate_labels,
 )
 from .matcher import build_neighbor_index, enumerate_instances, k_order_neighbors, metapath_neighbors
-from .model import ModelConfig, load_params, save_params
+from .model import load_params, save_params
 from .patterns import (
     BUNDLED_METAPATHS,
     applicable_patterns,
@@ -35,17 +35,10 @@ from .patterns import (
 )
 from .stats import evasion_ratio_stats, ratio_table_text, stats_table_text
 from .synth import GenConfig, export as export_dataset, generate, save_ground_truth, scaled_config
-from .training import (
-    TrainConfig,
-    _embed_all,
-    evaluate,
-    psr_sweep,
-    split_dataset,
-    timing_sweep,
-    train,
-)
+from .training import TrainConfig, score_split, split_dataset, timing_sweep, train
 
 ENV_PREFIX = "RPTDETECT_"
+PSR_GRID = (0.5, 0.4, 0.3, 0.2, 0.1)
 
 
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
@@ -329,8 +322,8 @@ def _write_train_outputs(out_dir, result) -> None:
 
 def cmd_train(args) -> int:
     _resolve(args, TRAIN_SPEC)
-    graph, labels, index = _prepare_training(args)
     config = _train_config(args)
+    graph, labels, index = _prepare_training(args)
     result = train(graph, index, labels, config)
     _write_train_outputs(args.out, result)
     print(f"f1={result.metrics.f1:.4f} accuracy={result.metrics.accuracy:.4f} "
@@ -342,29 +335,16 @@ def cmd_eval(args) -> int:
     _resolve(args, TRAIN_SPEC)
     graph, labels, index = _prepare_training(args)
     params = load_params(args.checkpoint)
-    meta = params.meta
-    mc = ModelConfig(proj_dim=meta["proj_dim"], embed_dim=meta["embed_dim"],
-                     heads=meta["heads"],
-                     ablation=() if args.ablation == "none" else (args.ablation,))
+    config = replace(_train_config(args), proj_dim=params.meta["proj_dim"],
+                     embed_dim=params.meta["embed_dim"], heads=params.meta["heads"])
     if args.split:
         with open(args.split, encoding="utf-8") as fh:
             split = json.load(fh)
         train_ids, test_ids = split["train"], split["test"]
     else:
-        train_ids, test_ids = split_dataset(labels, args.psr, args.test_fraction,
-                                            args.seed)
-    embed = _embed_all(graph, index, [graph.index[i] for i in train_ids + test_ids],
-                       params, mc, args.batch_size)
-    z, p = embed.z, embed.p
-    test_labels = {i: labels[i] for i in test_ids}
-    if args.eval_mode == "direct":
-        metrics = evaluate({i: p[graph.index[i]] for i in test_ids}, test_labels, "direct")
-    else:
-        metrics = evaluate({i: z[graph.index[i]] for i in test_ids}, test_labels,
-                           "downstream",
-                           train_embeddings={i: z[graph.index[i]] for i in train_ids},
-                           train_labels={i: labels[i] for i in train_ids},
-                           seed=args.seed)
+        train_ids, test_ids = split_dataset(labels, config.psr, config.test_fraction,
+                                            config.seed)
+    metrics, _, _ = score_split(graph, index, labels, params, train_ids, test_ids, config)
     print(_metrics_text(metrics), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -374,8 +354,8 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     _resolve(args, TRAIN_SPEC)
-    graph, labels, index = _prepare_training(args)
     base = _train_config(args)
+    graph, labels, index = _prepare_training(args)
     lines = ["variant\tf1\taccuracy"]
     for variant in ("full", "hete", "inner", "cross", "att"):
         ablation = () if variant == "full" else (variant,)
@@ -394,9 +374,11 @@ def cmd_sweep(args) -> int:
                     "threshold": (float, 0.2), "max_epochs": (int, 500),
                     "p_rpt": (float, 1.0), "p_bg": (float, 0.0)})
     if args.mode == "psr":
+        base = _train_config(args)
         graph, labels, index = _prepare_training(args)
         lines = ["psr\tf1\taccuracy"]
-        for psr, metrics in psr_sweep(graph, index, labels, _train_config(args)):
+        for psr in PSR_GRID:
+            metrics = train(graph, index, labels, replace(base, psr=psr)).metrics
             lines.append(f"{psr!r}\t{metrics.f1!r}\t{metrics.accuracy!r}")
             print(lines[-1])
         table = "\n".join(lines) + "\n"

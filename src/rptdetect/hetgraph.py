@@ -141,9 +141,6 @@ class HetGraph:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def node_type(self, i: int) -> str:
-        return self.types[i]
-
     def nodes_of_type(self, node_type: str) -> list[int]:
         return [i for i, t in enumerate(self.types) if t == node_type]
 
@@ -163,10 +160,6 @@ class HetGraph:
 
     def in_neighbors(self, i: int, etype: str) -> list[int]:
         return self._in[etype][i]
-
-    def typed_neighbors(self, i: int, etype: str) -> list[int]:
-        """Neighbors reachable by the edge type ignoring direction."""
-        return sorted(set(self._out[etype][i]) | set(self._in[etype][i]))
 
     def neighbors(self, i: int) -> set[int]:
         return self._adj[i]
@@ -374,10 +367,16 @@ def load_labels(path: str | os.PathLike) -> dict[str, int]:
         header = next(reader, None)
         if header != ["id", "label"]:
             raise DimensionMismatch(f"labels file {path}: missing 'id,label' header")
-        for rec in reader:
+        for line_no, rec in enumerate(reader, start=2):
             if not rec:
                 continue
-            labels[rec[0]] = int(rec[1])
+            if len(rec) != 2:
+                raise DimensionMismatch(
+                    f"labels file line {line_no}: expected 2 columns, got {len(rec)}")
+            try:
+                labels[rec[0]] = int(rec[1])
+            except ValueError as exc:
+                raise DimensionMismatch(f"labels file line {line_no}: {exc}") from exc
     return labels
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InstanceCapExceeded, MalformedMetapath
+from .errors import InfeasibleConfig, InstanceCapExceeded, MalformedMetapath
 from .hetgraph import HetGraph
 from .patterns import RptPattern, validate_pattern
 
@@ -109,6 +109,8 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
     validate_pattern(pattern, graph.schema)
     if cap_mode not in (CAP_ERROR, CAP_TRUNCATE):
         raise ValueError(f"cap_mode must be 'error' or 'truncate', got {cap_mode!r}")
+    if cap < 1:
+        raise InfeasibleConfig(f"cap must be >= 1, got {cap}")
 
     order = _bfs_role_order(pattern)
     role_pos = {r: k for k, r in enumerate(order)}

@@ -41,9 +41,6 @@ class ModelConfig:
     proj_dim: int = 16
     embed_dim: int = 16
     heads: int = 2
-    feature_activation: str = "elu"     # stages 2-4 transforms
-    attn_activation: str = "leaky_relu"  # attention logits
-    leaky_alpha: float = 0.2
     ablation: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -71,24 +68,14 @@ class ModelConfig:
         return "hete" in self.ablation
 
 
-def _act_np(name: str, alpha: float):
-    if name == "elu":
-        return lambda x: np.where(x >= 0, x, np.expm1(np.minimum(x, 0.0)))
-    if name == "leaky_relu":
-        return lambda x: np.where(x >= 0, x, alpha * x)
-    if name == "linear":
-        return lambda x: x
-    raise ValueError(f"unknown activation {name!r}")
+def _elu(x):
+    """Feature transform of stages 2-4 (``ad.elu`` on the tape)."""
+    return np.where(x >= 0, x, np.expm1(np.minimum(x, 0.0)))
 
 
-def _act_tape(name: str, alpha: float):
-    if name == "elu":
-        return ad.elu
-    if name == "leaky_relu":
-        return lambda t: ad.leaky_relu(t, alpha)
-    if name == "linear":
-        return lambda t: t
-    raise ValueError(f"unknown activation {name!r}")
+def _leaky_relu(x):
+    """Attention-logit activation, slope 0.2 (``ad.leaky_relu`` on the tape)."""
+    return np.where(x >= 0, x, 0.2 * x)
 
 
 class ModelParams:
@@ -125,10 +112,6 @@ class ModelParams:
 
     def attn_cross(self, pattern_id: str) -> np.ndarray:
         return self.arrays[f"attn_cross::{pattern_id}"]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.arrays.items()},
-                           json.loads(json.dumps(self.meta)))
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -197,7 +180,6 @@ def encode_instance(instance, h: dict[int, np.ndarray], params: ModelParams,
     With the company-only ablation, non-company roles contribute zeros.
     """
     mapping = instance.mapping(pattern)
-    act = _act_np(config.feature_activation, config.leaky_alpha)
     parts = []
     for role, rtype in pattern.anchor_first_roles():
         if config.company_only and rtype != params.company_type:
@@ -205,7 +187,7 @@ def encode_instance(instance, h: dict[int, np.ndarray], params: ModelParams,
         else:
             parts.append(h[mapping[role]])
     c = np.concatenate(parts)
-    heads = [act(params.inst_w(pattern.pattern_id, k) @ c) for k in range(config.heads)]
+    heads = [_elu(params.inst_w(pattern.pattern_id, k) @ c) for k in range(config.heads)]
     return np.concatenate(heads)
 
 
@@ -216,15 +198,13 @@ def inner_rpt_attention(encodings: np.ndarray, params: ModelParams,
     if encodings.ndim != 2 or encodings.shape[0] < 1:
         raise ShapeMismatch("need at least one instance encoding")
     n = encodings.shape[0]
-    feat = _act_np(config.feature_activation, config.leaky_alpha)
-    attn = _act_np(config.attn_activation, config.leaky_alpha)
     if config.inner_uniform:
         alpha = np.full(n, 1.0 / n)
     else:
-        e = attn(encodings @ params.attn_inst(pattern_id))
+        e = _leaky_relu(encodings @ params.attn_inst(pattern_id))
         e = e - e.max()
         alpha = np.exp(e) / np.exp(e).sum()
-    f = feat(alpha @ encodings)
+    f = _elu(alpha @ encodings)
     return f, alpha
 
 
@@ -237,20 +217,18 @@ def cross_rpt_attention(summaries: dict[str, np.ndarray], x_i: np.ndarray,
     among themselves.  With no pattern present the query vector alone is pushed
     through the shared transform (degenerate path).
     """
-    feat = _act_np(config.feature_activation, config.leaky_alpha)
-    attn = _act_np(config.attn_activation, config.leaky_alpha)
     W, b, Q = params.arrays["cross_w"], params.arrays["cross_b"], params.arrays["query"]
-    q = feat(Q @ x_i)
+    q = _elu(Q @ x_i)
     present = [pid for pid in params.pattern_ids if pid in summaries]
     if not present:
-        return feat(W @ q + b), {}
+        return _elu(W @ q + b), {}
     d = config.embed_dim
-    m = {pid: feat(W @ summaries[pid] + b) for pid in present}
+    m = {pid: _elu(W @ summaries[pid] + b) for pid in present}
     if config.cross_uniform:
         beta = np.full(len(present), 1.0 / len(present))
     else:
         logits = np.array([
-            attn(float(params.attn_cross(pid) @ np.concatenate([q, m[pid]])) / math.sqrt(d))
+            _leaky_relu(float(params.attn_cross(pid) @ np.concatenate([q, m[pid]])) / math.sqrt(d))
             for pid in present
         ])
         logits = logits - logits.max()
@@ -300,8 +278,7 @@ def _check_batch(graph: HetGraph, batch: list[int], company: str,
 
 def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
             params: ModelParams, config: ModelConfig,
-            labels: dict[int, int] | None = None,
-            keep_tape: bool = False) -> ForwardResult:
+            labels: dict[int, int] | None = None) -> ForwardResult:
     """Run the full pipeline for a batch of company nodes on one tape.
 
     With ``labels`` the mean binary cross-entropy over the batch is computed
@@ -315,8 +292,6 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
 
     tape = ad.Tape()
     tp = {name: tape.parameter(name, arr) for name, arr in params.arrays.items()}
-    feat = _act_tape(config.feature_activation, config.leaky_alpha)
-    attn = _act_tape(config.attn_activation, config.leaky_alpha)
     d = config.embed_dim
     n_batch = len(batch)
     anchors = np.array(batch, dtype=np.intp)
@@ -358,7 +333,7 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
     row_of[needed] = np.arange(len(needed))
 
     Xb = tape.constant(graph.type_features(company)[graph.row_in_type[anchors]])
-    q_all = feat(ad.matmul(Xb, ad.transpose(tp["query"])))
+    q_all = ad.elu(ad.matmul(Xb, ad.transpose(tp["query"])))
     W_T = ad.transpose(tp["cross_w"])
 
     mask = np.zeros((n_batch, len(pattern_ids)), dtype=bool)
@@ -378,22 +353,22 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
         n_inst, n_roles = idx.shape
         C = ad.reshape(ad.rows(H, idx.ravel()), (n_inst, n_roles * config.proj_dim))
         W_heads = ad.vconcat([tp[f"inst::{pid}::h{h}"] for h in range(config.heads)])
-        h_enc = feat(ad.matmul(C, ad.transpose(W_heads)))
+        h_enc = ad.elu(ad.matmul(C, ad.transpose(W_heads)))
         if config.inner_uniform:
             sizes = np.diff(offsets)
             alpha = tape.constant(np.repeat(1.0 / sizes, sizes))
         else:
-            e = attn(ad.matmul(h_enc, tp[f"attn_inst::{pid}"]))
+            e = ad.leaky_relu(ad.matmul(h_enc, tp[f"attn_inst::{pid}"]))
             alpha = ad.segment_softmax(e, offsets)
         alpha_tensors[pid] = alpha
-        F = feat(ad.segment_weighted_sum(alpha, h_enc, offsets))
-        m = feat(ad.add(ad.matmul(F, W_T), tp["cross_b"]))
+        F = ad.elu(ad.segment_weighted_sum(alpha, h_enc, offsets))
+        m = ad.elu(ad.add(ad.matmul(F, W_T), tp["cross_b"]))
         m_full[pid] = ad.scatter_rows(m, positions, n_batch)
         mask[positions, col_idx] = True
         vq = ad.slice1d(tp[f"attn_cross::{pid}"], 0, d)
         vm = ad.slice1d(tp[f"attn_cross::{pid}"], d, 2 * d)
         s = ad.add(ad.matmul(q_all, vq), ad.matmul(m_full[pid], vm))
-        logit_cols.append(ad.as_column(attn(ad.scale(s, 1.0 / math.sqrt(d)))))
+        logit_cols.append(ad.as_column(ad.leaky_relu(ad.scale(s, 1.0 / math.sqrt(d)))))
 
     if pattern_ids:
         E = ad.hconcat(logit_cols)
@@ -414,7 +389,7 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
 
     degenerate_rows = ~mask.any(axis=1)
     if degenerate_rows.any() or z is None:
-        fallback = feat(ad.add(ad.matmul(q_all, W_T), tp["cross_b"]))
+        fallback = ad.elu(ad.add(ad.matmul(q_all, W_T), tp["cross_b"]))
         gated = ad.colscale(fallback, tape.constant(degenerate_rows.astype(np.float64)))
         z = gated if z is None else ad.add(z, gated)
 
@@ -440,7 +415,7 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
         node: {pid: b for pid, b, on in zip(pattern_ids, B_rows[r], mask_rows[r]) if on}
         for r, node in enumerate(batch)
     }
-    result = ForwardResult(
+    return ForwardResult(
         batch=batch,
         loss=loss,
         p=dict(zip(batch, p_tensor.data.tolist())),
@@ -448,11 +423,9 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
         alpha=alpha_rec,
         beta=beta_rec,
         degenerate={i for i, dg in zip(batch, degenerate_rows.tolist()) if dg},
+        tape=tape if labels is not None else None,
+        loss_tensor=loss_tensor,
     )
-    if keep_tape or labels is not None:
-        result.tape = tape
-        result.loss_tensor = loss_tensor
-    return result
 
 
 def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],

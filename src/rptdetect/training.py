@@ -1,4 +1,4 @@
-"""Semi-supervised training: PSR-controlled splits, Adam, metrics, sweeps.
+"""Semi-supervised training: PSR-controlled splits, Adam, metrics, timing sweep.
 
 All randomness flows from the config seed; two runs with identical inputs
 produce bit-identical parameter trajectories and metric values.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -16,14 +16,13 @@ import numpy as np
 from .errors import (
     DivergedLoss,
     EmptyTestSet,
+    InfeasibleConfig,
     InsufficientSamples,
     SingleClass,
 )
 from .hetgraph import HetGraph, labels_to_indices
 from .matcher import NeighborIndex
-from .model import ForwardResult, ModelConfig, ModelParams, forward, init_params
-
-PSR_GRID = (0.5, 0.4, 0.3, 0.2, 0.1)
+from .model import ModelConfig, ModelParams, forward, init_params
 
 
 @dataclass(frozen=True)
@@ -46,11 +45,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0.0 < self.psr <= 1.0):
-            raise ValueError(f"psr must be in (0, 1], got {self.psr}")
+            raise InfeasibleConfig(f"psr must be in (0, 1], got {self.psr}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InfeasibleConfig(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_mode not in ("downstream", "direct"):
-            raise ValueError(f"eval_mode must be 'downstream' or 'direct', got {self.eval_mode!r}")
+            raise InfeasibleConfig(
+                f"eval_mode must be 'downstream' or 'direct', got {self.eval_mode!r}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(proj_dim=self.proj_dim, embed_dim=self.embed_dim,
@@ -103,9 +103,9 @@ def split_dataset(labels: dict[str, int], psr: float, test_fraction: float,
     within one sample.  Deterministic per seed.
     """
     if not (0.0 < psr <= 1.0):
-        raise ValueError(f"psr must be in (0, 1], got {psr}")
+        raise InfeasibleConfig(f"psr must be in (0, 1], got {psr}")
     if not (0.0 <= test_fraction < 1.0):
-        raise ValueError(f"test_fraction must be in [0, 1), got {test_fraction}")
+        raise InfeasibleConfig(f"test_fraction must be in [0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     pos = sorted(k for k, y in labels.items() if y == 1)
     neg = sorted(k for k, y in labels.items() if y == 0)
@@ -300,33 +300,21 @@ def _run_epoch(graph: HetGraph, index: NeighborIndex, train_idx: list[int],
     return total / count, beta_sum, beta_n
 
 
-def _embed_all(graph: HetGraph, index: NeighborIndex, node_idx: list[int],
-               params: ModelParams, mc: ModelConfig, batch_size: int
-               ) -> ForwardResult:
-    z: dict[int, np.ndarray] = {}
-    p: dict[int, float] = {}
-    for start in range(0, len(node_idx), batch_size):
-        res = forward(graph, index, node_idx[start:start + batch_size], params, mc)
-        z.update(res.z)
-        p.update(res.p)
-    return ForwardResult(node_idx, None, p, z, {}, {}, set())
+def _fit(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
+         config: TrainConfig, epochs: int, loss_threshold: float = -math.inf):
+    """Split, class check, init, then epochs of Adam: what ``train`` and
+    ``timing_sweep`` share.
 
-
-def train(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
-          config: TrainConfig) -> TrainResult:
-    """Full semi-supervised run: split, epochs of Adam, final evaluation.
-
-    Returns final parameters, test metrics under ``config.eval_mode``, and the
-    per-epoch mean pattern-attention trend.
+    Runs ``epochs`` epochs, or stops after the first whose mean loss is at
+    most ``loss_threshold``.  Returns (params, train ids, test ids, trend,
+    per-epoch mean loss, per-epoch seconds).
     """
     train_ids, test_ids = split_dataset(labels, config.psr, config.test_fraction,
                                         config.seed)
-    train_y = {i: labels[i] for i in train_ids}
-    if len(set(train_y.values())) < 2:
+    if len({labels[i] for i in train_ids}) < 2:
         raise InsufficientSamples("train split needs at least one node per class")
     labels_idx = labels_to_indices(graph, labels)
     train_idx = [graph.index[i] for i in train_ids]
-    test_idx = [graph.index[i] for i in test_ids]
 
     mc = config.model_config()
     params = init_params(graph.schema, index.patterns, mc, config.seed)
@@ -336,7 +324,7 @@ def train(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
     loss_history: list[float] = []
     epoch_seconds: list[float] = []
     trend: list[tuple[int, str, float | None]] = []
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         t0 = time.perf_counter()
         mean_loss, beta_sum, beta_n = _run_epoch(
             graph, index, train_idx, labels_idx, params, mc, state, config, rng)
@@ -345,20 +333,46 @@ def train(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
         for pid in index.pattern_ids:
             mean_beta = beta_sum[pid] / beta_n[pid] if beta_n[pid] else None
             trend.append((epoch, pid, mean_beta))
+        if mean_loss <= loss_threshold:
+            break
+    return params, train_ids, test_ids, trend, loss_history, epoch_seconds
 
-    all_idx = train_idx + test_idx
-    embed = _embed_all(graph, index, all_idx, params, mc, config.batch_size)
-    embeddings = {graph.ids[i]: embed.z[i] for i in all_idx}
-    probabilities = {graph.ids[i]: embed.p[i] for i in all_idx}
 
-    test_labels = {i: labels[i] for i in test_ids}
-    if config.eval_mode == "direct":
-        metrics = evaluate({i: probabilities[i] for i in test_ids}, test_labels, "direct")
-    else:
-        metrics = evaluate({i: embeddings[i] for i in test_ids}, test_labels,
-                           "downstream",
-                           train_embeddings={i: embeddings[i] for i in train_ids},
-                           train_labels=train_y, seed=config.seed)
+def score_split(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
+                params: ModelParams, train_ids: list[str], test_ids: list[str],
+                config: TrainConfig
+                ) -> tuple[Metrics, dict[str, np.ndarray], dict[str, float]]:
+    """Embed the split's nodes and score the test ids under ``config.eval_mode``.
+
+    Shared by ``train`` and ``rptdetect eval``.  Returns (metrics, embeddings,
+    probabilities), the last two keyed by node id in train-then-test order.
+    """
+    mc = config.model_config()
+    nodes = [graph.index[i] for i in train_ids + test_ids]
+    z: dict[str, np.ndarray] = {}
+    p: dict[str, float] = {}
+    for start in range(0, len(nodes), config.batch_size):
+        res = forward(graph, index, nodes[start:start + config.batch_size], params, mc)
+        z.update((graph.ids[i], v) for i, v in res.z.items())
+        p.update((graph.ids[i], v) for i, v in res.p.items())
+    metrics = evaluate(p if config.eval_mode == "direct" else z,
+                       {i: labels[i] for i in test_ids}, config.eval_mode,
+                       train_embeddings=z, train_labels={i: labels[i] for i in train_ids},
+                       seed=config.seed)
+    return metrics, z, p
+
+
+def train(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
+          config: TrainConfig) -> TrainResult:
+    """Full semi-supervised run: split, epochs of Adam, final evaluation.
+
+    Returns final parameters, test metrics under ``config.eval_mode``, and the
+    per-epoch mean pattern-attention trend.
+    """
+    params, train_ids, test_ids, trend, loss_history, epoch_seconds = _fit(
+        graph, index, labels, config, config.epochs)
+    metrics, embeddings, probabilities = score_split(
+        graph, index, labels, params, train_ids, test_ids, config)
     metrics.loss_history = loss_history
     metrics.epoch_seconds = epoch_seconds
     return TrainResult(params, metrics, trend, train_ids, test_ids,
@@ -374,47 +388,19 @@ class SweepRow:
     seconds: float
 
 
-def train_to_threshold(graph: HetGraph, index: NeighborIndex,
-                       labels: dict[str, int], config: TrainConfig, *,
-                       loss_threshold: float = 0.2,
-                       max_epochs: int = 500) -> SweepRow:
-    """Train until the epoch mean loss crosses the threshold; report wall time."""
-    train_ids, _ = split_dataset(labels, config.psr, config.test_fraction, config.seed)
-    labels_idx = labels_to_indices(graph, labels)
-    train_idx = [graph.index[i] for i in train_ids]
-    mc = config.model_config()
-    params = init_params(graph.schema, index.patterns, mc, config.seed)
-    state = init_adam_state(params)
-    rng = np.random.default_rng(config.seed)
-    t0 = time.perf_counter()
-    epochs = 0
-    for _ in range(max_epochs):
-        mean_loss, _, _ = _run_epoch(
-            graph, index, train_idx, labels_idx, params, mc, state, config, rng)
-        epochs += 1
-        if mean_loss <= loss_threshold:
-            break
-    return SweepRow(len(graph), epochs, time.perf_counter() - t0)
-
-
 def timing_sweep(sizes: Sequence[int], make_dataset, config: TrainConfig, *,
                  loss_threshold: float = 0.2,
                  max_epochs: int = 500) -> list[SweepRow]:
     """One row per graph size: nodes, epochs to the loss threshold, seconds.
 
-    ``make_dataset(total_nodes)`` must return (graph, index, labels).
+    Each size runs ``train``'s set-up and epochs until an epoch's mean loss is
+    at most ``loss_threshold`` (or ``max_epochs`` have run); the seconds count
+    the epochs only.  ``make_dataset(total_nodes)`` must return
+    (graph, index, labels).
     """
     rows = []
     for n in sizes:
         graph, index, labels = make_dataset(n)
-        rows.append(train_to_threshold(graph, index, labels, config,
-                                       loss_threshold=loss_threshold,
-                                       max_epochs=max_epochs))
+        *_, seconds = _fit(graph, index, labels, config, max_epochs, loss_threshold)
+        rows.append(SweepRow(len(graph), len(seconds), sum(seconds)))
     return rows
-
-
-def psr_sweep(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
-              config: TrainConfig, psrs: Sequence[float] = PSR_GRID
-              ) -> list[tuple[float, Metrics]]:
-    return [(psr, train(graph, index, labels, replace(config, psr=psr)).metrics)
-            for psr in psrs]

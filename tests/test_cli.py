@@ -27,6 +27,11 @@ def read(path):
         return fh.read()
 
 
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error\t")]
+
+
 def test_generate_writes_loadable_dataset(dataset):
     for name in ("schema.json", "nodes.csv", "edges.csv", "labels.csv",
                  "communities.json"):
@@ -114,15 +119,17 @@ def test_outputs_do_not_depend_on_blas_thread_count(dataset, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_eval_reuses_checkpoint_and_split(dataset, tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["direct", "downstream"])
+def test_eval_reuses_checkpoint_and_split(dataset, tmp_path, capsys, mode):
     run = tmp_path / "run"
     rc = main(["train", "--graph", str(dataset), "--out", str(run),
                "--epochs", "2", "--dim", "8", "--proj-dim", "4",
-               "--batch-size", "64", "--seed", "5", "--test-fraction", "0.3"])
+               "--batch-size", "64", "--seed", "5", "--test-fraction", "0.3",
+               "--eval-mode", mode])
     assert rc == 0
     rc = main(["eval", "--graph", str(dataset),
                "--checkpoint", str(run / "checkpoint.json"),
-               "--split", str(run / "split.json"),
+               "--split", str(run / "split.json"), "--eval-mode", mode,
                "--out", str(tmp_path / "eval")])
     assert rc == 0
     train_metrics = read(run / "metrics.tsv")
@@ -157,6 +164,41 @@ def test_sweep_timing_mode_writes_rows(tmp_path):
     rows = read(tmp_path / "timing.tsv").splitlines()
     assert rows[0] == "nodes\tepochs\tseconds"
     assert len(rows) == 3
+
+
+def test_sweep_timing_mode_rejects_one_class_train_split(capsys):
+    rc = main(["sweep", "--mode", "timing", "--sizes", "250", "--psr", "1.0",
+               "--epochs", "1", "--dim", "8", "--proj-dim", "4",
+               "--batch-size", "64", "--seed", "1", "--max-epochs", "5"])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error\tInsufficientSamples\t")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--epochs", "1", "--batch-size", "0"]),
+    ("train", ["--epochs", "1", "--cap", "0"]),
+    ("match", ["--cap", "0"]),
+])
+def test_out_of_range_config_fails_with_one_error_line(dataset, tmp_path, capsys,
+                                                       command, flags):
+    rc = main([command, "--graph", str(dataset), "--out", str(tmp_path / "run")] + flags)
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error\tInfeasibleConfig\t"), errors
+
+
+@pytest.mark.parametrize("row", ["C0,x", "C0"])
+def test_malformed_labels_row_fails_with_line_number(dataset, tmp_path, capsys, row):
+    bad = tmp_path / "bad"
+    assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
+    lines = read(bad / "labels.csv").splitlines()
+    (bad / "labels.csv").write_text("\n".join(lines[:3] + [row] + lines[3:]) + "\n")
+    rc = main(["ingest", "--graph", str(bad)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tDimensionMismatch\tlabels file line 4:")
 
 
 def test_train_on_separable_dataset_reaches_high_f1(tmp_path):

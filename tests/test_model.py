@@ -73,10 +73,9 @@ def test_projection_missing_type_raises():
 
 
 def test_encode_selector_reproduces_anchor_projection():
-    # H=1, conversion matrix selecting the anchor block, linear activation
+    # H=1, conversion matrix selecting the anchor block, then the ELU
     graph, _, index, params, _ = toy_setup(heads=1, n_patterns=1)
-    config = ModelConfig(proj_dim=4, embed_dim=4, heads=1,
-                         feature_activation="linear")
+    config = ModelConfig(proj_dim=4, embed_dim=4, heads=1)
     pattern = index.patterns[0]
     selector = np.zeros((4, len(pattern.roles) * 4))
     selector[:, :4] = np.eye(4)
@@ -85,7 +84,8 @@ def test_encode_selector_reproduces_anchor_projection():
     node = next(i for i in graph.company_nodes() if index.instances(i, "PCCP"))
     inst = index.instances(node, "PCCP")[0]
     enc = encode_instance(inst, h, params, pattern, config)
-    np.testing.assert_allclose(enc, h[node], atol=1e-12)
+    elu = np.where(h[node] >= 0, h[node], np.expm1(np.minimum(h[node], 0.0)))
+    np.testing.assert_allclose(enc, elu, atol=1e-12)
 
 
 def test_encode_input_width_is_roles_times_proj_dim():
