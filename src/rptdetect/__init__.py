@@ -28,7 +28,7 @@ from .model import (
     save_params,
 )
 from .patterns import BUNDLED_METAPATHS, RptPattern, bundled_patterns, load_patterns
-from .stats import evasion_ratio_stats
+from .stats import evader_centers, evasion_ratio_stats
 from .synth import GenConfig, export, generate
 from .training import (
     Metrics,
@@ -61,6 +61,7 @@ __all__ = [
     "bundled_patterns",
     "degree_histogram",
     "enumerate_instances",
+    "evader_centers",
     "evaluate",
     "evasion_ratio_stats",
     "export",

@@ -33,7 +33,7 @@ from .patterns import (
     bundled_patterns,
     load_patterns,
 )
-from .stats import evasion_ratio_stats, ratio_table_text, stats_table_text
+from .stats import evader_centers, evasion_ratio_stats, ratio_table_text, stats_table_text
 from .synth import GenConfig, export as export_dataset, generate, save_ground_truth, scaled_config
 from .training import TrainConfig, score_split, split_dataset, timing_sweep, train
 
@@ -272,16 +272,17 @@ def cmd_stats(args) -> int:
     labels_path = _labels_path(args)
     if not labels_path:
         raise PipelineError("stats requires --labels")
-    labels = load_labels(labels_path)
+    labels = labels_to_indices(graph, load_labels(labels_path))
+    centers = evader_centers(graph, labels)
     pats = _load_pattern_arg(args.patterns, graph.schema)
     index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode)
     mp = {name: metapath_neighbors(graph, path)
           for name, path in BUNDLED_METAPATHS.items()
           if all(t in graph.schema.node_types for t in path[0::2])
           and all(e in graph.schema.edge_types for e in path[1::2])}
-    centers = graph.company_nodes()
+    # the k-order balls are read only around the evader centers
     ko = {k: k_order_neighbors(graph, k, centers) for k in range(1, args.korder_max + 1)}
-    stats = evasion_ratio_stats(graph, index, mp, ko, labels_to_indices(graph, labels))
+    stats = evasion_ratio_stats(graph, index, mp, ko, labels)
     print(stats_table_text(stats), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -68,7 +69,8 @@ class HetGraph:
     stored exactly as ingested and expanded into adjacency structures once.
     Node types are also held as integer codes (``type_code``, indexing the
     sorted ``type_names``) with each node's row among the nodes of its type
-    (``row_in_type``), the row layout of ``type_features``.  These arrays are
+    (``row_in_type``), the row layout of ``type_features``, and each node's
+    out- and in-degree per edge type (``edge_degrees``).  These arrays are
     built on first use; attributes change only by assigning a new ``x`` list.
     """
 
@@ -121,15 +123,12 @@ class HetGraph:
         self._in: dict[str, list[list[int]]] = {r: [[] for _ in range(n)]
                                                 for r in schema.edge_types}
         self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._degree = [0] * n
         for s, t, r in self.edges:
             self._edge_set.add((s, t, r))
             self._out[r][s].append(t)
             self._in[r][t].append(s)
             self._adj[s].add(t)
             self._adj[t].add(s)
-            self._degree[s] += 1
-            self._degree[t] += 1
         for r in schema.edge_types:
             for lst in self._out[r]:
                 lst.sort()
@@ -164,14 +163,20 @@ class HetGraph:
     def neighbors(self, i: int) -> set[int]:
         return self._adj[i]
 
-    def incident_edge_types(self, i: int) -> tuple[set[str], set[str]]:
-        """(out edge types, in edge types) present at node i."""
-        outs = {r for r in self.schema.edge_types if self._out[r][i]}
-        ins = {r for r in self.schema.edge_types if self._in[r][i]}
-        return outs, ins
-
-    def degree(self, i: int) -> int:
-        return self._degree[i]
+    @cached_property
+    def edge_degrees(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per edge type, every node's (out-degree, in-degree) as two arrays."""
+        n, m = len(self), len(self.edges)
+        code = {r: k for k, r in enumerate(self.schema.edge_types)}
+        src = np.fromiter((s for s, _, _ in self.edges), dtype=np.intp, count=m)
+        dst = np.fromiter((t for _, t, _ in self.edges), dtype=np.intp, count=m)
+        ecode = np.fromiter((code[r] for _, _, r in self.edges), dtype=np.intp, count=m)
+        degrees = {}
+        for r, k in code.items():
+            mask = ecode == k
+            degrees[r] = (np.bincount(src[mask], minlength=n),
+                          np.bincount(dst[mask], minlength=n))
+        return degrees
 
     @cached_property
     def type_code(self) -> np.ndarray:
@@ -274,7 +279,13 @@ def labels_to_indices(graph: HetGraph, labels: dict[str, int]) -> dict[int, int]
 def load_schema(path: str | os.PathLike) -> Schema:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    node_types = {name: int(spec["dim"]) for name, spec in raw["node_types"].items()}
+    node_types: dict[str, int] = {}
+    for name, spec in raw["node_types"].items():
+        try:
+            node_types[name] = int(spec["dim"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DimensionMismatch(
+                f"schema node type {name!r} needs an integer 'dim'") from exc
     edge_types = {
         name: EdgeType(spec["source"], spec["target"], bool(spec.get("directed", True)))
         for name, spec in raw["edge_types"].items()
@@ -312,10 +323,12 @@ def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
             if len(rec) < 2:
                 raise DimensionMismatch(f"nodes file line {line_no}: too few columns")
             try:
-                attrs = np.array([float(v) for v in rec[2:]], dtype=np.float64)
+                values = [float(v) for v in rec[2:]]
             except ValueError as exc:
                 raise DimensionMismatch(f"nodes file line {line_no}: {exc}") from exc
-            nodes.append((rec[0], rec[1], attrs))
+            if not all(map(math.isfinite, values)):
+                raise DimensionMismatch(f"nodes file line {line_no}: non-finite attribute")
+            nodes.append((rec[0], rec[1], np.array(values, dtype=np.float64)))
     edges: list[tuple[str, str, str]] = []
     with open(edges_file, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -77,22 +77,25 @@ def _role_requirements(pattern: RptPattern) -> dict[str, tuple[set[str], set[str
 
 def _base_candidates(graph: HetGraph, pattern: RptPattern, role: str,
                      injective: bool) -> list[int]:
-    rtype = pattern.role_type(role)
+    """Nodes of the role's type with every incident edge type the role needs, ascending.
+
+    An undirected edge type is satisfied by an edge in either direction.  In
+    injective mode a node also needs at least as many edges as the role has.
+    """
     req_out, req_in = _role_requirements(pattern)[role]
-    directed = {r: graph.schema.edge_types[r].directed for r in graph.schema.edge_types}
-    out: list[int] = []
-    deg_needed = sum(1 for s, t, _ in pattern.edges if role in (s, t))
-    for i in graph.nodes_of_type(rtype):
-        outs, ins = graph.incident_edge_types(i)
-        undirected_ok = outs | ins
-        if any(r not in (outs if directed[r] else undirected_ok) for r in req_out):
-            continue
-        if any(r not in (ins if directed[r] else undirected_ok) for r in req_in):
-            continue
-        if injective and graph.degree(i) < deg_needed:
-            continue
-        out.append(i)
-    return out
+    degrees = graph.edge_degrees
+    keep = graph.type_code == graph.type_names.index(pattern.role_type(role))
+    for required, side in ((req_out, 0), (req_in, 1)):
+        for r in required:
+            if graph.schema.edge_types[r].directed:
+                keep &= degrees[r][side] > 0
+            else:
+                keep &= (degrees[r][0] + degrees[r][1]) > 0
+    if injective:
+        deg_needed = sum(1 for s, t, _ in pattern.edges if role in (s, t))
+        total = sum(out_deg + in_deg for out_deg, in_deg in degrees.values())
+        keep &= total >= deg_needed
+    return np.flatnonzero(keep).tolist()
 
 
 def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,

@@ -59,7 +59,7 @@ def _count_pairs(centers: list[int], neighbor_sets: dict[int, set[int]],
                  labels: dict[int, int]) -> tuple[int, int]:
     pairs = hits = 0
     for i in centers:
-        for j in neighbor_sets.get(i, ()):
+        for j in neighbor_sets[i]:
             if j == i:
                 continue
             y = labels.get(j)
@@ -70,11 +70,8 @@ def _count_pairs(centers: list[int], neighbor_sets: dict[int, set[int]],
     return pairs, hits
 
 
-def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
-                        metapaths: dict[int | str, dict[int, set[int]]],
-                        k_orders: dict[int, dict[int, set[int]]],
-                        labels: dict[int, int]) -> EvasionStats:
-    """Build the per-definition probability table and the pairwise ratio table.
+def evader_centers(graph: HetGraph, labels: dict[int, int]) -> list[int]:
+    """The labeled evading companies, ascending: the centers of every pair.
 
     ``labels`` is keyed by node index.  Raises ``NoLabeledPairs`` when there is
     no labeled evader to center any pair on.
@@ -84,6 +81,21 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
                      if y == 1 and graph.types[i] == company)
     if not centers:
         raise NoLabeledPairs("no labeled tax-evasion companies to center pairs on")
+    return centers
+
+
+def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
+                        metapaths: dict[int | str, dict[int, set[int]]],
+                        k_orders: dict[int, dict[int, set[int]]],
+                        labels: dict[int, int]) -> EvasionStats:
+    """Build the per-definition probability table and the pairwise ratio table.
+
+    ``labels`` is keyed by node index.  Every metapath and k-order map must
+    hold a set for each of the ``evader_centers``; a missing center raises
+    ``KeyError``.  Raises ``NoLabeledPairs`` when there is no labeled evader.
+    """
+    company = graph.schema.company_type
+    centers = evader_centers(graph, labels)
 
     rows: list[StatsRow] = []
 

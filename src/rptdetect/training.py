@@ -48,6 +48,11 @@ class TrainConfig:
             raise InfeasibleConfig(f"psr must be in (0, 1], got {self.psr}")
         if self.batch_size < 1:
             raise InfeasibleConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("heads", "embed_dim", "proj_dim"):
+            if getattr(self, name) < 1:
+                raise InfeasibleConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise InfeasibleConfig(f"epochs must be >= 0, got {self.epochs}")
         if self.eval_mode not in ("downstream", "direct"):
             raise InfeasibleConfig(
                 f"eval_mode must be 'downstream' or 'direct', got {self.eval_mode!r}")

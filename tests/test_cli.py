@@ -179,6 +179,10 @@ def test_sweep_timing_mode_rejects_one_class_train_split(capsys):
     ("train", ["--epochs", "1", "--batch-size", "0"]),
     ("train", ["--epochs", "1", "--cap", "0"]),
     ("match", ["--cap", "0"]),
+    ("train", ["--epochs", "1", "--heads", "0"]),
+    ("train", ["--epochs", "1", "--dim", "0"]),
+    ("train", ["--epochs", "1", "--proj-dim", "0"]),
+    ("train", ["--epochs", "-1"]),
 ])
 def test_out_of_range_config_fails_with_one_error_line(dataset, tmp_path, capsys,
                                                        command, flags):
@@ -199,6 +203,37 @@ def test_malformed_labels_row_fails_with_line_number(dataset, tmp_path, capsys, 
     errors = error_lines(capsys)
     assert len(errors) == 1
     assert errors[0].startswith("error\tDimensionMismatch\tlabels file line 4:")
+
+
+@pytest.mark.parametrize("spec", [{}, {"dim": "four"}])
+def test_schema_node_type_without_integer_dim_fails_naming_the_type(dataset, tmp_path,
+                                                                    capsys, spec):
+    bad = tmp_path / "bad"
+    assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
+    schema = json.loads(read(bad / "schema.json"))
+    schema["node_types"]["person"] = spec
+    (bad / "schema.json").write_text(json.dumps(schema))
+    rc = main(["ingest", "--graph", str(bad)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tDimensionMismatch\t") and "'person'" in errors[0]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_attribute_fails_with_line_number(dataset, tmp_path, capsys, value):
+    bad = tmp_path / "bad"
+    assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
+    lines = read(bad / "nodes.csv").splitlines()
+    cells = lines[4].split(",")
+    cells[2] = value
+    lines[4] = ",".join(cells)
+    (bad / "nodes.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["ingest", "--graph", str(bad)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tDimensionMismatch\tnodes file line 5:")
 
 
 def test_train_on_separable_dataset_reaches_high_f1(tmp_path):

@@ -238,7 +238,8 @@ def test_k_order_rejects_bad_radius():
         k_order_neighbors(g, 0)
 
 
-def test_undirected_edge_type_matches_either_orientation():
+@pytest.mark.parametrize("injective", [False, True])
+def test_undirected_edge_type_matches_either_orientation(injective):
     from rptdetect.hetgraph import EdgeType, Schema
     schema = Schema(
         node_types={"company": 2, "person": 2},
@@ -248,15 +249,18 @@ def test_undirected_edge_type_matches_either_orientation():
         "CPC2", roles=(("c1", "company"), ("c2", "company"), ("q", "person")),
         edges=(("c1", "c2", "partner"), ("q", "c1", "invest")), anchor="c1")
     g = make_graph(schema,
-                   [("A", "company"), ("B", "company"), ("x", "person")],
-                   [("B", "A", "partner"), ("x", "A", "invest")])
-    # the stored edge runs B->A; the undirected declaration lets c1=A match it
-    instances = enumerate_instances(g, pattern)
-    assert [i.anchor for i in instances] == [g.index["A"]]
-    assert instances == brute_force_instances(g, pattern)
+                   [("A", "company"), ("B", "company"), ("x", "person"),
+                    ("C", "company"), ("y", "person")],
+                   [("B", "A", "partner"), ("x", "A", "invest"),
+                    ("B", "C", "partner"), ("y", "C", "invest")])
+    # the stored edges run B->A and B->C; the undirected declaration lets
+    # c1=A and c1=C match them although their only partner edge is incoming
+    instances = enumerate_instances(g, pattern, injective=injective)
+    assert [i.anchor for i in instances] == [g.index["A"], g.index["C"]]
+    assert instances == brute_force_instances(g, pattern, injective=injective)
     nbrs = metapath_neighbors(g, ["company", "partner", "company"])
     assert nbrs[g.index["A"]] == {g.index["B"]}
-    assert nbrs[g.index["B"]] == {g.index["A"]}
+    assert nbrs[g.index["B"]] == {g.index["A"], g.index["C"]}
 
 
 def test_pattern_file_round_trip(tmp_path):

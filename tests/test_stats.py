@@ -6,7 +6,12 @@ from rptdetect.errors import NoLabeledPairs
 from rptdetect.hetgraph import labels_to_indices
 from rptdetect.matcher import build_neighbor_index, k_order_neighbors, metapath_neighbors
 from rptdetect.patterns import BUNDLED_METAPATHS, bundled_patterns
-from rptdetect.stats import evasion_ratio_stats, ratio_table_text, stats_table_text
+from rptdetect.stats import (
+    evader_centers,
+    evasion_ratio_stats,
+    ratio_table_text,
+    stats_table_text,
+)
 from rptdetect.synth import GenConfig, generate
 
 from conftest import make_graph, tax_schema
@@ -70,6 +75,37 @@ def test_no_labeled_evaders_raises():
     g = community_graph()
     with pytest.raises(NoLabeledPairs):
         full_stats(g, {"A": 0, "B": 0})
+    with pytest.raises(NoLabeledPairs):
+        evader_centers(g, labels_to_indices(g, {"A": 0, "B": 0}))
+
+
+def test_k_order_for_evader_centers_only_gives_the_same_tables():
+    graph, labels, _ = generate(GenConfig(
+        companies=300, persons=240, items=60, events=10,
+        communities=30, decoy_communities=10, label_coverage=0.8,
+        feature_dim=3, seed=5))
+    y = labels_to_indices(graph, labels)
+    centers = evader_centers(graph, y)
+    assert 0 < len(centers) < len(graph.company_nodes())
+    index = build_neighbor_index(graph, bundled_patterns(), cap=64, cap_mode="truncate")
+    mp = {name: metapath_neighbors(graph, path)
+          for name, path in BUNDLED_METAPATHS.items()}
+    restricted = {k: k_order_neighbors(graph, k, centers) for k in (1, 2, 3)}
+    everywhere = {k: k_order_neighbors(graph, k) for k in (1, 2, 3)}
+    fast = evasion_ratio_stats(graph, index, mp, restricted, y)
+    full = evasion_ratio_stats(graph, index, mp, everywhere, y)
+    assert fast.rows == full.rows
+    assert fast.ratios == full.ratios
+    assert all(fast.row(f"{k}-order").pairs > 0 for k in (1, 2, 3))
+
+
+def test_k_order_map_missing_a_center_raises():
+    g = community_graph()
+    y = labels_to_indices(g, {"A": 1, "B": 1, "C": 0})
+    index = build_neighbor_index(g, bundled_patterns(), cap=1000)
+    ko = {1: k_order_neighbors(g, 1, [g.index["A"]])}
+    with pytest.raises(KeyError):
+        evasion_ratio_stats(g, index, {}, ko, y)
 
 
 def test_background_row_counts_zero_instance_companies():
