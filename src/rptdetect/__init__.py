@@ -13,7 +13,6 @@ from .hetgraph import (
 )
 from .matcher import (
     NeighborIndex,
-    RptInstance,
     build_neighbor_index,
     enumerate_instances,
     k_order_neighbors,
@@ -52,7 +51,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "NeighborIndex",
-    "RptInstance",
     "RptPattern",
     "Schema",
     "TrainConfig",

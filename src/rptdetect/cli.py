@@ -86,6 +86,18 @@ def _labels_path(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _load_labels(args: argparse.Namespace, graph) -> dict[str, int]:
+    """The labels file, checked against the graph; any violation is a ``PipelineError``."""
+    labels_path = _labels_path(args)
+    if not labels_path:
+        raise PipelineError(f"{args.command} requires --labels")
+    labels = load_labels(labels_path)
+    report = validate_labels(graph, labels)
+    if not report.ok:
+        raise PipelineError("invalid labels: " + "; ".join(report.violations))
+    return labels
+
+
 def _load_pattern_arg(patterns_arg: str | None, schema):
     pats = bundled_patterns() if patterns_arg in (None, "default") \
         else load_patterns(patterns_arg)
@@ -255,7 +267,7 @@ def cmd_match(args) -> int:
     for p in pats:
         insts = enumerate_instances(graph, p, injective=args.injective,
                                     cap=args.cap, cap_mode=args.cap_mode)
-        anchors = len({i.anchor for i in insts})
+        anchors = len(np.unique(insts[:, p.role_names.index(p.anchor)]))
         lines.append(f"{p.pattern_id}\t{len(insts)}\t{anchors}")
     table = "\n".join(lines) + "\n"
     print(table, end="")
@@ -269,10 +281,7 @@ def cmd_stats(args) -> int:
     _resolve(args, {"patterns": (str, "default"), "cap": (int, 64),
                     "cap_mode": (str, "truncate"), "korder_max": (int, 3)})
     graph = load_graph(*_graph_paths(args))
-    labels_path = _labels_path(args)
-    if not labels_path:
-        raise PipelineError("stats requires --labels")
-    labels = labels_to_indices(graph, load_labels(labels_path))
+    labels = labels_to_indices(graph, _load_labels(args, graph))
     centers = evader_centers(graph, labels)
     pats = _load_pattern_arg(args.patterns, graph.schema)
     index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode)
@@ -293,13 +302,7 @@ def cmd_stats(args) -> int:
 
 def _prepare_training(args):
     graph = load_graph(*_graph_paths(args))
-    labels_path = _labels_path(args)
-    if not labels_path:
-        raise PipelineError("training requires --labels")
-    labels = load_labels(labels_path)
-    report = validate_labels(graph, labels)
-    if not report.ok:
-        raise PipelineError("invalid labels: " + "; ".join(report.violations))
+    labels = _load_labels(args, graph)
     pats = _load_pattern_arg(args.patterns, graph.schema)
     index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode)
     return graph, labels, index

@@ -335,11 +335,12 @@ def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
         header = next(reader, None)
         if header != ["source", "target", "type"]:
             raise DimensionMismatch(f"edges file {edges_file}: missing 'source,target,type' header")
-        for rec in reader:
+        for line_no, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != 3:
-                raise DimensionMismatch(f"edges file: expected 3 columns, got {len(rec)}")
+                raise DimensionMismatch(
+                    f"edges file line {line_no}: expected 3 columns, got {len(rec)}")
             edges.append((rec[0], rec[1], rec[2]))
     return HetGraph(schema, nodes, edges)
 

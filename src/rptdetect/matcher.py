@@ -4,15 +4,14 @@ Matching uses homomorphism semantics: the role-to-node mapping preserves node
 types and every pattern edge, but two roles may land on the same node (the
 collapsed-instance case).  An injective mode is available for comparison.
 
-Anchors are enumerated independently against the immutable graph and results
-merged by a final sort, so enumeration can be fanned out across workers; the
-built index is immutable and safe to share.
+Anchors are enumerated independently against the immutable graph and their
+rows concatenated in anchor order, so enumeration can be fanned out across
+workers; the built index is immutable and safe to share.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,21 +25,6 @@ log = logging.getLogger(__name__)
 CAP_ERROR = "error"
 CAP_TRUNCATE = "truncate"
 DEFAULT_CAP = 64
-
-
-@dataclass(frozen=True)
-class RptInstance:
-    """One matched occurrence: node indices in canonical role order."""
-
-    pattern_id: str
-    anchor: int
-    nodes: tuple[int, ...]
-
-    def node_set(self) -> frozenset[int]:
-        return frozenset(self.nodes)
-
-    def mapping(self, pattern: RptPattern) -> dict[str, int]:
-        return {role: node for (role, _), node in zip(pattern.roles, self.nodes)}
 
 
 def _bfs_role_order(pattern: RptPattern) -> list[str]:
@@ -101,13 +85,16 @@ def _base_candidates(graph: HetGraph, pattern: RptPattern, role: str,
 def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
                         injective: bool = False,
                         cap: int = DEFAULT_CAP,
-                        cap_mode: str = CAP_ERROR) -> list[RptInstance]:
+                        cap_mode: str = CAP_ERROR) -> np.ndarray:
     """Every occurrence of the pattern, deduplicated and deterministically ordered.
 
-    Two matches with the same anchor node and the same node multiset count as
-    one instance (role-permutation symmetry).  ``cap`` bounds distinct instances
-    per anchor node; hitting it raises ``InstanceCapExceeded`` unless
-    ``cap_mode="truncate"``, which logs a warning and keeps the first ``cap``.
+    Returns one ``np.intp`` row per instance (shape ``[n_inst, n_roles]``,
+    columns in canonical role order), rows sorted by the anchor column and
+    then by the whole row.  Two matches with the same anchor node and the same
+    node multiset count as one instance (role-permutation symmetry).  ``cap``
+    bounds distinct instances per anchor node; hitting it raises
+    ``InstanceCapExceeded`` unless ``cap_mode="truncate"``, which logs a
+    warning and keeps the first ``cap``.
     """
     validate_pattern(pattern, graph.schema)
     if cap_mode not in (CAP_ERROR, CAP_TRUNCATE):
@@ -131,8 +118,7 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
     canonical = pattern.role_names
     undirected = {r: not graph.schema.edge_types[r].directed for r in graph.schema.edge_types}
 
-    results: list[RptInstance] = []
-
+    rows: list[tuple[int, ...]] = []
     base_sets = {r: set(v) for r, v in base.items()}
 
     def candidates_for(k: int, assignment: dict[str, int]) -> Iterable[int]:
@@ -198,54 +184,49 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
         if truncated:
             log.warning("pattern %s: anchor %s truncated at cap %d",
                         pattern.pattern_id, graph.ids[anchor_node], cap)
-        results.extend(RptInstance(pattern.pattern_id, anchor_node, nodes)
-                       for nodes in collected.values())
+        # anchors ascend, so sorting each anchor's rows sorts them all
+        rows.extend(sorted(collected.values()))
 
-    results.sort(key=lambda inst: (inst.anchor, inst.nodes))
-    return results
+    return np.array(rows, dtype=np.intp).reshape(len(rows), len(canonical))
 
 
 class NeighborIndex:
-    """Per company node and pattern, the ordered list of matched instances.
+    """Per pattern, the instance rows grouped by anchor in CSR form.
 
-    Each pattern's instances are also compiled into CSR arrays for batched
-    gathers: ``nodes[pid]`` holds one row per instance (shape
-    ``[n_inst, n_roles]``, columns in canonical role order, rows sorted by
-    anchor then nodes), and node ``i``'s rows are
-    ``anchor_ptr[pid][i]:anchor_ptr[pid][i + 1]`` (length ``n_nodes + 1``).
+    ``nodes[pid]`` holds one row per instance (shape ``[n_inst, n_roles]``,
+    columns in canonical role order, rows sorted by anchor then nodes), and
+    node ``i``'s rows are ``anchor_ptr[pid][i]:anchor_ptr[pid][i + 1]``
+    (length ``n_nodes + 1``).  ``companies`` are the nodes the index covers.
     """
 
-    def __init__(self, patterns: Sequence[RptPattern],
-                 per_node: dict[int, dict[str, list[RptInstance]]], n_nodes: int):
+    def __init__(self, patterns: Sequence[RptPattern], nodes: dict[str, np.ndarray],
+                 companies: Sequence[int], n_nodes: int):
         self.patterns = tuple(patterns)
-        self.per_node = per_node
-        self.anchor_ptr: dict[str, np.ndarray] = {}
-        self.nodes: dict[str, np.ndarray] = {}
-        anchors = sorted(per_node)
-        for p in self.patterns:
-            counts = np.zeros(n_nodes, dtype=np.intp)
-            rows: list[tuple[int, ...]] = []
-            for node in anchors:
-                insts = per_node[node].get(p.pattern_id, [])
-                counts[node] = len(insts)
-                rows.extend(inst.nodes for inst in insts)
-            self.anchor_ptr[p.pattern_id] = np.concatenate(([0], np.cumsum(counts)))
-            self.nodes[p.pattern_id] = np.array(rows, dtype=np.intp).reshape(
-                len(rows), len(p.roles))
+        self.companies = tuple(companies)
+        self.nodes = nodes
+        self.anchor_ptr = {
+            p.pattern_id: np.concatenate(([0], np.cumsum(np.bincount(
+                nodes[p.pattern_id][:, p.role_names.index(p.anchor)],
+                minlength=n_nodes))))
+            for p in self.patterns}
 
     @property
     def pattern_ids(self) -> tuple[str, ...]:
         return tuple(p.pattern_id for p in self.patterns)
 
-    def instances(self, node: int, pattern_id: str) -> list[RptInstance]:
-        return self.per_node.get(node, {}).get(pattern_id, [])
+    @property
+    def per_node(self) -> dict[int, dict[str, np.ndarray]]:
+        """Each company's instance rows per pattern, sliced from the arrays on each access."""
+        return {i: {pid: self.instances(i, pid) for pid in self.pattern_ids}
+                for i in self.companies}
+
+    def instances(self, node: int, pattern_id: str) -> np.ndarray:
+        """The node's instance rows for one pattern (empty when it anchors none)."""
+        ptr = self.anchor_ptr[pattern_id]
+        return self.nodes[pattern_id][ptr[node]:ptr[node + 1]]
 
     def has_any(self, node: int) -> bool:
-        return any(self.per_node.get(node, {}).get(pid) for pid in self.pattern_ids)
-
-    def neighbor_sets(self, node: int, pattern_id: str) -> list[set[int]]:
-        """The k-th entry is the node set of the k-th instance (includes the anchor)."""
-        return [set(inst.nodes) for inst in self.instances(node, pattern_id)]
+        return any(ptr[node] != ptr[node + 1] for ptr in self.anchor_ptr.values())
 
     def gather(self, pattern_id: str, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The anchors' instance rows back to back, in anchor order, and each anchor's count."""
@@ -262,15 +243,11 @@ def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,
                          injective: bool = False,
                          cap: int = DEFAULT_CAP,
                          cap_mode: str = CAP_ERROR) -> NeighborIndex:
-    """Group instances of every pattern by anchor node over all company nodes."""
-    per_node: dict[int, dict[str, list[RptInstance]]] = {
-        i: {p.pattern_id: [] for p in patterns} for i in graph.company_nodes()
-    }
-    for pattern in patterns:
-        for inst in enumerate_instances(graph, pattern, injective=injective,
-                                        cap=cap, cap_mode=cap_mode):
-            per_node[inst.anchor][pattern.pattern_id].append(inst)
-    return NeighborIndex(patterns, per_node, len(graph))
+    """Every pattern's instance rows, indexed by anchor over all company nodes."""
+    nodes = {p.pattern_id: enumerate_instances(graph, p, injective=injective,
+                                               cap=cap, cap_mode=cap_mode)
+             for p in patterns}
+    return NeighborIndex(patterns, nodes, graph.company_nodes(), len(graph))
 
 
 def metapath_neighbors(graph: HetGraph, metapath: Sequence[str]) -> dict[int, set[int]]:

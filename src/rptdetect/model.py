@@ -28,7 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DuplicateBatchNode, EmptyBatch, MissingProjection, ShapeMismatch
+from .errors import (
+    DimensionMismatch,
+    DuplicateBatchNode,
+    EmptyBatch,
+    MissingProjection,
+    ShapeMismatch,
+)
 from .hetgraph import HetGraph, Schema
 from .matcher import NeighborIndex
 from .patterns import RptPattern
@@ -171,15 +177,16 @@ def project(graph: HetGraph, params: ModelParams,
     return out
 
 
-def encode_instance(instance, h: dict[int, np.ndarray], params: ModelParams,
+def encode_instance(row: np.ndarray, h: dict[int, np.ndarray], params: ModelParams,
                     pattern: RptPattern, config: ModelConfig) -> np.ndarray:
     """Per-head linear map over the concatenated role projections, heads concatenated.
 
-    The anchor's vector always leads; remaining roles follow canonical pattern
-    order, so a node filling two roles contributes its vector once per slot.
-    With the company-only ablation, non-company roles contribute zeros.
+    ``row`` holds the instance's nodes in canonical role order.  The anchor's
+    vector always leads; remaining roles follow canonical pattern order, so a
+    node filling two roles contributes its vector once per slot.  With the
+    company-only ablation, non-company roles contribute zeros.
     """
-    mapping = instance.mapping(pattern)
+    mapping = dict(zip(pattern.role_names, row.tolist()))
     parts = []
     for role, rtype in pattern.anchor_first_roles():
         if config.company_only and rtype != params.company_type:
@@ -438,8 +445,7 @@ def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int
     pattern_by_id = {p.pattern_id: p for p in index.patterns}
     for i in batch:
         for pid in index.pattern_ids:
-            for inst in index.instances(i, pid):
-                needed.update(inst.nodes)
+            needed.update(index.instances(i, pid).ravel().tolist())
     h = project(graph, params, sorted(needed))
     p_map: dict[int, float] = {}
     z_map: dict[int, np.ndarray] = {}
@@ -450,12 +456,12 @@ def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int
     for i in batch:
         summaries: dict[str, np.ndarray] = {}
         for pid in index.pattern_ids:
-            insts = index.instances(i, pid)
-            if not insts:
+            rows = index.instances(i, pid)
+            if not len(rows):
                 continue
             enc = np.stack([
-                encode_instance(inst, h, params, pattern_by_id[pid], config)
-                for inst in insts
+                encode_instance(row, h, params, pattern_by_id[pid], config)
+                for row in rows
             ])
             f, alpha = inner_rpt_attention(enc, params, pid, config)
             summaries[pid] = f
@@ -495,10 +501,19 @@ def save_params(params: ModelParams, path: str | os.PathLike) -> None:
 
 
 def load_params(path: str | os.PathLike) -> ModelParams:
+    """Read a ``save_params`` file; a file that is not one raises ``DimensionMismatch``."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')!r}")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DimensionMismatch(f"checkpoint {path}: not JSON ({exc})") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise DimensionMismatch(
+            f"checkpoint {path}: unsupported format version {version!r}")
+    missing = [key for key in ("meta", "arrays") if key not in doc]
+    if missing:
+        raise DimensionMismatch(f"checkpoint {path}: missing {', '.join(missing)}")
     arrays = {
         name: np.array(flat, dtype=np.float64).reshape(shape)
         for name, shape, flat in doc["arrays"]

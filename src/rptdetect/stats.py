@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoLabeledPairs
 from .hetgraph import HetGraph
 from .matcher import NeighborIndex
@@ -55,11 +57,11 @@ class EvasionStats:
         raise KeyError((rpt_name, baseline_name))
 
 
-def _count_pairs(centers: list[int], neighbor_sets: dict[int, set[int]],
+def _count_pairs(centers: list[int], neighbors: dict[int, set[int]],
                  labels: dict[int, int]) -> tuple[int, int]:
     pairs = hits = 0
     for i in centers:
-        for j in neighbor_sets[i]:
+        for j in neighbors[i]:
             if j == i:
                 continue
             y = labels.get(j)
@@ -100,15 +102,16 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
     rows: list[StatsRow] = []
 
     # per-pattern neighbor sets (company members only, anchor excluded)
+    is_company = graph.type_code == graph.type_names.index(company)
+    center_rows = np.array(centers, dtype=np.intp)
     rpt_sets: dict[str, dict[int, set[int]]] = {}
     for pid in index.pattern_ids:
-        sets: dict[int, set[int]] = {}
-        for i in centers:
-            nbrs: set[int] = set()
-            for inst in index.instances(i, pid):
-                nbrs.update(v for v in inst.nodes
-                            if v != i and graph.types[v] == company)
-            sets[i] = nbrs
+        members, counts = index.gather(pid, center_rows)
+        owner = np.broadcast_to(np.repeat(center_rows, counts)[:, None], members.shape)
+        keep = is_company[members] & (members != owner)
+        sets: dict[int, set[int]] = {i: set() for i in centers}
+        for i, j in zip(owner[keep].tolist(), members[keep].tolist()):
+            sets[i].add(j)
         rpt_sets[pid] = sets
 
     agg_pairs = agg_hits = 0

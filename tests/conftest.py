@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rptdetect.hetgraph import EdgeType, HetGraph, Schema
-from rptdetect.matcher import RptInstance
 from rptdetect.patterns import RptPattern
 
 
@@ -67,13 +66,30 @@ def random_typed_graph(rng: np.random.Generator, n_companies: int, n_persons: in
     return make_graph(schema, nodes, edges)
 
 
+class InstanceRows(np.ndarray):
+    """Instance rows (``[n_inst, n_roles]``, ``np.intp``) compared as one table.
+
+    ``rows == other`` is a single bool: True only for an array of the same
+    shape, dtype and values, so ``assert got == want`` checks the whole table.
+    """
+
+    def __eq__(self, other):
+        return (isinstance(other, np.ndarray) and other.shape == self.shape
+                and other.dtype == self.dtype
+                and bool(np.array_equal(np.asarray(self), np.asarray(other))))
+
+    def __ne__(self, other):
+        return not self == other
+
+
 def brute_force_instances(graph: HetGraph, pattern: RptPattern,
-                          injective: bool = False) -> list[RptInstance]:
+                          injective: bool = False) -> InstanceRows:
     """Exhaustive enumeration over every typed role assignment.
 
     Checks all pattern edges on complete assignments only; deduplicates by
     (anchor node, sorted node multiset) keeping the lexicographically smallest
-    representative, then sorts like the production matcher.
+    representative, then sorts like the production matcher.  Returns one row
+    per instance, columns in canonical role order.
     """
     role_names = list(pattern.role_names)
     anchor_pos = role_names.index(pattern.anchor)
@@ -89,10 +105,10 @@ def brute_force_instances(graph: HetGraph, pattern: RptPattern,
         key = (combo[anchor_pos], tuple(sorted(combo)))
         if key not in kept or combo < kept[key]:
             kept[key] = tuple(combo)
-    out = [RptInstance(pattern.pattern_id, key[0], nodes)
-           for key, nodes in kept.items()]
-    out.sort(key=lambda inst: (inst.anchor, inst.nodes))
-    return out
+    out = [(key[0], nodes) for key, nodes in kept.items()]
+    out.sort()  # by anchor, then by nodes
+    rows = np.array([nodes for _, nodes in out], dtype=np.intp)
+    return rows.reshape(len(out), len(role_names)).view(InstanceRows)
 
 
 def brute_force_metapath(graph: HetGraph, metapath: list[str]) -> dict[int, set[int]]:

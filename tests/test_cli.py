@@ -236,6 +236,52 @@ def test_non_finite_attribute_fails_with_line_number(dataset, tmp_path, capsys, 
     assert errors[0].startswith("error\tDimensionMismatch\tnodes file line 5:")
 
 
+def test_short_edges_row_fails_with_line_number(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
+    lines = read(bad / "edges.csv").splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:2])
+    (bad / "edges.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["ingest", "--graph", str(bad)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tDimensionMismatch\tedges file line 4:")
+
+
+@pytest.mark.parametrize("command", ["stats", "train"])
+def test_label_on_unknown_node_fails_with_one_error_line(dataset, tmp_path, capsys,
+                                                         command):
+    bad = tmp_path / "bad"
+    assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
+    with open(bad / "labels.csv", "a", encoding="utf-8") as fh:
+        fh.write("C_unknown,1\n")
+    flags = ["--epochs", "1"] if command == "train" else []
+    rc = main([command, "--graph", str(bad), "--out", str(tmp_path / "run")] + flags)
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tPipelineError\tinvalid labels: ")
+    assert "'C_unknown'" in errors[0]
+
+
+@pytest.mark.parametrize("content", [
+    '{"format_version": 9, "meta": {}, "arrays": []}',
+    "not a checkpoint",
+    '{"format_version": 1, "arrays": []}',
+    '{"format_version": 1, "meta": {}}',
+], ids=["version", "not-json", "no-meta", "no-arrays"])
+def test_eval_with_bad_checkpoint_fails_naming_the_file(dataset, tmp_path, capsys,
+                                                       content):
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(content)
+    rc = main(["eval", "--graph", str(dataset), "--checkpoint", str(checkpoint)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error\tDimensionMismatch\tcheckpoint {checkpoint}:")
+
+
 def test_train_on_separable_dataset_reaches_high_f1(tmp_path):
     data = tmp_path / "sep"
     rc = main(["generate", "--out", str(data), "--seed", "0",

@@ -1,5 +1,6 @@
 """Matcher tests: hand-built cases plus brute-force oracle equivalence."""
 
+import numpy as np
 import pytest
 
 from rptdetect.errors import InstanceCapExceeded, MalformedMetapath, PatternTypeUnknown
@@ -32,30 +33,39 @@ def shared_investor_graph():
     )
 
 
+def bundled(pattern_id):
+    return next(p for p in bundled_patterns() if p.pattern_id == pattern_id)
+
+
 def pccp():
-    return next(p for p in bundled_patterns() if p.pattern_id == "PCCP")
+    return bundled("PCCP")
+
+
+def anchor_column(rows, pattern):
+    return rows[:, pattern.role_names.index(pattern.anchor)]
 
 
 def test_collapsed_instance_found_once():
     g = shared_investor_graph()
     instances = enumerate_instances(g, pccp())
-    assert len(instances) == 1
-    inst = instances[0]
-    assert inst.anchor == g.index["C1"]
-    assert inst.node_set() == {g.index["jay"], g.index["C1"], g.index["C2"]}
+    assert instances.shape == (1, 4) and instances.dtype == np.intp
+    assert anchor_column(instances, pccp()).tolist() == [g.index["C1"]]
+    row = instances[0].tolist()
+    assert set(row) == {g.index["jay"], g.index["C1"], g.index["C2"]}
     # both person roles collapse onto jay
-    assert inst.nodes == (g.index["jay"], g.index["C1"], g.index["C2"], g.index["jay"])
+    assert row == [g.index["jay"], g.index["C1"], g.index["C2"], g.index["jay"]]
 
 
 def test_injective_mode_rejects_collapsed_instance():
     g = shared_investor_graph()
-    assert enumerate_instances(g, pccp(), injective=True) == []
+    assert enumerate_instances(g, pccp(), injective=True).shape == (0, 4)
 
 
 def test_empty_graph_gives_no_instances():
     g = make_graph(tax_schema(), [], [])
     for p in bundled_patterns():
-        assert enumerate_instances(g, p) == []
+        rows = enumerate_instances(g, p)
+        assert rows.shape == (0, len(p.roles)) and rows.dtype == np.intp
 
 
 def test_pattern_type_unknown():
@@ -79,10 +89,26 @@ def test_role_permutation_symmetry_deduplicated():
                    [("x", "A", "invest"), ("y", "A", "invest")])
     instances = enumerate_instances(g, pattern)
     # {A,x,y} kept once; collapsed {A,x,x} and {A,y,y} are distinct instances
-    keys = {tuple(sorted(i.nodes)) for i in instances}
+    keys = {tuple(sorted(row)) for row in instances.tolist()}
     assert len(instances) == 3 == len(keys)
     inj = enumerate_instances(g, pattern, injective=True)
     assert len(inj) == 1
+
+
+def test_rows_follow_role_order_not_search_order():
+    # the search binds c2 before q, but rows sort by the canonical (c1, q, c2)
+    pattern = RptPattern(
+        "CPC", roles=(("c1", "company"), ("q", "person"), ("c2", "company")),
+        edges=(("c1", "c2", "transaction"), ("q", "c2", "invest")), anchor="c1")
+    g = make_graph(small_schema(),
+                   [("A", "company"), ("B", "company"), ("C", "company"),
+                    ("x", "person"), ("y", "person")],
+                   [("A", "B", "transaction"), ("A", "C", "transaction"),
+                    ("y", "B", "invest"), ("x", "C", "invest")])
+    rows = enumerate_instances(g, pattern)
+    A, B, C, x, y = (g.index[v] for v in "ABCxy")
+    assert rows.tolist() == [[A, x, C], [A, y, B]]
+    assert rows == brute_force_instances(g, pattern)
 
 
 def test_matches_brute_force_on_random_graphs(rng):
@@ -102,14 +128,14 @@ def test_enumeration_is_deterministic(rng):
     p = bundled_patterns()[1]
     a = enumerate_instances(g, p, cap=10_000)
     b = enumerate_instances(g, p, cap=10_000)
-    assert a == b
+    assert len(a) and a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_homomorphism_soundness_property(rng):
     g = random_typed_graph(rng, 7, 6, 3, edge_rate=0.3)
     for pattern in bundled_patterns():
-        for inst in enumerate_instances(g, pattern, cap=10_000):
-            mapping = inst.mapping(pattern)
+        for row in enumerate_instances(g, pattern, cap=10_000).tolist():
+            mapping = dict(zip(pattern.role_names, row))
             for s, t, etype in pattern.edges:
                 assert g.has_edge(mapping[s], mapping[t], etype)
 
@@ -127,48 +153,64 @@ def test_instance_cap_error_and_truncate():
         enumerate_instances(g, pccp(), cap=5, cap_mode="error")
     got = enumerate_instances(g, pccp(), cap=5, cap_mode="truncate")
     hub = g.index["hub"]
-    assert sum(1 for i in got if i.anchor == hub) == 5
+    assert np.count_nonzero(anchor_column(got, pccp()) == hub) == 5
     full = enumerate_instances(g, pccp(), cap=1000)
-    assert sum(1 for i in full if i.anchor == hub) == n
+    assert np.count_nonzero(anchor_column(full, pccp()) == hub) == n
 
 
 def test_neighbor_index_groups_by_anchor_and_includes_self():
     g = shared_investor_graph()
-    index = build_neighbor_index(g, [pccp()])
+    # PCCCP matches nothing here, so has_any must look past it
+    index = build_neighbor_index(g, [bundled("PCCCP"), pccp()])
+    assert index.nodes["PCCCP"].shape == (0, 5)
     c1 = g.index["C1"]
-    sets = index.neighbor_sets(c1, "PCCP")
+    sets = [set(row) for row in index.instances(c1, "PCCP").tolist()]
     assert sets == [{g.index["jay"], c1, g.index["C2"]}]
+    assert index.has_any(c1)
     # a company matching no pattern still has an (empty) entry
     c2 = g.index["C2"]
-    assert index.instances(c2, "PCCP") == []
+    assert index.instances(c2, "PCCP").shape == (0, 4)
+    assert index.per_node[c2]["PCCP"].shape == (0, 4)
     assert not index.has_any(c2)
 
 
 def test_anchor_inclusion_property(rng):
     g = random_typed_graph(rng, 7, 5, 3, edge_rate=0.3)
     index = build_neighbor_index(g, bundled_patterns(), cap=10_000)
+    assert list(index.per_node) == g.company_nodes()
     for node, groups in index.per_node.items():
-        for pid, instances in groups.items():
-            for k, nbrs in enumerate(index.neighbor_sets(node, pid)):
-                assert node in nbrs, (node, pid, k)
+        assert list(groups) == list(index.pattern_ids)
+        for pid, rows in groups.items():
+            for k, row in enumerate(rows.tolist()):
+                assert node in row, (node, pid, k)
 
 
 def test_csr_arrays_hold_exactly_each_anchors_instances(rng):
     g = random_typed_graph(rng, 9, 6, 3, edge_rate=0.3)
     index = build_neighbor_index(g, bundled_patterns(), cap=10_000)
+    hits = [False] * len(g)
     for p in index.patterns:
         pid = p.pattern_id
         ptr, nodes = index.anchor_ptr[pid], index.nodes[pid]
         assert ptr.shape == (len(g) + 1,) and ptr[0] == 0
-        assert nodes.shape == (ptr[-1], len(p.roles))
+        assert nodes.shape == (ptr[-1], len(p.roles)) and nodes.dtype == np.intp
+        # the oracle's rows grouped by anchor, each group in the oracle's order
+        want = brute_force_instances(g, p).tolist()
+        anchor = p.role_names.index(p.anchor)
+        by_anchor = {i: [tuple(r) for r in want if r[anchor] == i] for i in range(len(g))}
+        assert sum(map(len, by_anchor.values())) == len(want) > 0
         for i in range(len(g)):
             rows = [tuple(r) for r in nodes[ptr[i]:ptr[i + 1]].tolist()]
-            assert rows == [inst.nodes for inst in index.instances(i, pid)], (pid, i)
+            assert rows == by_anchor[i], (pid, i)
+            assert [tuple(r) for r in index.instances(i, pid).tolist()] == by_anchor[i]
+            hits[i] = hits[i] or bool(by_anchor[i])
         anchors = rng.permutation(g.company_nodes())
         gathered, counts = index.gather(pid, anchors)
-        expect = [inst.nodes for a in anchors for inst in index.instances(a, pid)]
+        expect = [r for a in anchors for r in by_anchor[a]]
         assert [tuple(r) for r in gathered.tolist()] == expect
-        assert counts.tolist() == [len(index.instances(a, pid)) for a in anchors]
+        assert counts.tolist() == [len(by_anchor[a]) for a in anchors]
+    assert [index.has_any(i) for i in range(len(g))] == hits
+    assert any(hits) and not all(hits)
 
 
 def test_metapath_shared_person():
@@ -256,7 +298,7 @@ def test_undirected_edge_type_matches_either_orientation(injective):
     # the stored edges run B->A and B->C; the undirected declaration lets
     # c1=A and c1=C match them although their only partner edge is incoming
     instances = enumerate_instances(g, pattern, injective=injective)
-    assert [i.anchor for i in instances] == [g.index["A"], g.index["C"]]
+    assert anchor_column(instances, pattern).tolist() == [g.index["A"], g.index["C"]]
     assert instances == brute_force_instances(g, pattern, injective=injective)
     nbrs = metapath_neighbors(g, ["company", "partner", "company"])
     assert nbrs[g.index["A"]] == {g.index["B"]}

@@ -81,9 +81,9 @@ def test_encode_selector_reproduces_anchor_projection():
     selector[:, :4] = np.eye(4)
     params.arrays["inst::PCCP::h0"] = selector
     h = project(graph, params)
-    node = next(i for i in graph.company_nodes() if index.instances(i, "PCCP"))
-    inst = index.instances(node, "PCCP")[0]
-    enc = encode_instance(inst, h, params, pattern, config)
+    node = next(i for i in graph.company_nodes() if len(index.instances(i, "PCCP")))
+    row = index.instances(node, "PCCP")[0]
+    enc = encode_instance(row, h, params, pattern, config)
     elu = np.where(h[node] >= 0, h[node], np.expm1(np.minimum(h[node], 0.0)))
     np.testing.assert_allclose(enc, elu, atol=1e-12)
 
@@ -100,10 +100,10 @@ def test_encode_output_dim_scales_with_heads():
     _, _, _, params, config = toy_setup(heads=8, embed_dim=32)
     assert config.head_dim == 4
     graph, _, index, params, config = toy_setup(heads=8, embed_dim=32)
-    node = next(i for i in graph.company_nodes() if index.instances(i, "PCCP"))
-    inst = index.instances(node, "PCCP")[0]
+    node = next(i for i in graph.company_nodes() if len(index.instances(i, "PCCP")))
+    row = index.instances(node, "PCCP")[0]
     h = project(graph, params)
-    enc = encode_instance(inst, h, params, index.patterns[0], config)
+    enc = encode_instance(row, h, params, index.patterns[0], config)
     assert enc.shape == (8 * config.head_dim,)
 
 
@@ -287,12 +287,12 @@ def test_instance_order_permutation_leaves_summary_unchanged(rng):
     graph, labels, index, params, config = toy_setup(seed=2)
     node = max(graph.company_nodes(),
                key=lambda i: len(index.instances(i, "PCPCP")))
-    insts = index.instances(node, "PCPCP")
-    assert len(insts) >= 2
+    rows = index.instances(node, "PCPCP")
+    assert len(rows) >= 2
     h = project(graph, params)
     pattern = next(p for p in index.patterns if p.pattern_id == "PCPCP")
-    enc = np.stack([encode_instance(inst, h, params, pattern, config)
-                    for inst in insts])
+    enc = np.stack([encode_instance(row, h, params, pattern, config)
+                    for row in rows])
     f1, _ = inner_rpt_attention(enc, params, "PCPCP", config)
     f2, _ = inner_rpt_attention(enc[::-1].copy(), params, "PCPCP", config)
     np.testing.assert_allclose(f1, f2, atol=1e-12)
@@ -310,7 +310,7 @@ def test_zero_instance_node_uses_degenerate_path_and_renormalizes():
         assert res.beta[i] == {}
     for i in some_inst:
         assert i not in res.degenerate
-        present = [pid for pid in index.pattern_ids if index.instances(i, pid)]
+        present = [pid for pid in index.pattern_ids if len(index.instances(i, pid))]
         assert set(res.beta[i]) == set(present)
         assert sum(res.beta[i].values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -344,12 +344,12 @@ def test_company_only_ablation_zeroes_other_types():
     graph, labels, index, params, config = toy_setup(seed=6, ablation=("hete",))
     h = project(graph, params)
     pattern = index.patterns[0]
-    node = next(i for i in graph.company_nodes() if index.instances(i, "PCCP"))
-    inst = index.instances(node, "PCCP")[0]
-    enc = encode_instance(inst, h, params, pattern, config)
+    node = next(i for i in graph.company_nodes() if len(index.instances(i, "PCCP")))
+    row = index.instances(node, "PCCP")[0]
+    enc = encode_instance(row, h, params, pattern, config)
     # zeroing person blocks: encoding must ignore person projections entirely
     h2 = {k: (v if graph.types[k] == "company" else v + 100.0) for k, v in h.items()}
-    enc2 = encode_instance(inst, h2, params, pattern, config)
+    enc2 = encode_instance(row, h2, params, pattern, config)
     np.testing.assert_allclose(enc, enc2, atol=1e-12)
 
 

@@ -14,7 +14,7 @@ from rptdetect.stats import (
 )
 from rptdetect.synth import GenConfig, generate
 
-from conftest import make_graph, tax_schema
+from conftest import brute_force_instances, make_graph, random_typed_graph, tax_schema
 
 
 def community_graph():
@@ -77,6 +77,32 @@ def test_no_labeled_evaders_raises():
         full_stats(g, {"A": 0, "B": 0})
     with pytest.raises(NoLabeledPairs):
         evader_centers(g, labels_to_indices(g, {"A": 0, "B": 0}))
+
+
+def test_rpt_rows_match_a_loop_over_brute_force_instances(rng):
+    graph = random_typed_graph(rng, 9, 6, 3, edge_rate=0.3)
+    companies = graph.company_nodes()
+    # two companies stay unlabeled, so their pairs count nowhere
+    y = {i: int(rng.integers(2)) for i in companies[:-2]}
+    y[companies[0]] = 1
+    index = build_neighbor_index(graph, bundled_patterns(), cap=10_000)
+    stats = evasion_ratio_stats(graph, index, {}, {}, y)
+    total = 0
+    for p in bundled_patterns():
+        anchor = p.role_names.index(p.anchor)
+        pairs = hits = 0
+        for i in evader_centers(graph, y):
+            nbrs = {v for row in brute_force_instances(graph, p).tolist()
+                    if row[anchor] == i for v in row
+                    if v != i and graph.types[v] == "company"}
+            for j in nbrs:
+                if j in y:
+                    pairs += 1
+                    hits += y[j]
+        row = stats.row(p.pattern_id)
+        assert (row.pairs, row.hits) == (pairs, hits), p.pattern_id
+        total += pairs
+    assert total > 0
 
 
 def test_k_order_for_evader_centers_only_gives_the_same_tables():

@@ -12,6 +12,13 @@ from rptdetect.patterns import bundled_patterns
 from rptdetect.synth import GenConfig, export, generate, scaled_config
 
 
+def anchored_multisets(graph, pattern):
+    """Each matched instance as (anchor node, sorted node tuple)."""
+    rows = enumerate_instances(graph, pattern, cap=4096, cap_mode="truncate")
+    anchor = pattern.role_names.index(pattern.anchor)
+    return {(row[anchor], tuple(sorted(row))) for row in rows.tolist()}
+
+
 SMALL = GenConfig(companies=80, persons=70, items=20, events=6,
                   communities=8, decoy_communities=4, feature_dim=4,
                   label_coverage=1.0, seed=21)
@@ -27,18 +34,13 @@ def test_generated_graph_validates_against_bundled_schema():
 
 def test_every_planted_instance_is_found_by_the_matcher():
     graph, _, truth = generate(SMALL)
-    found = {}
-    for pattern in bundled_patterns():
-        found[pattern.pattern_id] = set(
-            enumerate_instances(graph, pattern, cap=4096, cap_mode="truncate"))
+    found = {pattern.pattern_id: anchored_multisets(graph, pattern)
+             for pattern in bundled_patterns()}
     for info in truth.communities:
         for pid, anchor, node_ids in info.instances:
             nodes = tuple(graph.index[v] for v in node_ids)
             key = tuple(sorted(nodes))
-            hits = [inst for inst in found[pid]
-                    if inst.anchor == graph.index[anchor]
-                    and tuple(sorted(inst.nodes)) == key]
-            assert hits, (pid, anchor, node_ids)
+            assert (graph.index[anchor], key) in found[pid], (pid, anchor, node_ids)
 
 
 def test_decoy_wiring_instantiates_only_its_pattern():
@@ -53,9 +55,10 @@ def test_decoy_wiring_instantiates_only_its_pattern():
         p.pattern_id: enumerate_instances(graph, p, cap=512)
         for p in bundled_patterns()
     }
-    assert per_pattern["PCPCP"] and per_pattern["PCICP"]
+    pattern_roles = {p.pattern_id: p.roles for p in bundled_patterns()}
+    assert len(per_pattern["PCPCP"]) and len(per_pattern["PCICP"])
     for pid in ("PCCP", "PCCCP", "PCPCCP"):
-        assert per_pattern[pid] == []
+        assert per_pattern[pid].shape == (0, len(pattern_roles[pid]))
     kinds = {info.kind for info in truth.communities}
     assert kinds == {"decoy_invest", "decoy_item"}
 
@@ -68,13 +71,8 @@ def test_recoverability_at_reference_scale():
         communities=60, decoy_communities=20, feature_dim=3,
         label_coverage=0.3, seed=17))
     assert len(graph) == 3300
-    found = {}
-    for pattern in bundled_patterns():
-        found[pattern.pattern_id] = {
-            (inst.anchor, tuple(sorted(inst.nodes)))
-            for inst in enumerate_instances(graph, pattern, cap=4096,
-                                            cap_mode="truncate")
-        }
+    found = {pattern.pattern_id: anchored_multisets(graph, pattern)
+             for pattern in bundled_patterns()}
     planted = 0
     for info in truth.communities:
         for pid, anchor, node_ids in info.instances:
