@@ -23,6 +23,7 @@ from .hetgraph import (
     load_graph,
     load_labels,
     save_graph,
+    save_labels,
     validate_labels,
 )
 from .matcher import build_neighbor_index, enumerate_instances, k_order_neighbors, metapath_neighbors
@@ -41,23 +42,31 @@ ENV_PREFIX = "RPTDETECT_"
 PSR_GRID = (0.5, 0.4, 0.3, 0.2, 0.1)
 
 
+def _read_json(path: str, what: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise PipelineError(f"{what} {path}: not JSON ({exc})") from exc
+
+
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
     """Fill unset options from manifest, environment, then defaults."""
     manifest = {}
     if getattr(args, "manifest", None):
-        with open(args.manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = _read_json(args.manifest, "manifest")
+        if not isinstance(manifest, dict):
+            raise PipelineError(f"manifest {args.manifest}: not a JSON object")
     for dest, (cast, default) in spec.items():
         if getattr(args, dest, None) is not None:
             continue
-        if dest in manifest:
-            setattr(args, dest, cast(manifest[dest]))
-            continue
-        env = os.environ.get(ENV_PREFIX + dest.upper())
-        if env is not None:
-            setattr(args, dest, cast(env))
-        else:
-            setattr(args, dest, default)
+        env = ENV_PREFIX + dest.upper()
+        source, value = ((f"manifest {args.manifest}", manifest[dest]) if dest in manifest
+                         else (env, os.environ.get(env, default)))
+        try:
+            setattr(args, dest, cast(value))
+        except (TypeError, ValueError) as exc:
+            raise PipelineError(f"{source}: bad value {value!r} for {dest!r}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -224,21 +233,18 @@ def cmd_generate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     export_dataset(graph, labels, args.out)
     save_ground_truth(truth, os.path.join(args.out, "communities.json"))
-    print(f"wrote dataset: {len(graph)} nodes, {len(graph.edges)} edges, "
+    print(f"wrote dataset: {len(graph)} nodes, {len(graph.src)} edges, "
           f"{len(labels)} labels -> {args.out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
     graph = load_graph(*_graph_paths(args))
-    counts: dict[str, int] = {}
-    for t in graph.types:
-        counts[t] = counts.get(t, 0) + 1
-    ecounts: dict[str, int] = {}
-    for _, _, r in graph.edges:
-        ecounts[r] = ecounts.get(r, 0) + 1
-    print(f"nodes: {len(graph)} " + " ".join(f"{t}={n}" for t, n in sorted(counts.items())))
-    print(f"edges: {len(graph.edges)} " + " ".join(f"{r}={n}" for r, n in sorted(ecounts.items())))
+    for what, names, codes in (("nodes", graph.type_names, graph.type_code),
+                               ("edges", graph.edge_names, graph.edge_code)):
+        counts = np.bincount(codes, minlength=len(names)).tolist()
+        print(f"{what}: {len(codes)} " + " ".join(
+            f"{name}={c}" for name, c in sorted(zip(names, counts)) if c))
     hist = degree_histogram(graph)
     labels_path = _labels_path(args)
     report = None
@@ -342,9 +348,14 @@ def cmd_eval(args) -> int:
     config = replace(_train_config(args), proj_dim=params.meta["proj_dim"],
                      embed_dim=params.meta["embed_dim"], heads=params.meta["heads"])
     if args.split:
-        with open(args.split, encoding="utf-8") as fh:
-            split = json.load(fh)
+        split = _read_json(args.split, "split")
+        if not (isinstance(split, dict) and isinstance(split.get("train"), list)
+                and isinstance(split.get("test"), list)):
+            raise PipelineError(f"split {args.split}: needs 'train' and 'test' id lists")
         train_ids, test_ids = split["train"], split["test"]
+        unlabeled = [i for i in train_ids + test_ids if not isinstance(i, str) or i not in labels]
+        if unlabeled:
+            raise PipelineError(f"split {args.split}: {unlabeled[0]!r} is not a labeled company")
     else:
         train_ids, test_ids = split_dataset(labels, config.psr, config.test_fraction,
                                             config.seed)
@@ -418,7 +429,6 @@ def cmd_export(args) -> int:
     save_graph(graph, args.out)
     labels_path = _labels_path(args)
     if labels_path:
-        from .hetgraph import save_labels
         save_labels(load_labels(labels_path), os.path.join(args.out, "labels.csv"))
     print(f"re-exported {len(graph)} nodes to {args.out}")
     return 0

@@ -1,8 +1,8 @@
 """Typed heterogeneous graph storage, schema validation, flat-file ingestion.
 
-A graph is immutable once loaded: every accessor reads precomputed structures,
-so concurrent readers are safe.  Loading is all-or-nothing; any violation
-aborts before a graph object exists.
+A graph is immutable once loaded: every accessor reads arrays fixed at load
+time or structures built once from them on first use.  Loading is
+all-or-nothing; any violation aborts before a graph object exists.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -56,84 +58,100 @@ class Schema:
                         f"edge type {name!r} references undeclared node type {endpoint!r}"
                     )
 
-    def dim(self, node_type: str) -> int:
-        if node_type not in self.node_types:
-            raise UnknownType(f"unknown node type {node_type!r}")
-        return self.node_types[node_type]
-
 
 class HetGraph:
     """Directed attributed multigraph over a fixed schema.
 
-    Node ids are opaque strings normalized to dense integer indices; edges are
-    stored exactly as ingested and expanded into adjacency structures once.
-    Node types are also held as integer codes (``type_code``, indexing the
-    sorted ``type_names``) with each node's row among the nodes of its type
-    (``row_in_type``), the row layout of ``type_features``, and each node's
-    out- and in-degree per edge type (``edge_degrees``).  These arrays are
-    built on first use; attributes change only by assigning a new ``x`` list.
+    Node ids are opaque strings normalized to dense integer indices (``ids``
+    and ``index``).  Node i's type is ``type_code[i]``, an index into the
+    sorted ``type_names``, and its attributes are row ``row_in_type[i]`` of
+    its type's matrix (``type_features``).  Edges are kept exactly as
+    ingested, as the parallel arrays ``src``, ``dst`` and ``edge_code`` (an
+    index into ``edge_names``, the schema's order).  Neighbor lists, edge keys
+    and degrees are built from those arrays on first use.
     """
 
     def __init__(self, schema: Schema,
                  nodes: list[tuple[str, str, np.ndarray]],
                  edges: list[tuple[str, str, str]]):
+        """``nodes`` holds (id, type, attributes) triples, ``edges`` (source id, target id, type)."""
+        ids, types, attrs = zip(*nodes) if nodes else ((), (), ())
+        rows = [np.asarray(a, dtype=np.float64).ravel() for a in attrs]
+        self._build(schema, list(ids), types, np.concatenate(rows) if rows else np.zeros(0),
+                    np.fromiter(map(len, rows), np.intp, len(rows)), edges)
+
+    @classmethod
+    def from_columns(cls, schema: Schema, ids: list[str], types: Sequence[str],
+                     values: np.ndarray, widths: np.ndarray,
+                     edges: Sequence[Sequence[str]]) -> HetGraph:
+        """The graph of nodes given column-wise: node i's attribute vector is the
+        next ``widths[i]`` entries of ``values``, the vectors laid end to end in
+        node order.  ``edges`` holds (source id, target id, type) records."""
+        graph = cls.__new__(cls)
+        graph._build(schema, ids, types, values, widths, edges)
+        return graph
+
+    def _build(self, schema, ids, types, values, widths, edges) -> None:
+        """Validate every node, then every edge; the first violation raises."""
         self.schema = schema
-        self.ids: list[str] = []
-        self.types: list[str] = []
-        self.x = []
-        self.index: dict[str, int] = {}
-        for node_id, node_type, attrs in nodes:
-            if node_type not in schema.node_types:
-                raise UnknownType(f"node {node_id!r} has undeclared type {node_type!r}")
-            if node_id in self.index:
-                raise DuplicateNodeId(f"node id {node_id!r} appears twice")
-            arr = np.asarray(attrs, dtype=np.float64)
-            if arr.shape != (schema.node_types[node_type],):
-                raise DimensionMismatch(
-                    f"node {node_id!r}: expected {schema.node_types[node_type]} "
-                    f"attributes for type {node_type!r}, got {arr.size}"
-                )
-            self.index[node_id] = len(self.ids)
-            self.ids.append(node_id)
-            self.types.append(node_type)
-            self.x.append(arr)
-
-        self.edges: list[tuple[int, int, str]] = []
-        for src, dst, etype in edges:
-            if etype not in schema.edge_types:
-                raise UnknownType(f"edge ({src!r}, {dst!r}) has undeclared type {etype!r}")
-            if src not in self.index:
-                raise DanglingEdge(f"edge references missing node id {src!r}")
-            if dst not in self.index:
-                raise DanglingEdge(f"edge references missing node id {dst!r}")
-            s, t = self.index[src], self.index[dst]
-            et = schema.edge_types[etype]
-            if self.types[s] != et.source or self.types[t] != et.target:
-                raise UnknownType(
-                    f"edge type {etype!r} expects ({et.source} -> {et.target}), "
-                    f"got ({self.types[s]} -> {self.types[t]})"
-                )
-            self.edges.append((s, t, etype))
-
-        n = len(self.ids)
         self.type_names: tuple[str, ...] = tuple(sorted(schema.node_types))
-        self._edge_set: set[tuple[int, int, str]] = set()
-        self._out: dict[str, list[list[int]]] = {r: [[] for _ in range(n)]
-                                                 for r in schema.edge_types}
-        self._in: dict[str, list[list[int]]] = {r: [[] for _ in range(n)]
-                                                for r in schema.edge_types}
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        for s, t, r in self.edges:
-            self._edge_set.add((s, t, r))
-            self._out[r][s].append(t)
-            self._in[r][t].append(s)
-            self._adj[s].add(t)
-            self._adj[t].add(s)
-        for r in schema.edge_types:
-            for lst in self._out[r]:
-                lst.sort()
-            for lst in self._in[r]:
-                lst.sort()
+        self.edge_names: tuple[str, ...] = tuple(schema.edge_types)
+        sources, targets, etypes = zip(*edges) if len(edges) else ((), (), ())
+        n, m = len(ids), len(sources)
+        self._n = n
+        self.ids: list[str] = ids
+        self.index: dict[str, int] = dict(zip(ids, range(n)))
+
+        code_of = {t: k for k, t in enumerate(self.type_names)}
+        code = np.fromiter(map(code_of.get, types, repeat(-1)), np.intp, n)
+        dims = np.array([schema.node_types[t] for t in self.type_names] + [-1])
+        duplicate = np.zeros(n, dtype=bool)
+        if len(self.index) != n:
+            first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+            duplicate = np.fromiter(map(first.__getitem__, ids), np.intp, n) != np.arange(n)
+        bad = np.flatnonzero((code < 0) | duplicate | (widths != dims[code]))
+        if bad.size:
+            k = bad[0]
+            if code[k] < 0:
+                raise UnknownType(f"node {ids[k]!r} has undeclared type {types[k]!r}")
+            if duplicate[k]:
+                raise DuplicateNodeId(f"node id {ids[k]!r} appears twice")
+            raise DimensionMismatch(
+                f"node {ids[k]!r}: expected {dims[code[k]]} "
+                f"attributes for type {types[k]!r}, got {widths[k]}")
+
+        ecode_of = {r: k for k, r in enumerate(self.edge_names)}
+        ecode = np.fromiter(map(ecode_of.get, etypes, repeat(-1)), np.intp, m)
+        src = np.fromiter(map(self.index.get, sources, repeat(-1)), np.intp, m)
+        dst = np.fromiter(map(self.index.get, targets, repeat(-1)), np.intp, m)
+        # index -1 (an unknown edge type or node id) reads a sentinel that matches nothing
+        ends = np.array([[code_of[et.source], code_of[et.target]]
+                         for et in schema.edge_types.values()] + [[-3, -3]], dtype=np.intp)
+        codes = np.append(code, -2)
+        bad = np.flatnonzero((codes[src] != ends[ecode, 0]) | (codes[dst] != ends[ecode, 1]))
+        if bad.size:
+            k = bad[0]
+            s, t, etype = sources[k], targets[k], etypes[k]
+            if ecode[k] < 0:
+                raise UnknownType(f"edge ({s!r}, {t!r}) has undeclared type {etype!r}")
+            if src[k] < 0:
+                raise DanglingEdge(f"edge references missing node id {s!r}")
+            if dst[k] < 0:
+                raise DanglingEdge(f"edge references missing node id {t!r}")
+            et = schema.edge_types[etype]
+            raise UnknownType(
+                f"edge type {etype!r} expects ({et.source} -> {et.target}), "
+                f"got ({types[src[k]]} -> {types[dst[k]]})")
+
+        self.type_code = code
+        self.src, self.dst, self.edge_code = src, dst, ecode
+        self.row_in_type = np.empty(n, dtype=np.intp)
+        starts = np.cumsum(widths) - widths
+        self._features: dict[str, np.ndarray] = {}
+        for k, t in enumerate(self.type_names):
+            members = np.flatnonzero(code == k)
+            self.row_in_type[members] = np.arange(members.size)
+            self._features[t] = values[starts[members, None] + np.arange(dims[k])]
 
     # --- structure accessors -------------------------------------------------
 
@@ -141,99 +159,103 @@ class HetGraph:
         return len(self.ids)
 
     def nodes_of_type(self, node_type: str) -> list[int]:
-        return [i for i, t in enumerate(self.types) if t == node_type]
+        if node_type not in self.schema.node_types:
+            return []
+        return np.flatnonzero(self.type_code == self.type_names.index(node_type)).tolist()
 
     def company_nodes(self) -> list[int]:
         return self.nodes_of_type(self.schema.company_type)
 
+    @cached_property
+    def types(self) -> list[str]:
+        """Each node's type name."""
+        return list(map(self.type_names.__getitem__, self.type_code.tolist()))
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int, str]]:
+        """The edges as ingested: (source, target, edge type) triples."""
+        return list(zip(self.src.tolist(), self.dst.tolist(),
+                        map(self.edge_names.__getitem__, self.edge_code.tolist())))
+
+    @cached_property
+    def _edge_keys(self) -> dict[str, set[int]]:
+        """Per edge type, ``source * n + target`` of each of its edges."""
+        keys = self.src * self._n + self.dst
+        return {r: set(keys[self.edge_code == k].tolist())
+                for k, r in enumerate(self.edge_names)}
+
     def has_edge(self, s: int, t: int, etype: str) -> bool:
         """True if the typed edge exists; undirected types match either way."""
-        if (s, t, etype) in self._edge_set:
+        keys, n = self._edge_keys[etype], self._n
+        if s * n + t in keys:
             return True
-        if not self.schema.edge_types[etype].directed:
-            return (t, s, etype) in self._edge_set
-        return False
+        return not self.schema.edge_types[etype].directed and t * n + s in keys
+
+    @cached_property
+    def _typed_csr(self) -> dict[str, tuple[tuple[list[int], list[int]], ...]]:
+        """Per edge type, the out-neighbor and the in-neighbor CSR."""
+        ends = {r: (self.src[self.edge_code == k], self.dst[self.edge_code == k])
+                for k, r in enumerate(self.edge_names)}
+        return {r: (_csr(s, t, self._n), _csr(t, s, self._n)) for r, (s, t) in ends.items()}
+
+    @cached_property
+    def _any_csr(self) -> tuple[list[int], list[int]]:
+        return _csr(np.concatenate((self.src, self.dst)),
+                    np.concatenate((self.dst, self.src)), self._n)
 
     def out_neighbors(self, i: int, etype: str) -> list[int]:
-        return self._out[etype][i]
+        """Distinct targets of node i's ``etype`` edges, ascending."""
+        ptr, idx = self._typed_csr[etype][0]
+        return idx[ptr[i]:ptr[i + 1]]
 
     def in_neighbors(self, i: int, etype: str) -> list[int]:
-        return self._in[etype][i]
+        """Distinct sources of the ``etype`` edges into node i, ascending."""
+        ptr, idx = self._typed_csr[etype][1]
+        return idx[ptr[i]:ptr[i + 1]]
 
-    def neighbors(self, i: int) -> set[int]:
-        return self._adj[i]
+    def neighbors(self, i: int) -> list[int]:
+        """Distinct nodes sharing an edge of any type or direction with node i, ascending."""
+        ptr, idx = self._any_csr
+        return idx[ptr[i]:ptr[i + 1]]
 
     @cached_property
     def edge_degrees(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per edge type, every node's (out-degree, in-degree) as two arrays."""
-        n, m = len(self), len(self.edges)
-        code = {r: k for k, r in enumerate(self.schema.edge_types)}
-        src = np.fromiter((s for s, _, _ in self.edges), dtype=np.intp, count=m)
-        dst = np.fromiter((t for _, t, _ in self.edges), dtype=np.intp, count=m)
-        ecode = np.fromiter((code[r] for _, _, r in self.edges), dtype=np.intp, count=m)
-        degrees = {}
-        for r, k in code.items():
-            mask = ecode == k
-            degrees[r] = (np.bincount(src[mask], minlength=n),
-                          np.bincount(dst[mask], minlength=n))
-        return degrees
+        """Per edge type, every node's (out-degree, in-degree) as two arrays.
+
+        Parallel edges count once each.
+        """
+        n = len(self)
+        return {r: (np.bincount(self.src[self.edge_code == k], minlength=n),
+                    np.bincount(self.dst[self.edge_code == k], minlength=n))
+                for k, r in enumerate(self.edge_names)}
 
     @cached_property
-    def type_code(self) -> np.ndarray:
-        """Each node's type as an index into ``type_names``."""
-        code = {t: k for k, t in enumerate(self.type_names)}
-        return np.array([code[t] for t in self.types], dtype=np.intp)
-
-    @cached_property
-    def row_in_type(self) -> np.ndarray:
-        """Each node's row among the nodes of its type: the row layout of ``type_features``."""
-        rows = np.empty(len(self), dtype=np.intp)
-        for k in range(len(self.type_names)):
-            members = np.flatnonzero(self.type_code == k)
-            rows[members] = np.arange(members.size)
-        return rows
-
-    @property
-    def x(self) -> list[np.ndarray]:
-        """Per-node attribute vectors; assigning a new list drops ``type_features``."""
-        return self._x
-
-    @x.setter
-    def x(self, vectors: list[np.ndarray]) -> None:
-        self._x = vectors
-        self._type_features: dict[str, np.ndarray] = {}
+    def x(self) -> tuple[np.ndarray, ...]:
+        """Each node's attribute vector: a view of its row in ``type_features``."""
+        rows = [self._features[t] for t in self.type_names]
+        return tuple(rows[c][r] for c, r in zip(self.type_code.tolist(),
+                                                 self.row_in_type.tolist()))
 
     def type_features(self, node_type: str) -> np.ndarray:
         """Attributes of every node of the type as one matrix, rows by ``row_in_type``."""
-        if node_type not in self._type_features:
-            dim = self.schema.dim(node_type)
-            rows = [self._x[i] for i in self.nodes_of_type(node_type)]
-            self._type_features[node_type] = (
-                np.stack(rows) if rows else np.zeros((0, dim)))
-        return self._type_features[node_type]
+        return self._features[node_type]
 
-    def equals(self, other: "HetGraph") -> bool:
-        return (
-            self.schema == other.schema
-            and self.ids == other.ids
-            and self.types == other.types
-            and self.edges == other.edges
-            and all(np.array_equal(a, b) for a, b in zip(self.x, other.x))
-        )
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """Row r's distinct columns, ascending, are ``idx[ptr[r]:ptr[r + 1]]``."""
+    keys = np.unique(rows * n + cols)
+    ptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return ptr.tolist(), (keys % n).tolist()
 
 
 # --- operations ----------------------------------------------------------------
 
 def degree_histogram(graph: HetGraph) -> list[tuple[int, int]]:
     """Exact-degree bins of undirected total degree; counts sum to |V|."""
-    degs: dict[int, int] = {}
-    counts = [0] * len(graph)
-    for s, t, _ in graph.edges:
-        counts[s] += 1
-        counts[t] += 1
-    for d in counts:
-        degs[d] = degs.get(d, 0) + 1
-    return sorted(degs.items())
+    degrees = np.bincount(np.concatenate((graph.src, graph.dst)), minlength=len(graph))
+    hist = np.bincount(degrees)
+    present = np.flatnonzero(hist)
+    return list(zip(present.tolist(), hist[present].tolist()))
 
 
 @dataclass
@@ -277,8 +299,15 @@ def labels_to_indices(graph: HetGraph, labels: dict[str, int]) -> dict[int, int]
 
 
 def load_schema(path: str | os.PathLike) -> Schema:
+    """Read ``schema.json``; a file that is not a schema raises ``DimensionMismatch`` naming it."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise DimensionMismatch(f"schema file {path}: not JSON ({exc})") from exc
+    for key in ("node_types", "edge_types"):
+        if not isinstance(raw, dict) or not isinstance(raw.get(key), dict):
+            raise DimensionMismatch(f"schema file {path}: needs a {key!r} object")
     node_types: dict[str, int] = {}
     for name, spec in raw["node_types"].items():
         try:
@@ -286,10 +315,13 @@ def load_schema(path: str | os.PathLike) -> Schema:
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(
                 f"schema node type {name!r} needs an integer 'dim'") from exc
-    edge_types = {
-        name: EdgeType(spec["source"], spec["target"], bool(spec.get("directed", True)))
-        for name, spec in raw["edge_types"].items()
-    }
+    edge_types: dict[str, EdgeType] = {}
+    for name, spec in raw["edge_types"].items():
+        if not (isinstance(spec, dict) and "source" in spec and "target" in spec):
+            raise DimensionMismatch(
+                f"schema file {path}: edge type {name!r} needs a 'source' and a 'target'")
+        edge_types[name] = EdgeType(spec["source"], spec["target"],
+                                    bool(spec.get("directed", True)))
     return Schema(node_types, edge_types, raw.get("company_type", "company"))
 
 
@@ -307,42 +339,44 @@ def save_schema(schema: Schema, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
+def _read_records(path: str | os.PathLike):
+    """A CSV file's header, then its non-empty records with their line numbers."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        return header, [(line_no, rec) for line_no, rec in enumerate(reader, start=2) if rec]
+
+
 def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
                edges_file: str | os.PathLike) -> HetGraph:
     """Load and validate; any violation rejects the whole load."""
     schema = load_schema(schema_file)
-    nodes: list[tuple[str, str, np.ndarray]] = []
-    with open(nodes_file, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["id", "type"]:
-            raise DimensionMismatch(f"nodes file {nodes_file}: missing 'id,type,...' header")
-        for line_no, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) < 2:
-                raise DimensionMismatch(f"nodes file line {line_no}: too few columns")
-            try:
-                values = [float(v) for v in rec[2:]]
-            except ValueError as exc:
-                raise DimensionMismatch(f"nodes file line {line_no}: {exc}") from exc
-            if not all(map(math.isfinite, values)):
-                raise DimensionMismatch(f"nodes file line {line_no}: non-finite attribute")
-            nodes.append((rec[0], rec[1], np.array(values, dtype=np.float64)))
-    edges: list[tuple[str, str, str]] = []
-    with open(edges_file, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["source", "target", "type"]:
-            raise DimensionMismatch(f"edges file {edges_file}: missing 'source,target,type' header")
-        for line_no, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise DimensionMismatch(
-                    f"edges file line {line_no}: expected 3 columns, got {len(rec)}")
-            edges.append((rec[0], rec[1], rec[2]))
-    return HetGraph(schema, nodes, edges)
+    header, nodes = _read_records(nodes_file)
+    if header is None or header[:2] != ["id", "type"]:
+        raise DimensionMismatch(f"nodes file {nodes_file}: missing 'id,type,...' header")
+    values: list[float] = []
+    for line_no, rec in nodes:
+        if len(rec) < 2:
+            raise DimensionMismatch(f"nodes file line {line_no}: too few columns")
+        try:
+            row = list(map(float, rec[2:]))
+        except ValueError as exc:
+            raise DimensionMismatch(f"nodes file line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise DimensionMismatch(f"nodes file line {line_no}: non-finite attribute")
+        values += row
+    header, edges = _read_records(edges_file)
+    if header != ["source", "target", "type"]:
+        raise DimensionMismatch(f"edges file {edges_file}: missing 'source,target,type' header")
+    for line_no, rec in edges:
+        if len(rec) != 3:
+            raise DimensionMismatch(
+                f"edges file line {line_no}: expected 3 columns, got {len(rec)}")
+    return HetGraph.from_columns(
+        schema, [rec[0] for _, rec in nodes], [rec[1] for _, rec in nodes],
+        np.array(values, dtype=np.float64),
+        np.fromiter((len(rec) - 2 for _, rec in nodes), np.intp, len(nodes)),
+        [rec for _, rec in edges])
 
 
 def _write_csv(path: str | os.PathLike, header: list[str], rows) -> None:
@@ -364,33 +398,31 @@ def save_graph(graph: HetGraph, out_dir: str | os.PathLike) -> dict[str, str]:
         "edges": os.path.join(out_dir, "edges.csv"),
     }
     save_schema(graph.schema, paths["schema"])
+    rows = {t: graph.type_features(t).tolist() for t in graph.type_names}
     node_rows = (
-        [graph.ids[i], graph.types[i]] + [repr(float(v)) for v in graph.x[i]]
-        for i in range(len(graph))
+        [node_id, t] + [repr(v) for v in rows[t][r]]
+        for node_id, t, r in zip(graph.ids, graph.types, graph.row_in_type.tolist())
     )
     _write_csv(paths["nodes"], ["id", "type", "attrs"], node_rows)
-    edge_rows = ([graph.ids[s], graph.ids[t], r] for s, t, r in graph.edges)
+    ids = graph.ids
+    edge_rows = ([ids[s], ids[t], r] for s, t, r in graph.edges)
     _write_csv(paths["edges"], ["source", "target", "type"], edge_rows)
     return paths
 
 
 def load_labels(path: str | os.PathLike) -> dict[str, int]:
+    header, records = _read_records(path)
+    if header != ["id", "label"]:
+        raise DimensionMismatch(f"labels file {path}: missing 'id,label' header")
     labels: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "label"]:
-            raise DimensionMismatch(f"labels file {path}: missing 'id,label' header")
-        for line_no, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise DimensionMismatch(
-                    f"labels file line {line_no}: expected 2 columns, got {len(rec)}")
-            try:
-                labels[rec[0]] = int(rec[1])
-            except ValueError as exc:
-                raise DimensionMismatch(f"labels file line {line_no}: {exc}") from exc
+    for line_no, rec in records:
+        if len(rec) != 2:
+            raise DimensionMismatch(
+                f"labels file line {line_no}: expected 2 columns, got {len(rec)}")
+        try:
+            labels[rec[0]] = int(rec[1])
+        except ValueError as exc:
+            raise DimensionMismatch(f"labels file line {line_no}: {exc}") from exc
     return labels
 
 

@@ -514,8 +514,12 @@ def load_params(path: str | os.PathLike) -> ModelParams:
     missing = [key for key in ("meta", "arrays") if key not in doc]
     if missing:
         raise DimensionMismatch(f"checkpoint {path}: missing {', '.join(missing)}")
-    arrays = {
-        name: np.array(flat, dtype=np.float64).reshape(shape)
-        for name, shape, flat in doc["arrays"]
-    }
+    arrays = {}
+    try:
+        for name, shape, flat in doc["arrays"]:
+            arrays[name] = np.array(flat, dtype=np.float64).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(
+            f"checkpoint {path}: 'arrays' must hold [name, shape, values] entries "
+            f"whose values fill the shape ({exc})") from exc
     return ModelParams(arrays, doc["meta"])

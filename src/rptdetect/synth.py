@@ -110,6 +110,18 @@ def _power_weights(n: int, exponent: float, rng: np.random.Generator) -> np.ndar
     return w / w.sum()
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(len(p), p=p)`` builds on every call, built once."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator, size=None):
+    """``rng.choice(len(cdf), size, p=p)`` for ``cdf = _cdf(p)``: same indices, same stream."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def generate(config: GenConfig) -> tuple[HetGraph, dict[str, int], GroundTruth]:
     """Deterministic per seed; returns (graph, observed labels, ground truth)."""
     config.validate()
@@ -208,13 +220,13 @@ def generate(config: GenConfig) -> tuple[HetGraph, dict[str, int], GroundTruth]:
         p_next += 1
 
     # heavy-tailed random transactions over all companies
-    weights = _power_weights(config.companies, config.degree_exponent, rng)
+    weights = _cdf(_power_weights(config.companies, config.degree_exponent, rng))
     n_tx = round(config.transaction_density * config.companies)
     attempts = 0
     placed = 0
     while placed < n_tx and attempts < 20 * n_tx + 100:
         attempts += 1
-        s, t = rng.choice(config.companies, size=2, p=weights)
+        s, t = _draw(weights, rng, 2)
         if s == t:
             continue
         key = (c_ids[s], c_ids[t], "transaction")
@@ -227,17 +239,17 @@ def generate(config: GenConfig) -> tuple[HetGraph, dict[str, int], GroundTruth]:
     bg_items = i_ids[i_next:]
     traders = [c for c in c_ids if c not in evasion_companies]
     if bg_items:
-        item_w = _power_weights(len(bg_items), config.degree_exponent, rng)
+        item_w = _cdf(_power_weights(len(bg_items), config.degree_exponent, rng))
         for c in traders:
             for etype in ("sell", "buy"):
                 if rng.random() < config.item_trade_rate:
-                    j = int(rng.choice(len(bg_items), p=item_w))
+                    j = int(_draw(item_w, rng))
                     add_edge(c, bg_items[j], etype)
 
     # events and item categories are schema-conformant noise
     for e in e_ids:
         for _ in range(rng.poisson(config.event_degree)):
-            c = int(rng.choice(config.companies, p=weights))
+            c = int(_draw(weights, rng))
             add_edge(e, c_ids[c], "belong")
     n_cat = round(config.category_density * config.items)
     for _ in range(n_cat):
@@ -254,23 +266,21 @@ def generate(config: GenConfig) -> tuple[HetGraph, dict[str, int], GroundTruth]:
     shift_dir = rng.normal(size=config.feature_dim)
     shift_dir /= np.linalg.norm(shift_dir)
 
-    nodes: list[tuple[str, str, np.ndarray]] = []
-    for c in c_ids:
-        x = rng.normal(size=config.feature_dim)
-        x = x + config.class_shift * true_labels[c] * shift_dir
-        nodes.append((c, "company", x))
-    for pid in p_ids:
-        nodes.append((pid, "person", rng.normal(size=config.feature_dim)))
-    for iid in i_ids:
-        nodes.append((iid, "item", rng.normal(size=config.feature_dim)))
-    for eid in e_ids:
-        nodes.append((eid, "event", rng.normal(size=config.feature_dim)))
+    # one (n, dim) draw consumes the stream exactly as n draws of dim values
+    y = np.array([true_labels[c] for c in c_ids], dtype=np.float64)
+    x = rng.normal(size=(config.companies, config.feature_dim))
+    x = x + (config.class_shift * y)[:, None] * shift_dir
+    ids = c_ids + p_ids + i_ids + e_ids
+    others = rng.normal(size=(len(ids) - len(c_ids), config.feature_dim))
+    types = [t for t, k in (("company", config.companies), ("person", config.persons),
+                            ("item", config.items), ("event", config.events)) for _ in range(k)]
 
     n_observed = int(round(config.label_coverage * config.companies))
     observed_idx = rng.choice(config.companies, size=n_observed, replace=False)
     labels = {c_ids[i]: true_labels[c_ids[i]] for i in sorted(observed_idx.tolist())}
 
-    graph = HetGraph(schema, nodes, edges)
+    graph = HetGraph.from_columns(schema, ids, types, np.concatenate((x, others)).ravel(),
+                                  np.full(len(ids), config.feature_dim), edges)
     truth = GroundTruth(communities, community_of, true_labels)
     return graph, labels, truth
 

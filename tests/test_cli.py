@@ -220,6 +220,25 @@ def test_schema_node_type_without_integer_dim_fails_naming_the_type(dataset, tmp
     assert errors[0].startswith("error\tDimensionMismatch\t") and "'person'" in errors[0]
 
 
+@pytest.mark.parametrize("edit", [
+    lambda schema: "not json",
+    lambda schema: json.dumps({k: v for k, v in schema.items() if k != "node_types"}),
+    lambda schema: json.dumps({k: v for k, v in schema.items() if k != "edge_types"}),
+    lambda schema: json.dumps({**schema, "edge_types": {
+        **schema["edge_types"], "invest": {"target": "company"}}}),
+    lambda schema: json.dumps([schema]),
+], ids=["not-json", "no-node-types", "no-edge-types", "edge-without-source", "not-object"])
+def test_malformed_schema_fails_naming_the_file(dataset, tmp_path, capsys, edit):
+    bad = tmp_path / "bad"
+    assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
+    (bad / "schema.json").write_text(edit(json.loads(read(bad / "schema.json"))))
+    rc = main(["ingest", "--graph", str(bad)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error\tDimensionMismatch\tschema file {bad / 'schema.json'}:")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 def test_non_finite_attribute_fails_with_line_number(dataset, tmp_path, capsys, value):
     bad = tmp_path / "bad"
@@ -270,7 +289,11 @@ def test_label_on_unknown_node_fails_with_one_error_line(dataset, tmp_path, caps
     "not a checkpoint",
     '{"format_version": 1, "arrays": []}',
     '{"format_version": 1, "meta": {}}',
-], ids=["version", "not-json", "no-meta", "no-arrays"])
+    '{"format_version": 1, "meta": {}, "arrays": [["x", [2], [1.0]]]}',
+    '{"format_version": 1, "meta": {}, "arrays": [["x", [1]]]}',
+    '{"format_version": 1, "meta": {}, "arrays": 3}',
+], ids=["version", "not-json", "no-meta", "no-arrays", "count-mismatch", "not-a-triple",
+        "arrays-not-a-list"])
 def test_eval_with_bad_checkpoint_fails_naming_the_file(dataset, tmp_path, capsys,
                                                        content):
     checkpoint = tmp_path / "checkpoint.json"
@@ -312,6 +335,51 @@ def test_manifest_supplies_defaults(dataset, tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert len(read(out / "loss.tsv").splitlines()) == 3
+
+
+@pytest.mark.parametrize("content", ["not json", "[2]", '{"epochs": "many"}'],
+                         ids=["not-json", "not-object", "bad-value"])
+def test_malformed_manifest_fails_naming_the_file(dataset, tmp_path, capsys, content):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(content)
+    rc = main(["train", "--graph", str(dataset), "--manifest", str(manifest),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error\tPipelineError\tmanifest {manifest}:")
+
+
+def test_bad_env_var_value_fails_naming_the_variable(dataset, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("RPTDETECT_EPOCHS", "two")
+    rc = main(["train", "--graph", str(dataset), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tPipelineError\tRPTDETECT_EPOCHS:")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda split: "not json",
+    lambda split: json.dumps({"train": split["train"]}),
+    lambda split: json.dumps({"train": split["train"], "test": split["test"] + ["nope"]}),
+    lambda split: json.dumps({"train": split["train"], "test": "C0"}),
+], ids=["not-json", "no-test", "unlabeled-id", "test-not-a-list"])
+def test_malformed_split_fails_naming_the_file(dataset, tmp_path, capsys, edit):
+    run = tmp_path / "run"
+    assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "1",
+                 "--dim", "8", "--proj-dim", "4", "--batch-size", "64",
+                 "--test-fraction", "0.3"]) == 0
+    split = run / "split.json"
+    split.write_text(edit(json.loads(read(split))))
+    capsys.readouterr()
+    rc = main(["eval", "--graph", str(dataset), "--checkpoint", str(run / "checkpoint.json"),
+               "--split", str(split)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error\tPipelineError\tsplit {split}:")
 
 
 def test_env_var_overrides_default(dataset, tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from rptdetect.hetgraph import (
 )
 from rptdetect.synth import GenConfig, generate
 
-from conftest import make_graph, small_schema, tax_schema
+from conftest import make_graph, random_typed_graph, small_schema, tax_schema
 
 
 def test_minimal_graph_loads():
@@ -49,17 +49,109 @@ def test_full_tax_schema_loads():
 
 
 def test_type_codes_and_dense_features_follow_the_nodes():
-    g = make_graph(tax_schema(), [("c0", "company"), ("i0", "item"), ("p0", "person"),
-                                  ("c1", "company"), ("p1", "person")], [])
-    g.x = [np.full(2, float(k)) for k in range(len(g))]
+    nodes = [("c0", "company"), ("i0", "item"), ("p0", "person"), ("c1", "company"),
+             ("p1", "person")]
+    g = HetGraph(tax_schema(), [(i, t, np.full(2, float(k)))
+                                for k, (i, t) in enumerate(nodes)], [])
     assert g.type_names == ("company", "event", "item", "person")
     for i, t in enumerate(g.types):
         assert g.type_names[g.type_code[i]] == t
         assert g.nodes_of_type(t)[g.row_in_type[i]] == i
         np.testing.assert_array_equal(g.type_features(t)[g.row_in_type[i]], g.x[i])
+        np.testing.assert_array_equal(g.x[i], [float(i), float(i)])
     assert g.type_features("event").shape == (0, 2)
-    g.x = [v + 1.0 for v in g.x]  # a new attribute list replaces the dense copies
-    np.testing.assert_array_equal(g.type_features("person"), [[3.0, 3.0], [5.0, 5.0]])
+    np.testing.assert_array_equal(g.type_features("person"), [[2.0, 2.0], [4.0, 4.0]])
+
+
+def adjacency_corner_graph():
+    """Parallel edges, self-loops, an undirected type, isolated nodes, an unused type."""
+    schema = Schema(
+        node_types={"company": 1, "person": 1, "item": 1},
+        edge_types={"transaction": EdgeType("company", "company"),
+                    "invest": EdgeType("person", "company"),
+                    "partner": EdgeType("company", "company", directed=False),
+                    "sell": EdgeType("company", "item")})
+    nodes = [(f"c{k}", "company") for k in range(5)] + [("p0", "person"),
+                                                        ("p1", "person"), ("i0", "item")]
+    edges = [("c0", "c1", "transaction"), ("c0", "c1", "transaction"),
+             ("c1", "c1", "transaction"), ("c2", "c0", "transaction"),
+             ("p0", "c0", "invest"), ("p0", "c0", "invest"), ("p1", "c2", "invest"),
+             ("c1", "c3", "partner"), ("c1", "c3", "partner"), ("c2", "c2", "partner")]
+    return make_graph(schema, nodes, edges), edges
+
+
+@pytest.mark.parametrize("which", ["corners", "random"])
+def test_adjacency_matches_a_scan_of_the_edge_list(which):
+    if which == "corners":
+        g, raw = adjacency_corner_graph()
+        assert g.edges == [(g.index[s], g.index[t], r) for s, t, r in raw]
+    else:
+        g = random_typed_graph(np.random.default_rng(3), 6, 5, 4, edge_rate=0.3)
+    n = len(g)
+    for r, et in g.schema.edge_types.items():
+        out_deg, in_deg = g.edge_degrees[r]
+        for i in range(n):
+            out_edges = [t for s, t, e in g.edges if s == i and e == r]
+            in_edges = [s for s, t, e in g.edges if t == i and e == r]
+            assert g.out_neighbors(i, r) == sorted(set(out_edges))
+            assert g.in_neighbors(i, r) == sorted(set(in_edges))
+            assert (out_deg[i], in_deg[i]) == (len(out_edges), len(in_edges))
+            for j in range(n):
+                want = any(e == r and ((s, t) == (i, j) or (not et.directed and (s, t) == (j, i)))
+                           for s, t, e in g.edges)
+                assert g.has_edge(i, j, r) == want, (i, j, r)
+    for i in range(n):
+        assert g.neighbors(i) == sorted({t for s, t, _ in g.edges if s == i}
+                                        | {s for s, t, _ in g.edges if t == i})
+    if which == "corners":
+        assert g.out_neighbors(g.index["c0"], "transaction") == [g.index["c1"]]
+        assert g.neighbors(g.index["c4"]) == [] and g.neighbors(g.index["i0"]) == []
+        assert g.has_edge(g.index["c3"], g.index["c1"], "partner")
+
+
+NODES_HEADER = "id,type,attrs\n"
+EDGES_HEADER = "source,target,type\n"
+GOOD_NODES = "a,company,1,2\nb,company,3,4\nj,person,5,6\n"
+GOOD_EDGES = "j,a,invest\na,b,transaction\n"
+
+
+@pytest.mark.parametrize("nodes,edges,error,message", [
+    (GOOD_NODES + "c,company,inf,1\nd,company\n", GOOD_EDGES, DimensionMismatch,
+     "nodes file line 5: non-finite attribute"),
+    (GOOD_NODES + "c,company,x,1\nd,company,nan,1\n", GOOD_EDGES, DimensionMismatch,
+     "nodes file line 5: could not convert string to float: 'x'"),
+    ("a\n" + GOOD_NODES + "c,company,x,1\n", GOOD_EDGES, DimensionMismatch,
+     "nodes file line 2: too few columns"),
+    ("\n" + GOOD_NODES + "\nc,company,nan,1\n", GOOD_EDGES, DimensionMismatch,
+     "nodes file line 7: non-finite attribute"),
+    (GOOD_NODES + "a,person,1,2\nz,alien,1,2\n", "a,b\n", DimensionMismatch,
+     "edges file line 2: expected 3 columns, got 2"),
+    (GOOD_NODES + "a,person,1,2\nz,alien,1,2\n", GOOD_EDGES, DuplicateNodeId,
+     "node id 'a' appears twice"),
+    (GOOD_NODES + "z,alien,1,2\na,person,1,2\n", GOOD_EDGES, UnknownType,
+     "node 'z' has undeclared type 'alien'"),
+    (GOOD_NODES + "c,company,1\na,person,1,2\n", GOOD_EDGES, DimensionMismatch,
+     "node 'c': expected 2 attributes for type 'company', got 1"),
+    (GOOD_NODES, GOOD_EDGES + "a,j,transaction\nghost,a,invest\n", UnknownType,
+     "edge type 'transaction' expects (company -> company), got (company -> person)"),
+    (GOOD_NODES, GOOD_EDGES + "a,ghost,transaction\na,j,transaction\n", DanglingEdge,
+     "edge references missing node id 'ghost'"),
+    (GOOD_NODES, GOOD_EDGES + "a,b,partner\nghost,a,invest\n", UnknownType,
+     "edge ('a', 'b') has undeclared type 'partner'"),
+    (GOOD_NODES, GOOD_EDGES + "\na,b\nghost,a\n", DimensionMismatch,
+     "edges file line 5: expected 3 columns, got 2"),
+], ids=["non-finite-first", "bad-float-first", "short-first", "blank-lines-count",
+        "edges-file-before-node-checks", "duplicate-first", "unknown-type-first",
+        "width-first", "endpoint-first", "dangling-first", "edge-type-first",
+        "short-edge-after-blank"])
+def test_load_reports_the_first_violation_in_file_order(tmp_path, nodes, edges, error, message):
+    g = make_graph(small_schema(), [("a", "company")], [])
+    paths = save_graph(g, tmp_path)
+    (tmp_path / "nodes.csv").write_text(NODES_HEADER + nodes)
+    (tmp_path / "edges.csv").write_text(EDGES_HEADER + edges)
+    with pytest.raises(error) as exc:
+        load_graph(paths["schema"], paths["nodes"], paths["edges"])
+    assert str(exc.value).startswith(message)
 
 
 def test_schema_requires_heterogeneity():
@@ -114,7 +206,6 @@ def test_round_trip_identity(tmp_path):
         decoy_communities=2, feature_dim=3, seed=9))
     paths = save_graph(graph, tmp_path)
     again = load_graph(paths["schema"], paths["nodes"], paths["edges"])
-    assert graph.equals(again)
     # serialize the reloaded graph once more: byte-identical files
     second = tmp_path / "again"
     paths2 = save_graph(again, second)

@@ -8,7 +8,7 @@ import pytest
 from rptdetect import autodiff as ad
 from rptdetect.autodiff import finite_diff_check
 from rptdetect.errors import DuplicateBatchNode, EmptyBatch, MissingProjection
-from rptdetect.hetgraph import labels_to_indices
+from rptdetect.hetgraph import HetGraph, labels_to_indices
 from rptdetect.matcher import build_neighbor_index
 from rptdetect.model import (
     ModelConfig,
@@ -44,9 +44,8 @@ def toy_setup(seed=0, companies=14, communities=2, decoys=1, heads=2,
 
 
 def test_projection_identity_and_zero():
-    g = make_graph(small_schema(), [("a", "company"), ("p", "person")], [])
-    g.x[0] = np.array([1.0, -2.0])
-    g.x[1] = np.array([3.0, 4.0])
+    g = HetGraph(small_schema(), [("a", "company", np.array([1.0, -2.0])),
+                                  ("p", "person", np.array([3.0, 4.0]))], [])
     params = ModelParams(
         {"proj::company": np.eye(2), "proj::person": np.zeros((2, 2))},
         {"patterns": {}, "company_type": "company", "proj_dim": 2,

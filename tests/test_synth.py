@@ -1,15 +1,18 @@
 """Generator tests: validation, planted recoverability, determinism, label stats."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rptdetect.errors import InfeasibleConfig
-from rptdetect.hetgraph import load_graph, load_labels
+from rptdetect.hetgraph import load_graph, load_labels, save_graph
 from rptdetect.matcher import enumerate_instances
 from rptdetect.patterns import bundled_patterns
-from rptdetect.synth import GenConfig, export, generate, scaled_config
+from rptdetect.synth import (GenConfig, _cdf, _draw, _power_weights, export, generate,
+                             save_ground_truth, scaled_config)
 
 
 def anchored_multisets(graph, pattern):
@@ -82,11 +85,15 @@ def test_recoverability_at_reference_scale():
     assert planted == 60 * 5
 
 
+def saved_bytes(graph, out_dir):
+    return {key: Path(path).read_bytes() for key, path in save_graph(graph, out_dir).items()}
+
+
 def test_export_round_trip_equality(tmp_path):
     graph, labels, _ = generate(SMALL)
-    paths = export(graph, labels, tmp_path)
+    paths = export(graph, labels, tmp_path / "a")
     again = load_graph(paths["schema"], paths["nodes"], paths["edges"])
-    assert graph.equals(again)
+    assert saved_bytes(again, tmp_path / "b") == saved_bytes(graph, tmp_path / "c")
     assert load_labels(paths["labels"]) == labels
 
 
@@ -100,10 +107,45 @@ def test_same_seed_exports_byte_identical_files(tmp_path):
         assert open(pa[key], "rb").read() == open(pb[key], "rb").read(), key
 
 
-def test_different_seeds_differ():
+def test_different_seeds_differ(tmp_path):
     ga, _, _ = generate(SMALL)
     gb, _, _ = generate(GenConfig(**{**SMALL.__dict__, "seed": 22}))
-    assert not ga.equals(gb)
+    assert saved_bytes(ga, tmp_path / "a") != saved_bytes(gb, tmp_path / "b")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_cdf_draws_match_generator_choice(seed):
+    """The same indices as ``rng.choice(n, p=w)``, and the stream left where it leaves it."""
+    weight_sets = [np.array([1.0]), np.array([0.2, 0.0, 0.5, 0.3]),
+                   np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.5, 0.5, 0.0]),
+                   _power_weights(50, 2.5, np.random.default_rng(seed))]
+    for w in weight_sets:
+        for size in (None, 2):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            cdf = _cdf(w)
+            for _ in range(200):
+                np.testing.assert_array_equal(_draw(cdf, ours, size),
+                                              theirs.choice(len(w), size=size, p=w))
+            assert ours.random() == theirs.random()
+
+
+# sha256 of the files written for SMALL by the generator that drew each
+# weighted index with ``rng.choice(n, p=w)``; the CDF draws keep the data.
+SMALL_DIGESTS = {
+    "communities.json": "955e1fd538467e9bc5a1f15f37c59ff0b8ad15d8ecf88e0091a249f358bdcaca",
+    "edges.csv": "746cfeb96715400931dada275e8cf443d954d813ffc5241b7874ed68dc8b0c44",
+    "labels.csv": "034bc296fdf1db05caffc23f8fc171953f508a768264d83fc9b41cca0aa20b46",
+    "nodes.csv": "180ef32fef03f94764fb91bf6601c2c796660d10010b64fe766f87ccda6339f1",
+    "schema.json": "11c6fe11553640380a2a134e11760462b94067fd6b3f5b73c9a69f3b84bb3a9b",
+}
+
+
+def test_small_config_exports_pinned_bytes(tmp_path):
+    graph, labels, truth = generate(SMALL)
+    export(graph, labels, tmp_path)
+    save_ground_truth(truth, tmp_path / "communities.json")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == SMALL_DIGESTS
 
 
 def test_label_coverage_and_empty_labels():
