@@ -127,24 +127,6 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", help="JSON file supplying defaults for any option")
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--patterns", help="pattern file or 'default'")
-    p.add_argument("--psr", type=float)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--dim", type=int, help="embedding dimension")
-    p.add_argument("--proj-dim", dest="proj_dim", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eval-mode", dest="eval_mode", choices=["downstream", "direct"])
-    p.add_argument("--ablation", choices=["none", "hete", "att", "inner", "cross"])
-    p.add_argument("--cap", type=int)
-    p.add_argument("--cap-mode", dest="cap_mode", choices=["error", "truncate"])
-
-
 TRAIN_SPEC = {
     "patterns": (str, "default"),
     "psr": (float, 0.5),
@@ -162,6 +144,31 @@ TRAIN_SPEC = {
     "cap": (int, 64),
     "cap_mode": (str, "truncate"),
 }
+GENERATE_SPEC = {
+    "seed": (int, 0), "companies": (int, 500), "persons": (int, 400),
+    "items": (int, 120), "events": (int, 20), "communities": (int, 60),
+    "decoys": (int, 20), "p_rpt": (float, 0.8), "p_bg": (float, 0.1),
+    "label_coverage": (float, 0.9), "feature_dim": (int, 8),
+    "delta": (float, 0.25), "tx_density": (float, 1.5),
+    "invest_coverage": (float, 0.1), "exponent": (float, 2.5),
+}
+MATCH_SPEC = {"patterns": (str, "default"), "cap": (int, 64), "cap_mode": (str, "error")}
+STATS_SPEC = {**MATCH_SPEC, "cap_mode": (str, "truncate"), "korder_max": (int, 3)}
+SWEEP_SPEC = {**TRAIN_SPEC, "mode": (str, "psr"), "sizes": (str, "5000,10000,20000,40000"),
+              "threshold": (float, 0.2), "max_epochs": (int, 500),
+              "p_rpt": (float, 1.0), "p_bg": (float, 0.0)}
+CHOICES = {"eval_mode": ["downstream", "direct"], "cap_mode": ["error", "truncate"],
+           "ablation": ["none", "hete", "att", "inner", "cross"], "mode": ["psr", "timing"]}
+HELP = {"patterns": "pattern file or 'default'", "dim": "embedding dimension",
+        "delta": "class-conditional feature shift",
+        "sizes": "comma-separated node counts for timing mode"}
+
+
+def _add_options(p: argparse.ArgumentParser, spec: dict[str, tuple]) -> None:
+    """One flag per option of ``spec`` (``--test-fraction`` sets ``test_fraction``)."""
+    for dest, (cast, _) in spec.items():
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast,
+                       choices=CHOICES.get(dest), help=HELP.get(dest))
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -212,14 +219,7 @@ def _embeddings_text(embeddings: dict[str, np.ndarray]) -> str:
 # --- subcommands ------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    _resolve(args, {
-        "seed": (int, 0), "companies": (int, 500), "persons": (int, 400),
-        "items": (int, 120), "events": (int, 20), "communities": (int, 60),
-        "decoys": (int, 20), "p_rpt": (float, 0.8), "p_bg": (float, 0.1),
-        "label_coverage": (float, 0.9), "feature_dim": (int, 8),
-        "delta": (float, 0.25), "tx_density": (float, 1.5),
-        "invest_coverage": (float, 0.1), "exponent": (float, 2.5),
-    })
+    _resolve(args, GENERATE_SPEC)
     config = GenConfig(
         companies=args.companies, persons=args.persons, items=args.items,
         events=args.events, communities=args.communities,
@@ -265,8 +265,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_match(args) -> int:
-    _resolve(args, {"patterns": (str, "default"), "cap": (int, 64),
-                    "cap_mode": (str, "error")})
+    _resolve(args, MATCH_SPEC)
     graph = load_graph(*_graph_paths(args))
     pats = _load_pattern_arg(args.patterns, graph.schema)
     lines = ["pattern\tinstances\tanchors"]
@@ -284,8 +283,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _resolve(args, {"patterns": (str, "default"), "cap": (int, 64),
-                    "cap_mode": (str, "truncate"), "korder_max": (int, 3)})
+    _resolve(args, STATS_SPEC)
     graph = load_graph(*_graph_paths(args))
     labels = labels_to_indices(graph, _load_labels(args, graph))
     centers = evader_centers(graph, labels)
@@ -343,7 +341,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _resolve(args, TRAIN_SPEC)
-    graph, labels, index = _prepare_training(args)
+    graph = load_graph(*_graph_paths(args))
+    labels = _load_labels(args, graph)
     params = load_params(args.checkpoint)
     config = replace(_train_config(args), proj_dim=params.meta["proj_dim"],
                      embed_dim=params.meta["embed_dim"], heads=params.meta["heads"])
@@ -359,6 +358,9 @@ def cmd_eval(args) -> int:
     else:
         train_ids, test_ids = split_dataset(labels, config.psr, config.test_fraction,
                                             config.seed)
+    # the checkpoint and split are checked before the costly index build
+    pats = _load_pattern_arg(args.patterns, graph.schema)
+    index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode)
     metrics, _, _ = score_split(graph, index, labels, params, train_ids, test_ids, config)
     print(_metrics_text(metrics), end="")
     if args.out:
@@ -384,10 +386,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _resolve(args, {**TRAIN_SPEC, "mode": (str, "psr"),
-                    "sizes": (str, "5000,10000,20000,40000"),
-                    "threshold": (float, 0.2), "max_epochs": (int, 500),
-                    "p_rpt": (float, 1.0), "p_bg": (float, 0.0)})
+    _resolve(args, SWEEP_SPEC)
     if args.mode == "psr":
         base = _train_config(args)
         graph, labels, index = _prepare_training(args)
@@ -443,21 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--companies", type=int)
-    p.add_argument("--persons", type=int)
-    p.add_argument("--items", type=int)
-    p.add_argument("--events", type=int)
-    p.add_argument("--communities", type=int)
-    p.add_argument("--decoys", type=int)
-    p.add_argument("--p-rpt", dest="p_rpt", type=float)
-    p.add_argument("--p-bg", dest="p_bg", type=float)
-    p.add_argument("--label-coverage", dest="label_coverage", type=float)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--delta", type=float, help="class-conditional feature shift")
-    p.add_argument("--tx-density", dest="tx_density", type=float)
-    p.add_argument("--invest-coverage", dest="invest_coverage", type=float)
-    p.add_argument("--exponent", type=float)
+    _add_options(p, GENERATE_SPEC)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("ingest", help="load, validate, and summarize a dataset")
@@ -467,31 +452,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="count pattern instances")
     _add_graph_flags(p)
-    p.add_argument("--patterns")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--cap-mode", dest="cap_mode", choices=["error", "truncate"])
+    _add_options(p, MATCH_SPEC)
     p.add_argument("--injective", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("stats", help="evasion probability per neighbor definition")
     _add_graph_flags(p)
-    p.add_argument("--patterns")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--cap-mode", dest="cap_mode", choices=["error", "truncate"])
-    p.add_argument("--korder-max", dest="korder_max", type=int)
+    _add_options(p, STATS_SPEC)
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="train the detector")
     _add_graph_flags(p)
-    _add_train_flags(p)
+    _add_options(p, TRAIN_SPEC)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_graph_flags(p)
-    _add_train_flags(p)
+    _add_options(p, TRAIN_SPEC)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", help="split.json from a training run")
     p.add_argument("--out")
@@ -499,19 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train every model variant")
     _add_graph_flags(p)
-    _add_train_flags(p)
+    _add_options(p, TRAIN_SPEC)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="PSR grid or timing-by-scale sweep")
     _add_graph_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--mode", choices=["psr", "timing"])
-    p.add_argument("--sizes", help="comma-separated node counts for timing mode")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--p-rpt", dest="p_rpt", type=float)
-    p.add_argument("--p-bg", dest="p_bg", type=float)
+    _add_options(p, SWEEP_SPEC)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -178,44 +179,69 @@ class HetGraph:
                         map(self.edge_names.__getitem__, self.edge_code.tolist())))
 
     @cached_property
-    def _edge_keys(self) -> dict[str, set[int]]:
-        """Per edge type, ``source * n + target`` of each of its edges."""
-        keys = self.src * self._n + self.dst
-        return {r: set(keys[self.edge_code == k].tolist())
-                for k, r in enumerate(self.edge_names)}
+    def _edge_keys(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per edge type, the sorted distinct ``source * n + target`` keys of its
+        edges, of its reversed edges, and of the pairs ``has_edge`` accepts (both
+        for an undirected type) closed by ``n * n``, which is above every key."""
+        n, keys = self._n, {}
+        for k, r in enumerate(self.edge_names):
+            s, t = self.src[self.edge_code == k], self.dst[self.edge_code == k]
+            fwd, bwd = np.unique(s * n + t), np.unique(t * n + s)
+            either = fwd if self.schema.edge_types[r].directed else np.union1d(fwd, bwd)
+            keys[r] = fwd, bwd, np.append(either, n * n)
+        return keys
+
+    @cached_property
+    def _typed_csr(self) -> dict[str, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Per edge type, the out- and the in-neighbor CSR; for an undirected
+        type both are the CSR of its edges either way."""
+        n, csr = self._n, {}
+        for r, (fwd, bwd, either) in self._edge_keys.items():
+            directed = self.schema.edge_types[r].directed
+            csr[r] = (_csr(fwd, n), _csr(bwd, n)) if directed else (_csr(either[:-1], n),) * 2
+        return csr
+
+    @cached_property
+    def _lists(self) -> dict:
+        """As lists, for the per-node accessors: under each edge type its out-
+        and in-neighbor CSRs and its ``has_edge`` keys, under ``None`` the CSR
+        of every edge either way."""
+        n = self._n
+        both = np.unique(np.concatenate((self.src * n + self.dst, self.dst * n + self.src)))
+        lists = {None: _csr_lists(both, n)}
+        for r, (fwd, bwd, either) in self._edge_keys.items():
+            lists[r] = _csr_lists(fwd, n), _csr_lists(bwd, n), either.tolist()
+        return lists
 
     def has_edge(self, s: int, t: int, etype: str) -> bool:
         """True if the typed edge exists; undirected types match either way."""
-        keys, n = self._edge_keys[etype], self._n
-        if s * n + t in keys:
-            return True
-        return not self.schema.edge_types[etype].directed and t * n + s in keys
+        keys, key = self._lists[etype][2], s * self._n + t
+        return keys[bisect_left(keys, key)] == key
 
-    @cached_property
-    def _typed_csr(self) -> dict[str, tuple[tuple[list[int], list[int]], ...]]:
-        """Per edge type, the out-neighbor and the in-neighbor CSR."""
-        ends = {r: (self.src[self.edge_code == k], self.dst[self.edge_code == k])
-                for k, r in enumerate(self.edge_names)}
-        return {r: (_csr(s, t, self._n), _csr(t, s, self._n)) for r, (s, t) in ends.items()}
+    def has_edges(self, s: np.ndarray, t: np.ndarray, etype: str) -> np.ndarray:
+        """``has_edge`` for each pair of the source and target arrays."""
+        keys, key = self._edge_keys[etype][2], s * self._n + t
+        return keys[keys.searchsorted(key)] == key
 
-    @cached_property
-    def _any_csr(self) -> tuple[list[int], list[int]]:
-        return _csr(np.concatenate((self.src, self.dst)),
-                    np.concatenate((self.dst, self.src)), self._n)
+    def adjacency(self, etype: str, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR ``(ptr, idx)`` of the pairs ``has_edge`` accepts: node i's
+        distinct ``etype`` targets (sources when ``reverse``; both for an
+        undirected type) are ``idx[ptr[i]:ptr[i + 1]]``, ascending."""
+        return self._typed_csr[etype][reverse]
 
     def out_neighbors(self, i: int, etype: str) -> list[int]:
         """Distinct targets of node i's ``etype`` edges, ascending."""
-        ptr, idx = self._typed_csr[etype][0]
+        ptr, idx = self._lists[etype][0]
         return idx[ptr[i]:ptr[i + 1]]
 
     def in_neighbors(self, i: int, etype: str) -> list[int]:
         """Distinct sources of the ``etype`` edges into node i, ascending."""
-        ptr, idx = self._typed_csr[etype][1]
+        ptr, idx = self._lists[etype][1]
         return idx[ptr[i]:ptr[i + 1]]
 
     def neighbors(self, i: int) -> list[int]:
         """Distinct nodes sharing an edge of any type or direction with node i, ascending."""
-        ptr, idx = self._any_csr
+        ptr, idx = self._lists[None]
         return idx[ptr[i]:ptr[i + 1]]
 
     @cached_property
@@ -241,11 +267,13 @@ class HetGraph:
         return self._features[node_type]
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[list[int], list[int]]:
-    """Row r's distinct columns, ascending, are ``idx[ptr[r]:ptr[r + 1]]``."""
-    keys = np.unique(rows * n + cols)
-    ptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return ptr.tolist(), (keys % n).tolist()
+def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row r's columns are ``idx[ptr[r]:ptr[r + 1]]`` for sorted distinct ``r * n + column`` keys."""
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
+
+
+def _csr_lists(keys: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    return tuple(a.tolist() for a in _csr(keys, n))
 
 
 # --- operations ----------------------------------------------------------------
@@ -415,14 +443,19 @@ def load_labels(path: str | os.PathLike) -> dict[str, int]:
     if header != ["id", "label"]:
         raise DimensionMismatch(f"labels file {path}: missing 'id,label' header")
     labels: dict[str, int] = {}
+    line_of: dict[str, int] = {}
     for line_no, rec in records:
         if len(rec) != 2:
             raise DimensionMismatch(
                 f"labels file line {line_no}: expected 2 columns, got {len(rec)}")
+        if rec[0] in line_of:
+            raise DimensionMismatch(f"labels file lines {line_of[rec[0]]} and {line_no}: "
+                                    f"id {rec[0]!r} is labeled twice")
         try:
             labels[rec[0]] = int(rec[1])
         except ValueError as exc:
             raise DimensionMismatch(f"labels file line {line_no}: {exc}") from exc
+        line_of[rec[0]] = line_no
     return labels
 
 

@@ -4,15 +4,16 @@ Matching uses homomorphism semantics: the role-to-node mapping preserves node
 types and every pattern edge, but two roles may land on the same node (the
 collapsed-instance case).  An injective mode is available for comparison.
 
-Anchors are enumerated independently against the immutable graph and their
-rows concatenated in anchor order, so enumeration can be fanned out across
-workers; the built index is immutable and safe to share.
+Enumeration is a join that binds one role at a time for a chunk of anchors:
+every partial row is expanded through the CSR of an edge to an already-bound
+role, and the candidates are filtered with array operations.  The built index
+is immutable and safe to share.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,61 +26,86 @@ log = logging.getLogger(__name__)
 CAP_ERROR = "error"
 CAP_TRUNCATE = "truncate"
 DEFAULT_CAP = 64
+# partial rows a chunk of anchors is sized to hold at any level of the join:
+# a new chunk starts where the anchors' summed row bound passes a multiple of it
+ROW_BUDGET = 1 << 18
 
 
 def _bfs_role_order(pattern: RptPattern) -> list[str]:
-    """Anchor first, then roles in breadth-first order over the pattern graph.
+    """Anchor first, then roles in breadth-first order over the pattern graph,
+    each role's neighbors in canonical order.
 
     Guarantees every role after the first is adjacent to an already-ordered
     role, so candidates can always be drawn from a neighbor list.
     """
-    adj: dict[str, list[str]] = {r: [] for r in pattern.role_names}
-    for s, t, _ in pattern.edges:
-        adj[s].append(t)
-        adj[t].append(s)
     order = [pattern.anchor]
-    seen = {pattern.anchor}
-    queue = [pattern.anchor]
-    while queue:
-        cur = queue.pop(0)
-        for nxt in sorted(set(adj[cur]), key=pattern.role_names.index):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
+    for cur in order:  # the loop reaches the roles it appends: a breadth-first walk
+        order += [r for r in pattern.role_names if r not in order
+                  and any({s, t} == {cur, r} for s, t, _ in pattern.edges)]
     return order
 
 
-def _role_requirements(pattern: RptPattern) -> dict[str, tuple[set[str], set[str]]]:
-    """Edge types each role must have outgoing / incoming (direction-aware)."""
-    req: dict[str, tuple[set[str], set[str]]] = {r: (set(), set()) for r in pattern.role_names}
-    for s, t, etype in pattern.edges:
-        req[s][0].add(etype)
-        req[t][1].add(etype)
-    return req
-
-
 def _base_candidates(graph: HetGraph, pattern: RptPattern, role: str,
-                     injective: bool) -> list[int]:
-    """Nodes of the role's type with every incident edge type the role needs, ascending.
+                     injective: bool) -> np.ndarray:
+    """Mask of the nodes of the role's type with every incident edge type the role needs.
 
     An undirected edge type is satisfied by an edge in either direction.  In
     injective mode a node also needs at least as many edges as the role has.
     """
-    req_out, req_in = _role_requirements(pattern)[role]
     degrees = graph.edge_degrees
     keep = graph.type_code == graph.type_names.index(pattern.role_type(role))
-    for required, side in ((req_out, 0), (req_in, 1)):
-        for r in required:
-            if graph.schema.edge_types[r].directed:
-                keep &= degrees[r][side] > 0
-            else:
-                keep &= (degrees[r][0] + degrees[r][1]) > 0
+    for s, t, etype in pattern.edges:
+        out_deg, in_deg = degrees[etype]
+        for end, deg in ((s, out_deg), (t, in_deg)):
+            if end == role:
+                keep &= (deg if graph.schema.edge_types[etype].directed else out_deg + in_deg) > 0
     if injective:
         deg_needed = sum(1 for s, t, _ in pattern.edges if role in (s, t))
         total = sum(out_deg + in_deg for out_deg, in_deg in degrees.values())
         keep &= total >= deg_needed
-    return np.flatnonzero(keep).tolist()
+    return keep
+
+
+def _ranges(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges ``start[j]:start[j] + counts[j]`` back to back."""
+    # element k of range j sits at start[j] + k and lands at (elements before j) + k
+    shift = start - (np.cumsum(counts) - counts)
+    return np.arange(counts.sum()) + np.repeat(shift, counts)
+
+
+def _keep_first_multisets(leaves: np.ndarray, anchor: np.ndarray,
+                          cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """What a depth-first walk keeps of its leaves, and the anchors it cut short.
+
+    ``leaves`` are grouped by ascending ``anchor`` and in walk order within
+    one.  Per anchor, the walk keeps node multisets in order of first
+    occurrence and stops at the first leaf of the (cap+1)-th; each kept
+    multiset is represented by its smallest row among the leaves before the
+    stop.  Rows come back sorted by anchor, then by row.
+    """
+    m = len(leaves)
+    if not m:
+        return leaves, anchor
+    key = np.sort(leaves, axis=1)
+    # leaves of one (anchor, multiset) group side by side, in walk order (the sort is stable)
+    by_key = np.lexsort((*key.T[::-1], anchor))
+    key, key_anchor = key[by_key], anchor[by_key]
+    new = np.ones(m, dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1) | (key_anchor[1:] != key_anchor[:-1])
+    group = np.empty(m, dtype=np.intp)
+    group[by_key] = np.cumsum(new) - 1
+    first = np.zeros(m, dtype=bool)
+    first[by_key[new]] = True
+    # distinct multisets the walk has met at each leaf, counted per anchor
+    seen = np.cumsum(first)
+    starts = np.flatnonzero(np.r_[True, anchor[1:] != anchor[:-1]])
+    seen -= np.repeat((seen - first)[starts], np.diff(np.r_[starts, m]))
+    kept = seen <= cap
+    # sorted by (anchor, row), each group's first kept leaf is its smallest row
+    leaves, group = leaves[kept], group[kept]
+    by_row = np.lexsort((*leaves.T[::-1], anchor[kept]))
+    _, firsts = np.unique(group[by_row], return_index=True)
+    return leaves[by_row[np.sort(firsts)]], np.unique(anchor[~kept])
 
 
 def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
@@ -94,7 +120,8 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
     node multiset count as one instance (role-permutation symmetry).  ``cap``
     bounds distinct instances per anchor node; hitting it raises
     ``InstanceCapExceeded`` unless ``cap_mode="truncate"``, which logs a
-    warning and keeps the first ``cap``.
+    warning and keeps the first ``cap`` a depth-first walk over the roles in
+    ``_bfs_role_order``, candidates ascending, meets.
     """
     validate_pattern(pattern, graph.schema)
     if cap_mode not in (CAP_ERROR, CAP_TRUNCATE):
@@ -103,91 +130,58 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
         raise InfeasibleConfig(f"cap must be >= 1, got {cap}")
 
     order = _bfs_role_order(pattern)
-    role_pos = {r: k for k, r in enumerate(order)}
-    # edges each newly assigned role must satisfy against earlier roles
-    check_edges: list[list[tuple[str, str, str]]] = [[] for _ in order]
+    pos = {r: k for k, r in enumerate(order)}
+    # the edges each role must satisfy against itself and earlier roles, by position
+    checks: list[list[tuple[int, int, str]]] = [[] for _ in order]
     for s, t, etype in pattern.edges:
-        later = s if role_pos[s] >= role_pos[t] else t
-        check_edges[role_pos[later]].append((s, t, etype))
-    # pick, per role, one earlier-assigned neighbor to generate candidates from
-    gen_edge: list[tuple[str, str, str] | None] = [None] * len(order)
+        checks[max(pos[s], pos[t])].append((pos[s], pos[t], etype))
+    # each later role's candidates are the neighbors of the role its first
+    # edge to an earlier role joins; that edge then holds for every candidate
+    levels = []
     for k in range(1, len(order)):
-        gen_edge[k] = check_edges[k][0]
+        gen = next(e for e in checks[k] if e[0] != e[1])
+        levels.append((gen[1] if gen[0] == k else gen[0], graph.adjacency(gen[2], gen[0] == k),
+                       [e for e in checks[k] if e != gen]))
+    masks = [_base_candidates(graph, pattern, r, injective) for r in order]
+    anchors = np.flatnonzero(masks[0])
+    for _, _, etype in checks[0]:  # self-loops on the anchor
+        anchors = anchors[graph.has_edges(anchors, anchors, etype)]
 
-    base = {r: _base_candidates(graph, pattern, r, injective) for r in pattern.role_names}
-    canonical = pattern.role_names
-    undirected = {r: not graph.schema.edge_types[r].directed for r in graph.schema.edge_types}
+    # rows per anchor at every level are at most its matches of the tree of
+    # generating edges, with no role filter and a role without candidates
+    # counted once: one segment sum per tree edge, leaves first
+    bound = np.ones((len(order), len(graph)))
+    for k in range(len(order) - 1, 0, -1):
+        b, (ptr, idx), _ = levels[k - 1]
+        total = np.concatenate(([0.0], np.cumsum(bound[k][idx])))
+        bound[b] *= np.maximum(total[ptr[1:]] - total[ptr[:-1]], 1.0)
+    cost = bound[0][anchors]
+    chunks = np.split(anchors, np.flatnonzero(np.diff((np.cumsum(cost) - cost) // ROW_BUDGET)) + 1)
 
-    rows: list[tuple[int, ...]] = []
-    base_sets = {r: set(v) for r, v in base.items()}
-
-    def candidates_for(k: int, assignment: dict[str, int]) -> Iterable[int]:
-        role = order[k]
-        s, t, etype = gen_edge[k]
-        if s == role:
-            bound = assignment[t]
-            cands = set(graph.in_neighbors(bound, etype))
-            if undirected[etype]:
-                cands |= set(graph.out_neighbors(bound, etype))
-        else:
-            bound = assignment[s]
-            cands = set(graph.out_neighbors(bound, etype))
-            if undirected[etype]:
-                cands |= set(graph.in_neighbors(bound, etype))
-        return sorted(cands.intersection(base_sets[role]))
-
-    for anchor_node in base[pattern.anchor]:
-        # anchor self-loop edges sit at position 0 and must be checked up front
-        if any(not graph.has_edge(anchor_node, anchor_node, e)
-               for _, _, e in check_edges[0]):
-            continue
-        collected: dict[tuple[int, ...], tuple[int, ...]] = {}  # multiset key -> nodes
-        truncated = False
-
-        def dfs(k: int, assignment: dict[str, int]) -> bool:
-            """Returns False when the anchor's enumeration should stop."""
-            nonlocal truncated
-            if k == len(order):
-                nodes = tuple(assignment[r] for r in canonical)
-                key = tuple(sorted(nodes))
-                if key in collected:
-                    # keep the lexicographically smallest representative
-                    if nodes < collected[key]:
-                        collected[key] = nodes
-                    return True
-                if len(collected) >= cap:
-                    if cap_mode == CAP_ERROR:
-                        raise InstanceCapExceeded(
-                            pattern.pattern_id, graph.ids[anchor_node], cap)
-                    truncated = True
-                    return False
-                collected[key] = nodes
-                return True
-            role = order[k]
-            for cand in candidates_for(k, assignment):
-                if injective and cand in assignment.values():
-                    continue
-                ok = True
-                for s, t, etype in check_edges[k]:
-                    su = assignment[s] if s != role else cand
-                    tu = assignment[t] if t != role else cand
-                    if not graph.has_edge(su, tu, etype):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if not dfs(k + 1, {**assignment, role: cand}):
-                    return False
-            return True
-
-        dfs(1, {pattern.anchor: anchor_node})
-        if truncated:
+    canonical = [pos[r] for r in pattern.role_names]
+    out = []
+    for chunk in chunks:
+        rows = chunk[:, None]
+        for k, (b, (ptr, idx), others) in enumerate(levels, start=1):
+            start = ptr[rows[:, b]]
+            counts = ptr[rows[:, b] + 1] - start
+            parent = np.repeat(np.arange(len(rows)), counts)
+            cand = idx[_ranges(start, counts)]
+            keep = masks[k][cand]
+            for s, t, etype in others:
+                keep &= graph.has_edges(cand if s == k else rows[parent, s],
+                                        cand if t == k else rows[parent, t], etype)
+            if injective:
+                keep &= (rows[parent] != cand[:, None]).all(axis=1)
+            rows = np.column_stack((rows[parent[keep]], cand[keep]))
+        kept, truncated = _keep_first_multisets(rows[:, canonical], rows[:, 0], cap)
+        if truncated.size and cap_mode == CAP_ERROR:
+            raise InstanceCapExceeded(pattern.pattern_id, graph.ids[truncated[0]], cap)
+        for anchor_node in truncated.tolist():
             log.warning("pattern %s: anchor %s truncated at cap %d",
                         pattern.pattern_id, graph.ids[anchor_node], cap)
-        # anchors ascend, so sorting each anchor's rows sorts them all
-        rows.extend(sorted(collected.values()))
-
-    return np.array(rows, dtype=np.intp).reshape(len(rows), len(canonical))
+        out.append(kept)
+    return np.concatenate(out).astype(np.intp, copy=False)
 
 
 class NeighborIndex:
@@ -233,10 +227,7 @@ class NeighborIndex:
         ptr = self.anchor_ptr[pattern_id]
         start = ptr[anchors]
         counts = ptr[anchors + 1] - start
-        # row k of anchor j sits at start[j] + k and lands at (rows before j) + k
-        shift = start - (np.cumsum(counts) - counts)
-        rows = np.arange(counts.sum()) + np.repeat(shift, counts)
-        return self.nodes[pattern_id][rows], counts
+        return self.nodes[pattern_id][_ranges(start, counts)], counts
 
 
 def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,

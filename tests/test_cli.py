@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import rptdetect
+from rptdetect import cli
 from rptdetect.cli import main
 
 
@@ -205,6 +206,23 @@ def test_malformed_labels_row_fails_with_line_number(dataset, tmp_path, capsys, 
     assert errors[0].startswith("error\tDimensionMismatch\tlabels file line 4:")
 
 
+@pytest.mark.parametrize("command", ["ingest", "stats", "train"])
+def test_label_id_listed_twice_fails_naming_both_lines(dataset, tmp_path, capsys, command):
+    bad = tmp_path / "bad"
+    assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
+    lines = read(bad / "labels.csv").splitlines()
+    node_id, label = lines[2].split(",")
+    (bad / "labels.csv").write_text("\n".join(lines + [f"{node_id},{1 - int(label)}"]) + "\n")
+    capsys.readouterr()
+    argv = [command, "--graph", str(bad)]
+    rc = main(argv + (["--out", str(tmp_path / "run")] if command == "train" else []))
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error\tDimensionMismatch\tlabels file lines 3 and "
+                                f"{len(lines) + 1}: id {node_id!r}"), errors
+
+
 @pytest.mark.parametrize("spec", [{}, {"dim": "four"}])
 def test_schema_node_type_without_integer_dim_fails_naming_the_type(dataset, tmp_path,
                                                                     capsys, spec):
@@ -380,6 +398,27 @@ def test_malformed_split_fails_naming_the_file(dataset, tmp_path, capsys, edit):
     errors = error_lines(capsys)
     assert len(errors) == 1
     assert errors[0].startswith(f"error\tPipelineError\tsplit {split}:")
+
+
+@pytest.mark.parametrize("bad", ["checkpoint", "split"])
+def test_eval_checks_checkpoint_and_split_before_building_the_index(dataset, tmp_path, capsys,
+                                                                    monkeypatch, bad):
+    run = tmp_path / "run"
+    assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "1",
+                 "--dim", "8", "--proj-dim", "4", "--batch-size", "64"]) == 0
+    (run / f"{bad}.json").write_text("not json")
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("the neighbor index was built before the checks")
+
+    monkeypatch.setattr(cli, "build_neighbor_index", no_index)
+    capsys.readouterr()
+    rc = main(["eval", "--graph", str(dataset), "--checkpoint", str(run / "checkpoint.json"),
+               "--split", str(run / "split.json")])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert f"\t{bad} {run / (bad + '.json')}: not JSON" in errors[0], errors
 
 
 def test_env_var_overrides_default(dataset, tmp_path, monkeypatch):

@@ -1,8 +1,14 @@
 """Matcher tests: hand-built cases plus brute-force oracle equivalence."""
 
+import hashlib
+import itertools
+import logging
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from rptdetect import matcher
 from rptdetect.errors import InstanceCapExceeded, MalformedMetapath, PatternTypeUnknown
 from rptdetect.matcher import (
     build_neighbor_index,
@@ -156,6 +162,167 @@ def test_instance_cap_error_and_truncate():
     assert np.count_nonzero(anchor_column(got, pccp()) == hub) == 5
     full = enumerate_instances(g, pccp(), cap=1000)
     assert np.count_nonzero(anchor_column(full, pccp()) == hub) == n
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_edge_order_does_not_change_the_rows(injective):
+    # self-loops, anchor self-loops and cycles; a self-loop on a later role
+    # may come before the edge that joins it to an earlier one
+    rng = np.random.default_rng(3)
+    nodes = [(f"c{i}", "company") for i in range(7)] + [(f"p{i}", "person") for i in range(3)]
+    edges = [(f"c{a}", f"c{b}", "transaction") for a in range(7) for b in range(7)
+             if rng.random() < (0.5 if a == b else 0.3)]
+    edges += [(f"p{p}", f"c{c}", "invest") for p in range(3) for c in range(7)
+              if rng.random() < 0.4]
+    g = make_graph(small_schema(), nodes, edges)
+    companies = (("a", "company"), ("b", "company"), ("c", "company"))
+    patterns = [
+        RptPattern("AB", roles=companies[:2],
+                   edges=(("b", "b", "transaction"), ("a", "b", "transaction")), anchor="a"),
+        RptPattern("ABQC", roles=companies[:2] + (("q", "person"),) + companies[2:],
+                   edges=(("c", "c", "transaction"), ("b", "b", "transaction"),
+                          ("q", "c", "invest"), ("a", "b", "transaction"),
+                          ("q", "b", "invest")), anchor="a"),
+        RptPattern("LOOP", roles=companies[:2] + (("q", "person"),),
+                   edges=(("a", "a", "transaction"), ("b", "a", "transaction"),
+                          ("q", "b", "invest"), ("a", "b", "transaction")), anchor="a"),
+        RptPattern("TRI", roles=companies,
+                   edges=(("b", "c", "transaction"), ("a", "c", "transaction"),
+                          ("a", "b", "transaction")), anchor="b"),
+    ]
+    for pattern in patterns:
+        want = brute_force_instances(g, pattern, injective=injective)
+        assert len(want), pattern.pattern_id
+        for edges in itertools.permutations(pattern.edges):
+            shuffled = RptPattern(pattern.pattern_id, pattern.roles, edges, pattern.anchor)
+            assert enumerate_instances(g, shuffled, injective=injective) == want, edges
+
+
+@lru_cache(maxsize=None)
+def criterion_3_graphs():
+    """The 50 random graphs of acceptance criterion 3, drawn the same way."""
+    rng = np.random.default_rng(2024)
+    graphs = []
+    for _ in range(50):
+        nc, npers, ni = (int(rng.integers(5, 9)), int(rng.integers(4, 9)),
+                         int(rng.integers(2, 5)))
+        graphs.append(random_typed_graph(rng, nc, npers, ni,
+                                         edge_rate=float(rng.uniform(0.1, 0.35))))
+    return tuple(graphs)
+
+
+@lru_cache(maxsize=None)
+def hub_graph():
+    """Two hub companies trading with most others and a hub investor, plus noise."""
+    rng = np.random.default_rng(99)
+    nodes = ([(f"c{i}", "company") for i in range(40)]
+             + [(f"p{i}", "person") for i in range(25)]
+             + [(f"i{i}", "item") for i in range(6)])
+    edges = []
+    for hub in ("c0", "c7"):
+        edges += [(hub, f"c{i}", "transaction") for i in range(40) if rng.random() < 0.8]
+    edges += [("p0", f"c{i}", "invest") for i in range(40) if rng.random() < 0.7]
+    edges += [(f"c{a}", f"c{b}", "transaction") for a in range(40) for b in range(40)
+              if rng.random() < 0.04]
+    edges += [(f"p{p}", f"c{c}", "invest") for p in range(1, 25) for c in range(40)
+              if rng.random() < 0.06]
+    edges += [(f"c{c}", f"i{i}", kind) for c in range(40) for i in range(6)
+              for kind in ("sell", "buy") if rng.random() < 0.1]
+    return make_graph(tax_schema(), nodes, edges)
+
+
+def truncation_digest(graphs, pattern, injective, cap, caplog):
+    """sha256 over each graph's truncated rows (shape and bytes), its
+    truncation warnings in order, and the error mode's message."""
+    h = hashlib.sha256()
+    for g in graphs:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="rptdetect.matcher"):
+            rows = enumerate_instances(g, pattern, injective=injective, cap=cap,
+                                       cap_mode="truncate")
+        h.update(repr(rows.shape).encode() + rows.astype("<i8").tobytes())
+        h.update("\n".join(r.getMessage() for r in caplog.records).encode())
+        try:
+            enumerate_instances(g, pattern, injective=injective, cap=cap, cap_mode="error")
+        except InstanceCapExceeded as exc:
+            h.update(str(exc).encode())
+    return h.hexdigest()[:16]
+
+
+# computed with the per-anchor depth-first matcher this join replaced
+PINNED_CRITERION_3 = {
+    ('PCCP', False, 1): '1704f6c654fd852a',
+    ('PCCP', False, 2): '376c990c994ce602',
+    ('PCCP', True, 1): '3f854ab567c90876',
+    ('PCCP', True, 2): '997b2b46ece0a21b',
+    ('PCCCP', False, 1): '2336bbc7db53d268',
+    ('PCCCP', False, 2): '8255f2a263d14528',
+    ('PCCCP', True, 1): '617fa2a69ce9e64c',
+    ('PCCCP', True, 2): '220bd8908d74e5d4',
+    ('PCICP', False, 1): 'e68102e3e2f6807f',
+    ('PCICP', False, 2): '8990bcf4986a9498',
+    ('PCICP', True, 1): '90f7440fd88fc1bf',
+    ('PCICP', True, 2): '4ad1e3f38c74c5c3',
+    ('PCPCP', False, 1): '4128dc7d42ff13fc',
+    ('PCPCP', False, 2): 'd9d579592725a721',
+    ('PCPCP', True, 1): 'c1786c315ed49e78',
+    ('PCPCP', True, 2): 'dc56c7bafc618c59',
+    ('PCPCCP', False, 1): '285fbc7342f0c536',
+    ('PCPCCP', False, 2): 'a7bf7d45c36804fd',
+    ('PCPCCP', True, 1): '548a263ab59a9f48',
+    ('PCPCCP', True, 2): '39cca818c920e81c',
+}
+PINNED_HUB = {
+    ('PCCP', False, 1): 'd39a269389ef832c',
+    ('PCCP', False, 2): '98efd07c6fe49119',
+    ('PCCP', False, 64): 'f13441766037f1da',
+    ('PCCP', True, 1): 'deb1b24841efd53b',
+    ('PCCP', True, 2): 'c022797e62cd92fd',
+    ('PCCP', True, 64): '6897f3abe7ad9d7a',
+    ('PCCCP', False, 1): '00d388c491367e1a',
+    ('PCCCP', False, 2): 'b3bb5ccace6f4747',
+    ('PCCCP', False, 64): 'b4f5044bfe5dc6af',
+    ('PCCCP', True, 1): '3cd92c5bbf88dd0f',
+    ('PCCCP', True, 2): '2c50e68ae8dd4de7',
+    ('PCCCP', True, 64): '62759214dedf0942',
+    ('PCICP', False, 1): '126697b02b47b6a2',
+    ('PCICP', False, 2): '9dce8b2d9cac75d1',
+    ('PCICP', False, 64): '805a6c2a6cbc1319',
+    ('PCICP', True, 1): '582b9ad4d5179a92',
+    ('PCICP', True, 2): '4d2a906706fde884',
+    ('PCICP', True, 64): '628201ec8bcfd705',
+    ('PCPCP', False, 1): '4658a7508342ccd1',
+    ('PCPCP', False, 2): '2347fc71e61f314d',
+    ('PCPCP', False, 64): '8d400c20a1ef4629',
+    ('PCPCP', True, 1): '831ee038ec907920',
+    ('PCPCP', True, 2): '1da3472da5bd58ba',
+    ('PCPCP', True, 64): '7ebedfc67cce01d7',
+    ('PCPCCP', False, 1): 'fbdd8788f67a6178',
+    ('PCPCCP', False, 2): '30f632264a4c99de',
+    ('PCPCCP', False, 64): '74d0703335104eef',
+    ('PCPCCP', True, 1): 'baa7f809461e66c5',
+    ('PCPCCP', True, 2): '308368ecdd4b27fb',
+    ('PCPCCP', True, 64): '39b38804fea1a18d',
+}
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("injective", [False, True])
+@pytest.mark.parametrize("pid", ["PCCP", "PCCCP", "PCICP", "PCPCP", "PCPCCP"])
+def test_truncation_matches_pinned_digests(pid, injective, cap, caplog):
+    got = truncation_digest(criterion_3_graphs(), bundled(pid), injective, cap, caplog)
+    assert got == PINNED_CRITERION_3[pid, injective, cap]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40])
+@pytest.mark.parametrize("pid", ["PCCP", "PCCCP", "PCICP", "PCPCP", "PCPCCP"])
+def test_chunked_hub_graph_matches_pinned_digests(pid, budget, caplog, monkeypatch):
+    # a budget of one row puts every anchor in a chunk of its own
+    if budget is not None:
+        monkeypatch.setattr(matcher, "ROW_BUDGET", budget)
+    for injective, cap in itertools.product((False, True), (1, 2, 64)):
+        got = truncation_digest([hub_graph()], bundled(pid), injective, cap, caplog)
+        assert got == PINNED_HUB[pid, injective, cap], (injective, cap)
 
 
 def test_neighbor_index_groups_by_anchor_and_includes_self():
