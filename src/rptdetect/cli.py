@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import PipelineError
+from .errors import InfeasibleConfig, PipelineError
 from .hetgraph import (
     degree_histogram,
     labels_to_indices,
@@ -284,16 +284,18 @@ def cmd_match(args) -> int:
 
 def cmd_stats(args) -> int:
     _resolve(args, STATS_SPEC)
+    if args.korder_max < 1:
+        raise InfeasibleConfig(f"korder_max must be >= 1, got {args.korder_max}")
     graph = load_graph(*_graph_paths(args))
     labels = labels_to_indices(graph, _load_labels(args, graph))
     centers = evader_centers(graph, labels)
     pats = _load_pattern_arg(args.patterns, graph.schema)
     index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode)
-    mp = {name: metapath_neighbors(graph, path)
+    # the baselines are read only around the evader centers
+    mp = {name: metapath_neighbors(graph, path, centers)
           for name, path in BUNDLED_METAPATHS.items()
           if all(t in graph.schema.node_types for t in path[0::2])
           and all(e in graph.schema.edge_types for e in path[1::2])}
-    # the k-order balls are read only around the evader centers
     ko = {k: k_order_neighbors(graph, k, centers) for k in range(1, args.korder_max + 1)}
     stats = evasion_ratio_stats(graph, index, mp, ko, labels)
     print(stats_table_text(stats), end="")

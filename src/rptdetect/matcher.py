@@ -13,6 +13,7 @@ is immutable and safe to share.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,8 @@ def _base_candidates(graph: HetGraph, pattern: RptPattern, role: str,
     """Mask of the nodes of the role's type with every incident edge type the role needs.
 
     An undirected edge type is satisfied by an edge in either direction.  In
-    injective mode a node also needs at least as many edges as the role has.
+    injective mode a node also needs at least as many edges as the role has
+    distinct neighbor roles, itself included for a self-loop.
     """
     degrees = graph.edge_degrees
     keep = graph.type_code == graph.type_names.index(pattern.role_type(role))
@@ -60,7 +62,7 @@ def _base_candidates(graph: HetGraph, pattern: RptPattern, role: str,
             if end == role:
                 keep &= (deg if graph.schema.edge_types[etype].directed else out_deg + in_deg) > 0
     if injective:
-        deg_needed = sum(1 for s, t, _ in pattern.edges if role in (s, t))
+        deg_needed = len({t if s == role else s for s, t, _ in pattern.edges if role in (s, t)})
         total = sum(out_deg + in_deg for out_deg, in_deg in degrees.values())
         keep &= total >= deg_needed
     return keep
@@ -241,77 +243,111 @@ def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,
     return NeighborIndex(patterns, nodes, graph.company_nodes(), len(graph))
 
 
-def metapath_neighbors(graph: HetGraph, metapath: Sequence[str]) -> dict[int, set[int]]:
+class CenterSets(Mapping):
+    """Per center, a set of nodes held as bits: bit ``j % 64`` of word ``j // 64``
+    in node ``v``'s row of ``bits`` (``uint64``, ``[n_nodes, ceil(len(centers) / 64)]``)
+    is set when ``v`` is in the set of ``centers[j]``.  A lookup builds that
+    center's frozenset; ``count`` tallies many centers' members without any."""
+
+    def __init__(self, centers: list[int], bits: np.ndarray):
+        self.centers, self.bits = centers, bits
+        self._pos = dict(zip(centers, range(len(centers))))
+
+    def __getitem__(self, center: int) -> frozenset[int]:
+        j = self._pos[center]
+        return frozenset(np.flatnonzero(self.bits[:, j >> 6] & _bit(j)).tolist())
+
+    def __iter__(self):
+        return iter(self.centers)
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+    def count(self, centers: Sequence[int], rows: np.ndarray) -> np.ndarray:
+        """Per node of ``rows``, how many of the ``centers``' sets hold it; a
+        center this map does not hold raises ``KeyError``."""
+        j = np.array([self._pos[c] for c in centers], dtype=np.intp)
+        mask = np.zeros(self.bits.shape[1], dtype=np.uint64)
+        np.bitwise_or.at(mask, j >> 6, _bit(j))
+        return np.bitwise_count(self.bits[rows] & mask).sum(axis=1, dtype=np.int64)
+
+
+def _bit(j):
+    """The bit of center position ``j`` within its ``uint64`` word."""
+    return np.left_shift(np.uint64(1), np.asarray(j & 63, dtype=np.uint64))
+
+
+def _own_bits(n: int, centers: Sequence[int]) -> tuple[list[int], np.ndarray]:
+    """The distinct centers in order, and node-major bits with each one's own bit set."""
+    centers = list(dict.fromkeys(centers))
+    bits = np.zeros((n, -(-len(centers) // 64)), dtype=np.uint64)
+    j = np.arange(len(centers))
+    bits[np.array(centers, dtype=np.intp), j >> 6] = _bit(j)
+    return centers, bits
+
+
+def _hop(frontier: np.ndarray, csrs) -> np.ndarray:
+    """Per node, the OR of the frontier rows of its neighbors in any of the CSRs."""
+    out = np.zeros_like(frontier)
+    for ptr, idx in csrs:
+        # reduceat gives an empty segment its first element, so reduce only full ones
+        full = ptr[1:] > ptr[:-1]
+        out[full] |= np.bitwise_or.reduceat(frontier[idx], ptr[:-1][full], axis=0)
+    return out
+
+
+def metapath_neighbors(graph: HetGraph, metapath: Sequence[str],
+                       centers: Sequence[int] | None = None) -> CenterSets:
     """End nodes reachable along the typed path, per start node, start excluded.
 
     ``metapath`` alternates node and edge types, e.g.
     ``["company", "invest", "person", "invest", "company"]``.  Steps traverse
     the edge type in whichever direction joins the two declared node types.
+    The start nodes are ``centers``, by default every node of the first type.
     """
     if len(metapath) < 3 or len(metapath) % 2 == 0:
         raise MalformedMetapath(f"metapath must alternate node/edge types: {metapath}")
-    node_types = metapath[0::2]
-    edge_types = metapath[1::2]
+    node_types, edge_types = metapath[0::2], metapath[1::2]
     for t in node_types:
         if t not in graph.schema.node_types:
             raise MalformedMetapath(f"unknown node type {t!r} in metapath")
-    steps: list[tuple[str, bool, bool]] = []  # (edge type, forward ok, backward ok)
+    steps = []  # per step, the CSRs a node pulls its next frontier bits through
     for (ta, e, tb) in zip(node_types[:-1], edge_types, node_types[1:]):
         if e not in graph.schema.edge_types:
             raise MalformedMetapath(f"unknown edge type {e!r} in metapath")
         et = graph.schema.edge_types[e]
-        forward = (et.source, et.target) == (ta, tb)
-        backward = (et.source, et.target) == (tb, ta)
-        if not et.directed and {et.source, et.target} == {ta, tb}:
-            forward = backward = True
+        # a step along the edge type reaches a node from its sources, one against
+        # it from its targets; an undirected type's one CSR holds both ways
+        forward = (et.source, et.target) == (ta, tb) or (
+            not et.directed and (et.source, et.target) == (tb, ta))
+        backward = et.directed and (et.source, et.target) == (tb, ta)
         if not (forward or backward):
             raise MalformedMetapath(
                 f"edge type {e!r} does not join {ta!r} and {tb!r}")
-        steps.append((e, forward, backward))
+        steps.append([graph.adjacency(e, True)] * forward + [graph.adjacency(e)] * backward)
 
-    result: dict[int, set[int]] = {}
-    for start in graph.nodes_of_type(node_types[0]):
-        frontier = {start}
-        for etype, forward, backward in steps:
-            nxt: set[int] = set()
-            for node in frontier:
-                if forward:
-                    nxt.update(graph.out_neighbors(node, etype))
-                if backward:
-                    nxt.update(graph.in_neighbors(node, etype))
-            frontier = nxt
-        frontier.discard(start)
-        result[start] = frontier
-    return result
+    centers, own = _own_bits(len(graph), graph.nodes_of_type(node_types[0])
+                             if centers is None else centers)
+    frontier = own
+    for csrs in steps:
+        frontier = _hop(frontier, csrs)
+    return CenterSets(centers, frontier & ~own)
 
 
 def k_order_neighbors(graph: HetGraph, k: int,
-                      centers: Sequence[int] | None = None) -> dict[int, set[int]]:
+                      centers: Sequence[int] | None = None) -> CenterSets:
     """Type-agnostic BFS ball of radius k minus the center.
 
     Reported sets are restricted to company-type members; traversal itself
-    crosses all node types.
+    crosses all node types.  All centers walk at once, one bit each, so a hop
+    costs one pass over the graph's CSR per 64 centers.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    company = graph.schema.company_type
-    is_company = [t == company for t in graph.types]
-    nodes = range(len(graph)) if centers is None else centers
-    result: dict[int, set[int]] = {}
-    for start in nodes:
-        seen = {start}
-        frontier = [start]
-        ball: set[int] = set()
-        for _ in range(k):
-            nxt: list[int] = []
-            for node in frontier:
-                for nb in graph.neighbors(node):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.append(nb)
-            ball.update(nxt)
-            frontier = nxt
-            if not frontier:
-                break
-        result[start] = {i for i in ball if is_company[i]}
-    return result
+    centers, own = _own_bits(len(graph), range(len(graph)) if centers is None else centers)
+    seen = frontier = own
+    for _ in range(k):
+        frontier = _hop(frontier, [graph.adjacency(None)]) & ~seen
+        seen = seen | frontier
+    seen[graph.type_code != graph.type_names.index(graph.schema.company_type)] = 0
+    return CenterSets(centers, seen & ~own)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoLabeledPairs
 from .hetgraph import HetGraph
-from .matcher import NeighborIndex
+from .matcher import CenterSets, NeighborIndex
 
 KIND_RPT = "rpt"
 KIND_RPT_AGGREGATE = "rpt_aggregate"
@@ -57,21 +57,6 @@ class EvasionStats:
         raise KeyError((rpt_name, baseline_name))
 
 
-def _count_pairs(centers: list[int], neighbors: dict[int, set[int]],
-                 labels: dict[int, int]) -> tuple[int, int]:
-    pairs = hits = 0
-    for i in centers:
-        for j in neighbors[i]:
-            if j == i:
-                continue
-            y = labels.get(j)
-            if y is None:
-                continue
-            pairs += 1
-            hits += y
-    return pairs, hits
-
-
 def evader_centers(graph: HetGraph, labels: dict[int, int]) -> list[int]:
     """The labeled evading companies, ascending: the centers of every pair.
 
@@ -87,8 +72,8 @@ def evader_centers(graph: HetGraph, labels: dict[int, int]) -> list[int]:
 
 
 def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
-                        metapaths: dict[int | str, dict[int, set[int]]],
-                        k_orders: dict[int, dict[int, set[int]]],
+                        metapaths: dict[int | str, CenterSets],
+                        k_orders: dict[int, CenterSets],
                         labels: dict[int, int]) -> EvasionStats:
     """Build the per-definition probability table and the pairwise ratio table.
 
@@ -96,46 +81,36 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
     hold a set for each of the ``evader_centers``; a missing center raises
     ``KeyError``.  Raises ``NoLabeledPairs`` when there is no labeled evader.
     """
-    company = graph.schema.company_type
     centers = evader_centers(graph, labels)
+    n = len(graph)
+    labeled = np.array(sorted(labels), dtype=np.intp)
+    y = np.zeros(n, dtype=np.int64)
+    y[labeled] = [labels[i] for i in labeled.tolist()]
+
+    def row(name: str, kind: str, counts: np.ndarray) -> StatsRow:
+        """A definition's row from how many centers' sets hold each labeled node."""
+        return StatsRow(name, kind, int(counts.sum()), int(counts @ y[labeled]))
 
     rows: list[StatsRow] = []
-
-    # per-pattern neighbor sets (company members only, anchor excluded)
-    is_company = graph.type_code == graph.type_names.index(company)
+    # per pattern, each center's distinct company members other than itself
+    is_company = graph.type_code == graph.type_names.index(graph.schema.company_type)
     center_rows = np.array(centers, dtype=np.intp)
-    rpt_sets: dict[str, dict[int, set[int]]] = {}
     for pid in index.pattern_ids:
         members, counts = index.gather(pid, center_rows)
-        owner = np.broadcast_to(np.repeat(center_rows, counts)[:, None], members.shape)
-        keep = is_company[members] & (members != owner)
-        sets: dict[int, set[int]] = {i: set() for i in centers}
-        for i, j in zip(owner[keep].tolist(), members[keep].tolist()):
-            sets[i].add(j)
-        rpt_sets[pid] = sets
-
-    agg_pairs = agg_hits = 0
-    for pid in index.pattern_ids:
-        pairs, hits = _count_pairs(centers, rpt_sets[pid], labels)
-        rows.append(StatsRow(pid, KIND_RPT, pairs, hits))
-        agg_pairs += pairs
-        agg_hits += hits
-    rows.append(StatsRow(AGGREGATE_NAME, KIND_RPT_AGGREGATE, agg_pairs, agg_hits))
+        owner = np.repeat(center_rows, counts)[:, None]
+        pairs = np.unique((owner * n + members)[is_company[members] & (members != owner)])
+        rows.append(row(pid, KIND_RPT, np.bincount(pairs % n, minlength=n)[labeled]))
+    rows.append(StatsRow(AGGREGATE_NAME, KIND_RPT_AGGREGATE,
+                         sum(r.pairs for r in rows), sum(r.hits for r in rows)))
 
     for name in sorted(metapaths, key=str):
-        pairs, hits = _count_pairs(centers, metapaths[name], labels)
-        rows.append(StatsRow(str(name), KIND_METAPATH, pairs, hits))
-
+        rows.append(row(str(name), KIND_METAPATH, metapaths[name].count(centers, labeled)))
     for k in sorted(k_orders):
-        pairs, hits = _count_pairs(centers, k_orders[k], labels)
-        rows.append(StatsRow(f"{k}-order", KIND_KORDER, pairs, hits))
+        rows.append(row(f"{k}-order", KIND_KORDER, k_orders[k].count(centers, labeled)))
 
-    bg_pairs = bg_hits = 0
-    for i, y in sorted(labels.items()):
-        if graph.types[i] == company and not index.has_any(i):
-            bg_pairs += 1
-            bg_hits += y
-    rows.append(StatsRow(BACKGROUND_NAME, KIND_REFERENCE, bg_pairs, bg_hits))
+    # labeled companies that anchor no instance of any pattern
+    anchored = sum(np.diff(ptr) for ptr in index.anchor_ptr.values())
+    rows.append(row(BACKGROUND_NAME, KIND_REFERENCE, (is_company & (anchored == 0))[labeled]))
 
     baselines = [r for r in rows if r.kind in (KIND_METAPATH, KIND_KORDER, KIND_REFERENCE)]
     ratios: list[tuple[str, str, float | None]] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -64,6 +65,39 @@ def random_typed_graph(rng: np.random.Generator, n_companies: int, n_persons: in
             if rng.random() < edge_rate:
                 edges.append((f"c{c}", f"i{i}", "buy"))
     return make_graph(schema, nodes, edges)
+
+
+@lru_cache(maxsize=None)
+def criterion_3_graphs():
+    """The 50 random graphs of acceptance criterion 3, drawn the same way."""
+    rng = np.random.default_rng(2024)
+    graphs = []
+    for _ in range(50):
+        nc, npers, ni = (int(rng.integers(5, 9)), int(rng.integers(4, 9)),
+                         int(rng.integers(2, 5)))
+        graphs.append(random_typed_graph(rng, nc, npers, ni,
+                                         edge_rate=float(rng.uniform(0.1, 0.35))))
+    return tuple(graphs)
+
+
+@lru_cache(maxsize=None)
+def hub_graph():
+    """Two hub companies trading with most others and a hub investor, plus noise."""
+    rng = np.random.default_rng(99)
+    nodes = ([(f"c{i}", "company") for i in range(40)]
+             + [(f"p{i}", "person") for i in range(25)]
+             + [(f"i{i}", "item") for i in range(6)])
+    edges = []
+    for hub in ("c0", "c7"):
+        edges += [(hub, f"c{i}", "transaction") for i in range(40) if rng.random() < 0.8]
+    edges += [("p0", f"c{i}", "invest") for i in range(40) if rng.random() < 0.7]
+    edges += [(f"c{a}", f"c{b}", "transaction") for a in range(40) for b in range(40)
+              if rng.random() < 0.04]
+    edges += [(f"p{p}", f"c{c}", "invest") for p in range(1, 25) for c in range(40)
+              if rng.random() < 0.06]
+    edges += [(f"c{c}", f"i{i}", kind) for c in range(40) for i in range(6)
+              for kind in ("sell", "buy") if rng.random() < 0.1]
+    return make_graph(tax_schema(), nodes, edges)
 
 
 class InstanceRows(np.ndarray):

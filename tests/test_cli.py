@@ -184,6 +184,7 @@ def test_sweep_timing_mode_rejects_one_class_train_split(capsys):
     ("train", ["--epochs", "1", "--dim", "0"]),
     ("train", ["--epochs", "1", "--proj-dim", "0"]),
     ("train", ["--epochs", "-1"]),
+    ("stats", ["--korder-max", "0"]),
 ])
 def test_out_of_range_config_fails_with_one_error_line(dataset, tmp_path, capsys,
                                                        command, flags):

@@ -88,24 +88,33 @@ def test_adjacency_matches_a_scan_of_the_edge_list(which):
     else:
         g = random_typed_graph(np.random.default_rng(3), 6, 5, 4, edge_rate=0.3)
     n = len(g)
+
+    def rows(ptr, idx):
+        assert ptr.shape == (n + 1,) and ptr[0] == 0 and ptr[-1] == len(idx)
+        return [idx[ptr[i]:ptr[i + 1]].tolist() for i in range(n)]
+
     for r, et in g.schema.edge_types.items():
         out_deg, in_deg = g.edge_degrees[r]
+        out_rows, in_rows = rows(*g.adjacency(r)), rows(*g.adjacency(r, True))
         for i in range(n):
             out_edges = [t for s, t, e in g.edges if s == i and e == r]
             in_edges = [s for s, t, e in g.edges if t == i and e == r]
-            assert g.out_neighbors(i, r) == sorted(set(out_edges))
-            assert g.in_neighbors(i, r) == sorted(set(in_edges))
             assert (out_deg[i], in_deg[i]) == (len(out_edges), len(in_edges))
+            either = out_edges + in_edges  # an undirected type's CSRs hold both ways
+            assert out_rows[i] == sorted(set(out_edges if et.directed else either))
+            assert in_rows[i] == sorted(set(in_edges if et.directed else either))
             for j in range(n):
                 want = any(e == r and ((s, t) == (i, j) or (not et.directed and (s, t) == (j, i)))
                            for s, t, e in g.edges)
                 assert g.has_edge(i, j, r) == want, (i, j, r)
+                assert g.has_edges(np.array([i]), np.array([j]), r).tolist() == [want]
+    any_rows = rows(*g.adjacency(None))
     for i in range(n):
-        assert g.neighbors(i) == sorted({t for s, t, _ in g.edges if s == i}
-                                        | {s for s, t, _ in g.edges if t == i})
+        assert any_rows[i] == sorted({t for s, t, _ in g.edges if s == i}
+                                     | {s for s, t, _ in g.edges if t == i})
     if which == "corners":
-        assert g.out_neighbors(g.index["c0"], "transaction") == [g.index["c1"]]
-        assert g.neighbors(g.index["c4"]) == [] and g.neighbors(g.index["i0"]) == []
+        assert rows(*g.adjacency("transaction"))[g.index["c0"]] == [g.index["c1"]]
+        assert any_rows[g.index["c4"]] == [] and any_rows[g.index["i0"]] == []
         assert g.has_edge(g.index["c3"], g.index["c1"], "partner")
 
 

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import logging
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from conftest import (
     brute_force_instances,
     brute_force_k_order,
     brute_force_metapath,
+    criterion_3_graphs,
+    hub_graph,
     make_graph,
     random_typed_graph,
     small_schema,
@@ -196,39 +197,6 @@ def test_edge_order_does_not_change_the_rows(injective):
         for edges in itertools.permutations(pattern.edges):
             shuffled = RptPattern(pattern.pattern_id, pattern.roles, edges, pattern.anchor)
             assert enumerate_instances(g, shuffled, injective=injective) == want, edges
-
-
-@lru_cache(maxsize=None)
-def criterion_3_graphs():
-    """The 50 random graphs of acceptance criterion 3, drawn the same way."""
-    rng = np.random.default_rng(2024)
-    graphs = []
-    for _ in range(50):
-        nc, npers, ni = (int(rng.integers(5, 9)), int(rng.integers(4, 9)),
-                         int(rng.integers(2, 5)))
-        graphs.append(random_typed_graph(rng, nc, npers, ni,
-                                         edge_rate=float(rng.uniform(0.1, 0.35))))
-    return tuple(graphs)
-
-
-@lru_cache(maxsize=None)
-def hub_graph():
-    """Two hub companies trading with most others and a hub investor, plus noise."""
-    rng = np.random.default_rng(99)
-    nodes = ([(f"c{i}", "company") for i in range(40)]
-             + [(f"p{i}", "person") for i in range(25)]
-             + [(f"i{i}", "item") for i in range(6)])
-    edges = []
-    for hub in ("c0", "c7"):
-        edges += [(hub, f"c{i}", "transaction") for i in range(40) if rng.random() < 0.8]
-    edges += [("p0", f"c{i}", "invest") for i in range(40) if rng.random() < 0.7]
-    edges += [(f"c{a}", f"c{b}", "transaction") for a in range(40) for b in range(40)
-              if rng.random() < 0.04]
-    edges += [(f"p{p}", f"c{c}", "invest") for p in range(1, 25) for c in range(40)
-              if rng.random() < 0.06]
-    edges += [(f"c{c}", f"i{i}", kind) for c in range(40) for i in range(6)
-              for kind in ("sell", "buy") if rng.random() < 0.1]
-    return make_graph(tax_schema(), nodes, edges)
 
 
 def truncation_digest(graphs, pattern, injective, cap, caplog):
@@ -470,6 +438,13 @@ def test_undirected_edge_type_matches_either_orientation(injective):
     nbrs = metapath_neighbors(g, ["company", "partner", "company"])
     assert nbrs[g.index["A"]] == {g.index["B"]}
     assert nbrs[g.index["B"]] == {g.index["A"], g.index["C"]}
+    # one graph edge satisfies an undirected edge listed both ways
+    both_ways = RptPattern("AB", roles=(("a", "company"), ("b", "company")),
+                           edges=(("a", "b", "partner"), ("b", "a", "partner")), anchor="a")
+    pair = make_graph(schema, [("A", "company"), ("B", "company")], [("A", "B", "partner")])
+    want = brute_force_instances(pair, both_ways, injective=injective)
+    assert want.tolist() == [[0, 1], [1, 0]]
+    assert enumerate_instances(pair, both_ways, injective=injective) == want
 
 
 def test_pattern_file_round_trip(tmp_path):

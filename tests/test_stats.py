@@ -1,5 +1,6 @@
 """Evasion-statistics tests: hand-countable cases and planted-ratio recovery."""
 
+import numpy as np
 import pytest
 
 from rptdetect.errors import NoLabeledPairs
@@ -14,7 +15,16 @@ from rptdetect.stats import (
 )
 from rptdetect.synth import GenConfig, generate
 
-from conftest import brute_force_instances, make_graph, random_typed_graph, tax_schema
+from conftest import (
+    brute_force_instances,
+    brute_force_k_order,
+    brute_force_metapath,
+    criterion_3_graphs,
+    hub_graph,
+    make_graph,
+    random_typed_graph,
+    tax_schema,
+)
 
 
 def community_graph():
@@ -160,3 +170,67 @@ def test_planted_ratio_recovers_generator_parameters():
     assert 0.05 < bg.probability < 0.16
     text = ratio_table_text(stats)
     assert "rpt::all\tbackground" in text
+
+
+def wide_graph():
+    """More than 64 evader centers (not a multiple of 64), one with a self-loop,
+    one with no edges at all, and that one the last node."""
+    rng = np.random.default_rng(8)
+    nodes = ([(f"c{i}", "company") for i in range(150)]
+             + [(f"p{i}", "person") for i in range(40)] + [(f"i{i}", "item") for i in range(8)])
+    edges = [(f"c{a}", f"c{b}", "transaction") for a in range(150) for b in range(150)
+             if a != b and rng.random() < 0.01]
+    edges += [(f"p{p}", f"c{c}", "invest") for p in range(40) for c in range(150)
+              if rng.random() < 0.02]
+    edges += [(f"c{c}", f"i{i}", kind) for c in range(150) for i in range(8)
+              for kind in ("sell", "buy") if rng.random() < 0.03]
+    edges += [("c1", "c1", "transaction"), ("c1", "c2", "transaction")]
+    graph = make_graph(tax_schema(), nodes + [("lone", "company")], edges)
+    y = {i: int(rng.random() < 0.55) for i in graph.company_nodes()[:140]}
+    y[graph.index["c1"]] = y[graph.index["lone"]] = 1
+    return graph, y
+
+
+def set_tally(centers, sets, y):
+    """(pairs, hits) over the centers' sets, one labeled member at a time."""
+    members = [j for i in centers for j in sets[i] if j in y]
+    return len(members), sum(y[j] for j in members)
+
+
+@pytest.mark.parametrize("which", ["criterion_3", "hub", "wide"])
+def test_counts_equal_a_set_tally_over_the_oracles(which):
+    rng = np.random.default_rng(17)
+    if which == "wide":
+        cases = [wide_graph()]
+    else:
+        graphs = criterion_3_graphs() if which == "criterion_3" else [hub_graph()]
+        cases = []
+        for g in graphs:
+            # the last two companies stay unlabeled, so their pairs count nowhere
+            y = {i: int(rng.random() < 0.5) for i in g.company_nodes()[:-2]}
+            y[g.company_nodes()[0]] = 1
+            cases.append((g, y))
+    for g, y in cases:
+        centers = evader_centers(g, y)
+        if which == "wide":
+            assert len(centers) > 64 and len(centers) % 64
+            assert g.index["lone"] == len(g) - 1 and g.index["lone"] in centers
+        index = build_neighbor_index(g, bundled_patterns(), cap=64, cap_mode="truncate")
+        mp = {name: metapath_neighbors(g, path, centers)
+              for name, path in BUNDLED_METAPATHS.items()}
+        ko = {k: k_order_neighbors(g, k, centers) for k in (1, 2, 3)}
+        got = {r.name: (r.pairs, r.hits)
+               for r in evasion_ratio_stats(g, index, mp, ko, y).rows}
+
+        want = {pid: set_tally(centers, {
+            i: {v for row in index.instances(i, pid).tolist() for v in row
+                if v != i and g.types[v] == "company"} for i in centers}, y)
+            for pid in index.pattern_ids}
+        want["rpt::all"] = tuple(map(sum, zip(*want.values())))
+        for name, path in BUNDLED_METAPATHS.items():
+            want[name] = set_tally(centers, brute_force_metapath(g, path), y)
+        for k in (1, 2, 3):
+            want[f"{k}-order"] = set_tally(centers, brute_force_k_order(g, k), y)
+        background = [i for i in y if g.types[i] == "company" and not index.has_any(i)]
+        want["background"] = (len(background), sum(y[i] for i in background))
+        assert got == want
