@@ -2,12 +2,15 @@
 
 Every operation appends one node to the tape; ``Tape.backward`` replays the
 nodes in reverse, accumulating gradients in a fixed sequential order so that
-identical inputs always produce bit-identical gradients.  ``finite_diff_check``
-is the independent oracle used to validate every composite built on top.
+identical inputs always produce bit-identical gradients.  Besides a few generic
+ops, the model's two attention levels are fused ops (one node each) with
+hand-written backward passes.  ``finite_diff_check`` is the independent oracle
+used to validate every op and every composite built on top.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,9 +37,9 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # the first gradient is kept as given and later ones make a new sum: no
+        # array a backward pass hands out is ever written in place
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -90,7 +93,7 @@ class Tape:
                 continue
             backward(out.grad)
         return {
-            name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+            name: (np.array(p.grad) if p.grad is not None else np.zeros_like(p.data))
             for name, p in self._params.items()
         }
 
@@ -108,87 +111,83 @@ def _check(cond: bool, msg: str) -> None:
         raise ShapeMismatch(msg)
 
 
-# --- elementwise -------------------------------------------------------------
+# --- kernels (plain numpy, shared by the ops) ----------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b; supports equal shapes, matrix + row vector, and vector + scalar."""
-    tape = _tape_of(a, b)
-    sa, sb = a.data.shape, b.data.shape
-    ok = (sa == sb) or (len(sa) == 2 and sb == (sa[1],)) or (len(sa) == 1 and sb == ())
-    _check(ok, f"add: incompatible shapes {sa} and {sb}")
-    out = Tensor(a.data + b.data, tape, False)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            if sa == sb:
-                b._accumulate(g)
-            elif len(sa) == 2:
-                b._accumulate(g.sum(axis=0))
-            else:
-                b._accumulate(g.sum())
-
-    return tape._record(out, (a, b), backward)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    tape = _tape_of(x)
-    c = float(c)
-    out = Tensor(x.data * c, tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * c)
-
-    return tape._record(out, (x,), backward)
-
-
-def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
-    tape = _tape_of(x)
-    mask = x.data >= 0
-    out = Tensor(np.where(mask, x.data, alpha * x.data), tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * np.where(mask, 1.0, alpha))
-
-    return tape._record(out, (x,), backward)
-
-
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    tape = _tape_of(x)
-    neg = alpha * np.expm1(np.minimum(x.data, 0.0))
-    mask = x.data >= 0
-    out = Tensor(np.where(mask, x.data, neg), tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * np.where(mask, 1.0, neg + alpha))
-
-    return tape._record(out, (x,), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    tape = _tape_of(x)
-    s = _sigmoid(x.data)
-    out = Tensor(s, tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
-
-    return tape._record(out, (x,), backward)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # saturation-safe on both tails
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, saturation-safe on both tails."""
     pos = x >= 0
     z = np.exp(np.where(pos, -x, x))
     return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-# --- linear algebra ----------------------------------------------------------
+def _elu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ELU with alpha 1, and its derivative.
+
+    expm1(x) >= x for x < 0 and expm1(0) = 0, so the max is x where x >= 0 and
+    expm1(x) elsewhere; min(y + 1, 1) is then 1 or 1 + expm1(x).  Both equal
+    the masked ``where`` forms bit for bit, with fewer passes.
+    """
+    y = np.maximum(x, np.expm1(np.minimum(x, 0.0)))
+    return y, np.minimum(y + 1.0, 1.0)
+
+
+def _leaky_relu(x: np.ndarray, slope: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
+    """LeakyReLU and its derivative."""
+    mask = x >= 0
+    return np.where(mask, x, slope * x), np.where(mask, 1.0, slope)
+
+
+def _segment_softmax(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Softmax applied independently within contiguous non-empty segments of a vector."""
+    starts, sizes = offsets[:-1], offsets[1:] - offsets[:-1]
+    e = np.exp(x - np.maximum.reduceat(x, starts).repeat(sizes))
+    return e / np.add.reduceat(e, starts).repeat(sizes)
+
+
+def _segment_softmax_grad(y: np.ndarray, g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Input gradient of ``_segment_softmax`` from its output ``y`` and output gradient ``g``."""
+    starts, sizes = offsets[:-1], offsets[1:] - offsets[:-1]
+    return y * (g - np.add.reduceat(g * y, starts).repeat(sizes))
+
+
+def _masked_softmax_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over unmasked entries; fully masked rows come out zero."""
+    y = np.zeros_like(x)
+    any_row = mask.any(axis=1)
+    if any_row.any():
+        neg = np.where(mask, x, -np.inf)
+        m = np.where(any_row, neg.max(axis=1, initial=-np.inf), 0.0)
+        e = np.where(mask, np.exp(x - m[:, None]), 0.0)
+        denom = e.sum(axis=1)
+        y[any_row] = e[any_row] / denom[any_row, None]
+    return y
+
+
+def _masked_softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
+def _gather_grad(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """Gradient of ``x[idx]`` w.r.t. an ``n_rows``-row ``x``: one flat bincount
+    over (row, column) cells, adding the gathered rows in index order as
+    ``np.add.at`` would."""
+    d = g.shape[1]
+    cells = ((idx * d)[:, None] + np.arange(d)).ravel()
+    return np.bincount(cells, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
+# --- generic ops ---------------------------------------------------------------
+
+def elu(x: Tensor) -> Tensor:
+    tape = _tape_of(x)
+    y, dy = _elu(x.data)
+    out = Tensor(y, tape, False)
+
+    def backward(g):
+        x._accumulate(g * dy)
+
+    return tape._record(out, (x,), backward)
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy ``@`` semantics for 1-D/2-D operands."""
@@ -237,28 +236,6 @@ def transpose(x: Tensor) -> Tensor:
     return tape._record(out, (x,), backward)
 
 
-# --- shape manipulation ------------------------------------------------------
-
-def hconcat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate matrices with equal row counts along axis 1."""
-    _check(len(parts) > 0, "hconcat: need at least one part")
-    tape = _tape_of(*parts)
-    _check(all(p.data.ndim == 2 for p in parts), "hconcat: parts must be 2-D")
-    n = parts[0].data.shape[0]
-    _check(all(p.data.shape[0] == n for p in parts), "hconcat: row counts differ")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), tape, False)
-    widths = [p.data.shape[1] for p in parts]
-
-    def backward(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p._accumulate(g[:, off:off + w])
-            off += w
-
-    return tape._record(out, tuple(parts), backward)
-
-
 def vconcat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate matrices with equal column counts along axis 0."""
     _check(len(parts) > 0, "vconcat: need at least one part")
@@ -279,188 +256,137 @@ def vconcat(parts: Sequence[Tensor]) -> Tensor:
     return tape._record(out, tuple(parts), backward)
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Same entries in row-major order under a new shape of at most two axes."""
-    tape = _tape_of(x)
-    _check(int(np.prod(shape)) == x.data.size,
-           f"reshape: cannot view {x.data.shape} as {shape}")
-    out = Tensor(x.data.reshape(shape), tape, False)
+# --- fused two-level attention ---------------------------------------------------
+#
+# Each op below is one tape node.  Forward and backward take the products, sums
+# and elementwise steps of the equivalent chain of generic ops in that chain's
+# order, and every transposed weight is a contiguous copy as ``transpose`` makes
+# it (BLAS rounds a transposed view differently), so values and gradients are
+# bit-identical to the chain's.
+
+def instance_level(H: Tensor, idx: np.ndarray, heads: Sequence[Tensor], attn: Tensor | None,
+                   W_T: Tensor, b: Tensor, offsets: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """One pattern's instance level; returns (one output row per segment, instance weights).
+
+    Instance j concatenates the rows ``idx[j]`` of ``H`` (its roles, anchor
+    first) and is encoded by the stacked per-head maps ``heads`` and an ELU.
+    ``offsets`` cut the instances into non-empty segments, one per anchor.  The
+    weights are a softmax within each segment of LeakyReLU(encoding @ attn), or
+    uniform when ``attn`` is None.  A segment's summary f is the ELU of its
+    weighted encoding sum, and its output row is ELU(f @ W_T + b).
+    """
+    inputs = (H, *heads, W_T, b) + (() if attn is None else (attn,))
+    tape = _tape_of(*inputs)
+    n_inst = idx.shape[0]
+    sizes = offsets[1:] - offsets[:-1]
+    _check(idx.ndim == 2 and offsets[0] == 0 and offsets[-1] == n_inst and sizes.min() > 0,
+           "instance_level: offsets must cut the instance rows into non-empty segments")
+    C = H.data[idx.ravel()].reshape(n_inst, -1)
+    WhT = np.concatenate([h.data for h in heads]).T.copy()
+    enc, d_enc = _elu(C @ WhT)
+    if attn is None:
+        alpha = (1.0 / sizes).repeat(sizes)
+    else:
+        logits, d_logits = _leaky_relu(enc @ attn.data)
+        alpha = _segment_softmax(logits, offsets)
+    f, d_f = _elu(np.add.reduceat(alpha[:, None] * enc, offsets[:-1], axis=0))
+    m, d_m = _elu(f @ W_T.data + b.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.data.shape))
+        g = g * d_m
+        b._accumulate(g.sum(axis=0))
+        g_f = g @ W_T.data.T
+        W_T._accumulate(f.T @ g)
+        g = (g_f * d_f)[np.arange(len(sizes)).repeat(sizes)]
+        g_enc = g * alpha[:, None]
+        if attn is not None:
+            g_logits = _segment_softmax_grad(alpha, (g * enc).sum(axis=1), offsets) * d_logits
+            g_enc = g_enc + g_logits[:, None] * attn.data
+            attn._accumulate(enc.T @ g_logits)
+        g_enc = g_enc * d_enc
+        g_C = g_enc @ WhT.T
+        g_W = (C.T @ g_enc).T
+        off = 0
+        for h in heads:
+            h._accumulate(g_W[off:off + len(h.data)])
+            off += len(h.data)
+        H._accumulate(_gather_grad(idx.ravel(), g_C.reshape(idx.size, -1), len(H.data)))
 
-    return tape._record(out, (x,), backward)
-
-
-def rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of a matrix by index (duplicates allowed)."""
-    tape = _tape_of(x)
-    _check(x.data.ndim == 2, "rows: need 2-D source")
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(x.data[idx], tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            # one flat bincount over (row, column) cells; it adds the gathered
-            # rows in index order, as np.add.at would
-            n, d = x.data.shape
-            cells = (idx[:, None] * d + np.arange(d)).ravel()
-            gx = np.bincount(cells, weights=g.ravel(), minlength=n * d)
-            x._accumulate(gx.reshape(n, d))
-
-    return tape._record(out, (x,), backward)
+    return tape._record(Tensor(m, tape, False), inputs, backward), alpha
 
 
-def col(x: Tensor, j: int) -> Tensor:
-    tape = _tape_of(x)
-    _check(x.data.ndim == 2, "col: need 2-D source")
-    out = Tensor(x.data[:, j].copy(), tape, False)
+def pattern_level(q: Tensor, W_T: Tensor, b: Tensor,
+                  columns: Sequence[tuple[int, Tensor, np.ndarray, Tensor]],
+                  mask: np.ndarray, w: Tensor, w0: Tensor,
+                  uniform: bool) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Pattern-level attention and readout for a batch; returns (logits, beta, z).
 
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, j] = g
-            x._accumulate(gx)
-
-    return tape._record(out, (x,), backward)
-
-
-def as_column(x: Tensor) -> Tensor:
-    tape = _tape_of(x)
-    _check(x.data.ndim == 1, "as_column: need 1-D")
-    out = Tensor(x.data.reshape(-1, 1), tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g[:, 0])
-
-    return tape._record(out, (x,), backward)
-
-
-def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    tape = _tape_of(x)
-    _check(x.data.ndim == 1, "slice1d: need 1-D")
-    _check(0 <= start <= stop <= x.data.size, "slice1d: bounds out of range")
-    out = Tensor(x.data[start:stop].copy(), tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[start:stop] = g
-            x._accumulate(gx)
-
-    return tape._record(out, (x,), backward)
-
-
-def scatter_rows(x: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
-    """Place rows of ``x`` at positions ``idx`` of an otherwise-zero matrix."""
-    tape = _tape_of(x)
-    _check(x.data.ndim == 2, "scatter_rows: need 2-D source")
-    idx = np.asarray(idx, dtype=np.intp)
-    _check(len(idx) == x.data.shape[0], "scatter_rows: one destination per row")
-    _check(len(set(idx.tolist())) == len(idx), "scatter_rows: destinations must be unique")
-    data = np.zeros((n_rows, x.data.shape[1]))
-    data[idx] = x.data
-    out = Tensor(data, tape, False)
+    ``mask[r, c]`` is set when batch row r has instances of pattern column c;
+    ``columns`` holds (c, m, rows, v) for every column with any: ``m`` is the
+    instance level's output for the batch ``rows`` (zero elsewhere) and ``v``
+    the pattern's attention vector [v_q; v_m].  Row r's score for column c is
+    LeakyReLU((q_r @ v_q + m_r @ v_m) / sqrt(d)); beta is the softmax of the
+    scores over the row's set columns, or uniform over them when ``uniform``.
+    z_r = sum_c beta[r, c] m_r, except that a row with no set column takes
+    ELU(q_r @ W_T + b).  The logits are z @ w + w0.
+    """
+    inputs = (q, W_T, b, w, w0) + tuple(t for _, m, _, v in columns for t in (m, v))
+    tape = _tape_of(*inputs)
+    n, d = q.data.shape
+    full = []
+    for _, m, rows, _ in columns:
+        full.append(np.zeros((n, d)))
+        full[-1][rows] = m.data
+    scale = 1.0 / math.sqrt(d)
+    if uniform:
+        beta = np.where(mask, 1.0, 0.0) / np.maximum(mask.sum(axis=1, keepdims=True), 1)
+    else:
+        E = np.zeros(mask.shape)
+        d_leaky = []
+        for (c, _, _, v), mf in zip(columns, full):
+            s = q.data @ v.data[:d] + mf @ v.data[d:]
+            E[:, c], dl = _leaky_relu(s * scale)
+            d_leaky.append(dl)
+        beta = _masked_softmax_rows(E, mask)
+    z = None
+    for (c, *_), mf in zip(columns, full):
+        term = mf * beta[:, c][:, None]
+        z = term if z is None else z + term
+    degenerate = (~mask.any(axis=1)).astype(np.float64)[:, None]
+    fallback = bool(degenerate.any()) or z is None
+    if fallback:
+        fb, d_fb = _elu(q.data @ W_T.data + b.data)
+        z = fb * degenerate if z is None else z + fb * degenerate
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g[idx])
+        w0._accumulate(g.sum())
+        w._accumulate(z.T @ g)
+        g_z = g[:, None] * w.data
+        g_q = None
+        if fallback:
+            g_fb = g_z * degenerate * d_fb
+            b._accumulate(g_fb.sum(axis=0))
+            g_q = g_fb @ W_T.data.T
+            W_T._accumulate(q.data.T @ g_fb)
+        g_full = [g_z * beta[:, c][:, None] for c, *_ in columns]
+        if not uniform and columns:
+            g_beta = np.zeros(mask.shape)
+            for (c, *_), mf in zip(columns, full):
+                g_beta[:, c] = (g_z * mf).sum(axis=1)
+            g_E = _masked_softmax_rows_grad(beta, g_beta)
+            for k in reversed(range(len(columns))):
+                c, _, _, v = columns[k]
+                g_s = g_E[:, c] * d_leaky[k] * scale
+                g_full[k] = g_full[k] + g_s[:, None] * v.data[d:]
+                g_q_k = g_s[:, None] * v.data[:d]
+                g_q = g_q_k if g_q is None else g_q + g_q_k
+                v._accumulate(np.concatenate([q.data.T @ g_s, full[k].T @ g_s]))
+        for (_, m, rows, _), gm in zip(columns, g_full):
+            m._accumulate(gm[rows])
+        if g_q is not None:
+            q._accumulate(g_q)
 
-    return tape._record(out, (x,), backward)
-
-
-def colscale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale each row i of ``x`` by ``s[i]``."""
-    tape = _tape_of(x, s)
-    _check(x.data.ndim == 2 and s.data.ndim == 1 and x.data.shape[0] == s.data.size,
-           f"colscale: incompatible shapes {x.data.shape} and {s.data.shape}")
-    out = Tensor(x.data * s.data[:, None], tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * s.data[:, None])
-        if s.requires_grad:
-            s._accumulate((g * x.data).sum(axis=1))
-
-    return tape._record(out, (x, s), backward)
-
-
-# --- segmented / masked reductions ------------------------------------------
-
-def _check_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
-    offsets = np.asarray(offsets, dtype=np.intp)
-    _check(offsets.ndim == 1 and len(offsets) >= 2, "offsets: need at least one segment")
-    _check(offsets[0] == 0 and offsets[-1] == total, "offsets: must span the full vector")
-    _check(bool(np.all(np.diff(offsets) > 0)), "offsets: segments must be non-empty")
-    return offsets
-
-
-def segment_softmax(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Softmax applied independently within contiguous segments of a vector."""
-    tape = _tape_of(x)
-    _check(x.data.ndim == 1, "segment_softmax: need 1-D")
-    offsets = _check_offsets(offsets, x.data.size)
-    starts = offsets[:-1]
-    sizes = np.diff(offsets)
-    e = np.exp(x.data - np.repeat(np.maximum.reduceat(x.data, starts), sizes))
-    y = e / np.repeat(np.add.reduceat(e, starts), sizes)
-    out = Tensor(y, tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            inner = np.repeat(np.add.reduceat(g * y, starts), sizes)
-            x._accumulate(y * (g - inner))
-
-    return tape._record(out, (x,), backward)
-
-
-def segment_weighted_sum(weights: Tensor, x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Per-segment weighted sum of rows: out[s] = sum_{j in seg s} w[j] * x[j]."""
-    tape = _tape_of(weights, x)
-    _check(weights.data.ndim == 1 and x.data.ndim == 2
-           and weights.data.size == x.data.shape[0],
-           "segment_weighted_sum: need weights (n,) and rows (n, d)")
-    offsets = _check_offsets(offsets, x.data.shape[0])
-    weighted = weights.data[:, None] * x.data
-    out_data = np.add.reduceat(weighted, offsets[:-1], axis=0)
-    out = Tensor(out_data, tape, False)
-    seg_ids = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-
-    def backward(g):
-        g_rows = g[seg_ids]
-        if weights.requires_grad:
-            weights._accumulate((g_rows * x.data).sum(axis=1))
-        if x.requires_grad:
-            x._accumulate(g_rows * weights.data[:, None])
-
-    return tape._record(out, (weights, x), backward)
-
-
-def masked_softmax_rows(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise softmax over unmasked entries; fully masked rows come out zero."""
-    tape = _tape_of(x)
-    _check(x.data.ndim == 2, "masked_softmax_rows: need 2-D")
-    mask = np.asarray(mask, dtype=bool)
-    _check(mask.shape == x.data.shape, "masked_softmax_rows: mask shape must match")
-    y = np.zeros_like(x.data)
-    any_row = mask.any(axis=1)
-    if any_row.any():
-        neg = np.where(mask, x.data, -np.inf)
-        m = np.where(any_row, neg.max(axis=1, initial=-np.inf), 0.0)
-        e = np.where(mask, np.exp(x.data - m[:, None]), 0.0)
-        denom = e.sum(axis=1)
-        y[any_row] = e[any_row] / denom[any_row, None]
-    out = Tensor(y, tape, False)
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        inner = (g * y).sum(axis=1, keepdims=True)
-        x._accumulate(y * (g - inner))
-
-    return tape._record(out, (x,), backward)
+    return tape._record(Tensor(z @ w.data + w0.data, tape, False), inputs, backward), beta, z
 
 
 # --- loss ---------------------------------------------------------------------
@@ -478,7 +404,7 @@ def bce_with_logits_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     def backward(g):
         if logits.requires_grad:
-            logits._accumulate(float(g) * (_sigmoid(t) - y) / n)
+            logits._accumulate(float(g) * (sigmoid(t) - y) / n)
 
     return tape._record(out, (logits,), backward)
 

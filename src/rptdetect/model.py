@@ -22,7 +22,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,8 +80,31 @@ def _elu(x):
 
 
 def _leaky_relu(x):
-    """Attention-logit activation, slope 0.2 (``ad.leaky_relu`` on the tape)."""
+    """Attention-logit activation, slope 0.2 (``ad._leaky_relu`` in the fused ops)."""
     return np.where(x >= 0, x, 0.2 * x)
+
+
+class FlatArrays(dict):
+    """Named float64 arrays that are views into one flat buffer, ``flat``.
+
+    Assigning to a name writes into its view; a new name or a new shape copies
+    everything into a fresh buffer.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()] + [np.zeros(0)])
+        off = 0
+        for k, a in arrays.items():
+            super().__setitem__(k, self.flat[off:off + a.size].reshape(a.shape))
+            off += a.size
+
+    def __setitem__(self, key: str, value) -> None:
+        value = np.asarray(value, dtype=np.float64)
+        if key in self and self[key].shape == value.shape:
+            self[key][...] = value
+        else:
+            self.__init__({**self, key: value})
 
 
 class ModelParams:
@@ -89,11 +112,12 @@ class ModelParams:
 
     Keys: ``proj::<type>``, ``inst::<pattern>::h<k>``, ``attn_inst::<pattern>``,
     ``cross_w``, ``cross_b``, ``query``, ``attn_cross::<pattern>``,
-    ``readout_w``, ``readout_b``.
+    ``readout_w``, ``readout_b``.  The arrays live in one flat buffer
+    (``arrays.flat``), in key order, so an optimizer step is whole-buffer work.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], meta: dict):
-        self.arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        self.arrays = FlatArrays(arrays)
         self.meta = meta
 
     @property
@@ -256,17 +280,38 @@ def readout(z: np.ndarray, params: ModelParams) -> float:
 
 # --- batched tape path -----------------------------------------------------------
 
-@dataclass
 class ForwardResult:
-    batch: list[int]
-    loss: float | None
-    p: dict[int, float]
-    z: dict[int, np.ndarray]
-    alpha: dict[tuple[int, str], np.ndarray]
-    beta: dict[int, dict[str, float]]
-    degenerate: set[int]
-    tape: ad.Tape | None = None
-    loss_tensor: ad.Tensor | None = field(default=None, repr=False)
+    """One batch's outputs, keyed by node.
+
+    ``alpha`` and ``beta`` are dicts; ``forward`` builds them on first read from
+    the arrays it keeps: ``betas`` ([batch row, pattern column], zero where
+    ``present`` is not set) and, per pattern, (batch rows, segment offsets,
+    instance weights).
+    """
+
+    def __init__(self, batch, loss, p, z, degenerate, alpha, beta, tape=None,
+                 loss_tensor=None, betas=None, present=None, pattern_ids=()):
+        self.batch: list[int] = batch
+        self.loss: float | None = loss
+        self.p: dict[int, float] = p
+        self.z: dict[int, np.ndarray] = z
+        self.degenerate: set[int] = degenerate
+        self._alpha, self._beta = alpha, beta
+        self.tape: ad.Tape | None = tape
+        self.loss_tensor: ad.Tensor | None = loss_tensor
+        self.betas, self.present, self.pattern_ids = betas, present, list(pattern_ids)
+
+    @property
+    def alpha(self) -> dict[tuple[int, str], np.ndarray]:
+        if callable(self._alpha):
+            self._alpha = self._alpha()
+        return self._alpha
+
+    @property
+    def beta(self) -> dict[int, dict[str, float]]:
+        if callable(self._beta):
+            self._beta = self._beta()
+        return self._beta
 
 
 def _check_batch(graph: HetGraph, batch: list[int], company: str,
@@ -291,7 +336,9 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
     With ``labels`` the mean binary cross-entropy over the batch is computed
     and the tape kept for ``backward``; without labels only probabilities,
     embeddings, and attention records are produced.  Instances come from the
-    index's CSR arrays; a batch may not repeat a node.
+    index's CSR arrays; a batch may not repeat a node.  The tape holds the
+    projection, the query, one ``ad.instance_level`` node per pattern with
+    instances in the batch, one ``ad.pattern_level`` node and the loss.
     """
     batch = list(batch)
     company = params.company_type
@@ -299,28 +346,32 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
 
     tape = ad.Tape()
     tp = {name: tape.parameter(name, arr) for name, arr in params.arrays.items()}
-    d = config.embed_dim
     n_batch = len(batch)
     anchors = np.array(batch, dtype=np.intp)
     patterns = {p.pattern_id: p for p in index.patterns}
     pattern_ids = [pid for pid in params.pattern_ids if pid in patterns]
 
-    # per pattern: the batch's instance rows with roles anchor-first, the batch
-    # rows that have instances, and the segment offsets of their instances
-    plan: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # per pattern: the batch's instance rows with roles anchor-first, which role
+    # columns read the zero row (non-company roles under the company-only
+    # ablation), the batch rows that have instances, and their segment offsets
+    plan: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
     for pid in pattern_ids:
         nodes, counts = index.gather(pid, anchors)
         if not len(nodes):
             continue
-        pattern = patterns[pid]
-        cols = [pattern.role_names.index(role) for role, _ in pattern.anchor_first_roles()]
+        roles, names = patterns[pid].anchor_first_roles(), patterns[pid].role_names
+        cols = [names.index(role) for role, _ in roles]
+        zeroed = np.array([config.company_only and rtype != company for _, rtype in roles])
         positions = np.flatnonzero(counts)
         offsets = np.concatenate(([0], np.cumsum(counts[positions])))
-        plan[pid] = (nodes[:, cols], positions, offsets)
+        plan[pid] = (nodes[:, cols], zeroed, positions, offsets)
 
-    # project every needed node, stacked type by type (types in code order)
-    needed = np.unique(np.concatenate(
-        [anchors] + [nodes.ravel() for nodes, _, _ in plan.values()]))
+    # project every node a role reads, stacked type by type (types in code order)
+    read = np.zeros(len(graph), dtype=bool)
+    read[anchors] = True
+    for nodes, zeroed, _, _ in plan.values():
+        read[nodes[:, ~zeroed]] = True
+    needed = np.flatnonzero(read)
     codes = graph.type_code[needed]
     needed = needed[np.argsort(codes, kind="stable")]
     type_ends = np.cumsum(np.bincount(codes, minlength=len(graph.type_names))).tolist()
@@ -332,7 +383,7 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
             raise MissingProjection(f"no projection matrix for node type {t!r}")
         X = tape.constant(graph.type_features(t)[graph.row_in_type[needed[lo:hi]]])
         H_parts.append(ad.matmul(X, ad.transpose(tp[f"proj::{t}"])))
-    # a trailing all-zero row, read by non-company roles under the company-only ablation
+    # a trailing all-zero row, read by the zeroed role columns
     zero_row = len(needed)
     H_parts.append(tape.constant(np.zeros((1, config.proj_dim))))
     H = ad.vconcat(H_parts)
@@ -340,99 +391,53 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
     row_of[needed] = np.arange(len(needed))
 
     Xb = tape.constant(graph.type_features(company)[graph.row_in_type[anchors]])
-    q_all = ad.elu(ad.matmul(Xb, ad.transpose(tp["query"])))
+    q = ad.elu(ad.matmul(Xb, ad.transpose(tp["query"])))
     W_T = ad.transpose(tp["cross_w"])
 
-    mask = np.zeros((n_batch, len(pattern_ids)), dtype=bool)
-    m_full: dict[str, ad.Tensor] = {}
-    logit_cols: list[ad.Tensor] = []
-    alpha_tensors: dict[str, ad.Tensor] = {}
-
-    for col_idx, pid in enumerate(pattern_ids):
+    present = np.zeros((n_batch, len(pattern_ids)), dtype=bool)
+    columns = []
+    inner: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for c, pid in enumerate(pattern_ids):
         if pid not in plan:
-            logit_cols.append(ad.as_column(tape.constant(np.zeros(n_batch))))
             continue
-        nodes, positions, offsets = plan[pid]
+        nodes, zeroed, positions, offsets = plan[pid]
         idx = row_of[nodes]
-        if config.company_only:
-            roles = patterns[pid].anchor_first_roles()
-            idx[:, [rtype != company for _, rtype in roles]] = zero_row
-        n_inst, n_roles = idx.shape
-        C = ad.reshape(ad.rows(H, idx.ravel()), (n_inst, n_roles * config.proj_dim))
-        W_heads = ad.vconcat([tp[f"inst::{pid}::h{h}"] for h in range(config.heads)])
-        h_enc = ad.elu(ad.matmul(C, ad.transpose(W_heads)))
-        if config.inner_uniform:
-            sizes = np.diff(offsets)
-            alpha = tape.constant(np.repeat(1.0 / sizes, sizes))
-        else:
-            e = ad.leaky_relu(ad.matmul(h_enc, tp[f"attn_inst::{pid}"]))
-            alpha = ad.segment_softmax(e, offsets)
-        alpha_tensors[pid] = alpha
-        F = ad.elu(ad.segment_weighted_sum(alpha, h_enc, offsets))
-        m = ad.elu(ad.add(ad.matmul(F, W_T), tp["cross_b"]))
-        m_full[pid] = ad.scatter_rows(m, positions, n_batch)
-        mask[positions, col_idx] = True
-        vq = ad.slice1d(tp[f"attn_cross::{pid}"], 0, d)
-        vm = ad.slice1d(tp[f"attn_cross::{pid}"], d, 2 * d)
-        s = ad.add(ad.matmul(q_all, vq), ad.matmul(m_full[pid], vm))
-        logit_cols.append(ad.as_column(ad.leaky_relu(ad.scale(s, 1.0 / math.sqrt(d)))))
-
-    if pattern_ids:
-        E = ad.hconcat(logit_cols)
-        if config.cross_uniform:
-            denom = np.maximum(mask.sum(axis=1, keepdims=True), 1)
-            B = tape.constant(np.where(mask, 1.0, 0.0) / denom)
-        else:
-            B = ad.masked_softmax_rows(E, mask)
-    else:
-        B = tape.constant(np.zeros((n_batch, 0)))
-
-    z: ad.Tensor | None = None
-    for col_idx, pid in enumerate(pattern_ids):
-        if pid not in m_full:
-            continue
-        term = ad.colscale(m_full[pid], ad.col(B, col_idx))
-        z = term if z is None else ad.add(z, term)
-
-    degenerate_rows = ~mask.any(axis=1)
-    if degenerate_rows.any() or z is None:
-        fallback = ad.elu(ad.add(ad.matmul(q_all, W_T), tp["cross_b"]))
-        gated = ad.colscale(fallback, tape.constant(degenerate_rows.astype(np.float64)))
-        z = gated if z is None else ad.add(z, gated)
-
-    t_logit = ad.add(ad.matmul(z, tp["readout_w"]), tp["readout_b"])
-    p_tensor = ad.sigmoid(t_logit)
+        idx[:, zeroed] = zero_row
+        m, alpha = ad.instance_level(
+            H, idx, [tp[f"inst::{pid}::h{h}"] for h in range(config.heads)],
+            None if config.inner_uniform else tp[f"attn_inst::{pid}"],
+            W_T, tp["cross_b"], offsets)
+        present[positions, c] = True
+        columns.append((c, m, positions, tp[f"attn_cross::{pid}"]))
+        inner[pid] = (positions, offsets, alpha)
+    logits, betas, z = ad.pattern_level(q, W_T, tp["cross_b"], columns, present,
+                                        tp["readout_w"], tp["readout_b"], config.cross_uniform)
 
     loss_tensor = None
     loss = None
     if labels is not None:
         y = np.array([labels[i] for i in batch], dtype=np.float64)
-        loss_tensor = ad.bce_with_logits_mean(t_logit, y)
+        loss_tensor = ad.bce_with_logits_mean(logits, y)
         loss = float(loss_tensor.data)
 
-    alpha_rec: dict[tuple[int, str], np.ndarray] = {}
-    for pid, alpha in alpha_tensors.items():
-        _, positions, offsets = plan[pid]
-        weights = alpha.data.copy()
-        bounds = offsets.tolist()
-        alpha_rec.update(((batch[r], pid), weights[a:b]) for r, a, b
-                         in zip(positions.tolist(), bounds[:-1], bounds[1:]))
-    B_rows, mask_rows = B.data.tolist(), mask.tolist()
-    beta_rec = {
-        node: {pid: b for pid, b, on in zip(pattern_ids, B_rows[r], mask_rows[r]) if on}
-        for r, node in enumerate(batch)
-    }
+    def alpha_of():
+        return {(batch[r], pid): weights[a:b]
+                for pid, (positions, offsets, weights) in inner.items()
+                for r, a, b in zip(positions.tolist(), offsets[:-1].tolist(),
+                                   offsets[1:].tolist())}
+
+    def beta_of():
+        return {node: {pid: b for pid, b, on in zip(pattern_ids, row, on_row) if on}
+                for node, row, on_row in zip(batch, betas.tolist(), present.tolist())}
+
     return ForwardResult(
-        batch=batch,
-        loss=loss,
-        p=dict(zip(batch, p_tensor.data.tolist())),
-        z=dict(zip(batch, z.data.copy())),
-        alpha=alpha_rec,
-        beta=beta_rec,
-        degenerate={i for i, dg in zip(batch, degenerate_rows.tolist()) if dg},
-        tape=tape if labels is not None else None,
-        loss_tensor=loss_tensor,
-    )
+        batch, loss,
+        p=dict(zip(batch, ad.sigmoid(logits.data).tolist())),
+        z=dict(zip(batch, z.copy())),
+        degenerate={i for i, on in zip(batch, present.any(axis=1).tolist()) if not on},
+        alpha=alpha_of, beta=beta_of,
+        tape=tape if labels is not None else None, loss_tensor=loss_tensor,
+        betas=betas, present=present, pattern_ids=pattern_ids)
 
 
 def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
@@ -477,7 +482,7 @@ def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int
             p = min(max(p_map[i], 1e-12), 1.0 - 1e-12)
             losses.append(-(y * math.log(p) + (1 - y) * math.log(1.0 - p)))
     loss = float(np.mean(losses)) if losses else None
-    return ForwardResult(list(batch), loss, p_map, z_map, alpha_rec, beta_rec, degenerate)
+    return ForwardResult(list(batch), loss, p_map, z_map, degenerate, alpha_rec, beta_rec)
 
 
 # --- checkpoints -----------------------------------------------------------------

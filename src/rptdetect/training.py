@@ -6,6 +6,7 @@ produce bit-identical parameter trajectories and metric values.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -23,6 +24,8 @@ from .errors import (
 from .hetgraph import HetGraph, labels_to_indices
 from .matcher import NeighborIndex
 from .model import ModelConfig, ModelParams, forward, init_params
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -143,17 +146,15 @@ def split_dataset(labels: dict[str, int], psr: float, test_fraction: float,
 
 @dataclass
 class AdamState:
+    """Step count and moment estimates, flat in the order of ``ModelParams.arrays.flat``."""
     t: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    return AdamState(
-        t=0,
-        m={k: np.zeros_like(a) for k, a in params.arrays.items()},
-        v={k: np.zeros_like(a) for k, a in params.arrays.items()},
-    )
+    return AdamState(t=0, m=np.zeros_like(params.arrays.flat),
+                     v=np.zeros_like(params.arrays.flat))
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
@@ -163,13 +164,14 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for name in params.arrays:
-        g = grads[name] + config.weight_decay * params.arrays[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        params.arrays[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    w = params.arrays.flat
+    g = np.concatenate([np.ravel(grads[name]) for name in params.arrays])
+    g = g + config.weight_decay * w
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * g * g
+    m_hat = state.m / c1
+    v_hat = state.v / c2
+    w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return params
 
 
@@ -284,12 +286,12 @@ def _run_epoch(graph: HetGraph, index: NeighborIndex, train_idx: list[int],
                labels_idx: dict[int, int], params: ModelParams, mc: ModelConfig,
                state: AdamState, config: TrainConfig, rng: np.random.Generator
                ) -> tuple[float, dict[str, float], dict[str, int]]:
+    """One epoch of Adam; returns (mean loss, per pattern: summed beta, nodes with the pattern)."""
     order = np.array(train_idx)
     rng.shuffle(order)
     total = 0.0
     count = 0
-    beta_sum: dict[str, float] = {pid: 0.0 for pid in index.pattern_ids}
-    beta_n: dict[str, int] = {pid: 0 for pid in index.pattern_ids}
+    betas, present = [], []
     for batch in _epoch_batches(order, config.batch_size):
         res = forward(graph, index, batch, params, mc, labels=labels_idx)
         if not math.isfinite(res.loss):
@@ -298,11 +300,13 @@ def _run_epoch(graph: HetGraph, index: NeighborIndex, train_idx: list[int],
         adam_step(params, grads, state, config)
         total += res.loss * len(batch)
         count += len(batch)
-        for node_betas in res.beta.values():
-            for pid, b in node_betas.items():
-                beta_sum[pid] += b
-                beta_n[pid] += 1
-    return total / count, beta_sum, beta_n
+        betas.append(res.betas)
+        present.append(res.present)
+    # beta is zero off the mask; the cumulative sum adds node by node in epoch order
+    beta_sum = np.cumsum(np.concatenate(betas), axis=0)[-1].tolist()
+    beta_n = np.concatenate(present).sum(axis=0).tolist()
+    return (total / count, dict(zip(res.pattern_ids, beta_sum)),
+            dict(zip(res.pattern_ids, beta_n)))
 
 
 def _fit(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
@@ -336,7 +340,7 @@ def _fit(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
         epoch_seconds.append(time.perf_counter() - t0)
         loss_history.append(mean_loss)
         for pid in index.pattern_ids:
-            mean_beta = beta_sum[pid] / beta_n[pid] if beta_n[pid] else None
+            mean_beta = beta_sum[pid] / beta_n[pid] if beta_n.get(pid) else None
             trend.append((epoch, pid, mean_beta))
         if mean_loss <= loss_threshold:
             break
@@ -351,15 +355,21 @@ def score_split(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
 
     Shared by ``train`` and ``rptdetect eval``.  Returns (metrics, embeddings,
     probabilities), the last two keyed by node id in train-then-test order.
+    Warns once when most scored nodes have no pattern instance at all.
     """
     mc = config.model_config()
     nodes = [graph.index[i] for i in train_ids + test_ids]
     z: dict[str, np.ndarray] = {}
     p: dict[str, float] = {}
+    degenerate = 0
     for start in range(0, len(nodes), config.batch_size):
         res = forward(graph, index, nodes[start:start + config.batch_size], params, mc)
         z.update((graph.ids[i], v) for i, v in res.z.items())
         p.update((graph.ids[i], v) for i, v in res.p.items())
+        degenerate += len(res.degenerate)
+    if 2 * degenerate > len(nodes):
+        log.warning("%d of %d scored companies have no instance of any pattern; their "
+                    "embeddings come from their own attributes alone", degenerate, len(nodes))
     metrics = evaluate(p if config.eval_mode == "direct" else z,
                        {i: labels[i] for i in test_ids}, config.eval_mode,
                        train_embeddings=z, train_labels={i: labels[i] for i in train_ids},

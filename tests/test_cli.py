@@ -1,6 +1,8 @@
 """End-to-end CLI tests over a small synthetic dataset."""
 
+import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -136,6 +138,63 @@ def test_eval_reuses_checkpoint_and_split(dataset, tmp_path, capsys, mode):
     train_metrics = read(run / "metrics.tsv")
     eval_metrics = read(tmp_path / "eval" / "metrics.tsv")
     assert train_metrics == eval_metrics
+
+
+TRAIN_ARTIFACTS = ("checkpoint.json", "metrics.tsv", "trend.tsv", "loss.tsv",
+                   "embeddings.csv", "split.json")
+
+# sha256 over the train artifacts above, in that order, per (ablation, eval
+# mode); computed with the op-by-op tape forward and per-array Adam that the
+# fused model step replaced
+PINNED_TRAIN = {
+    ("none", "direct"): "8825e60176151141",
+    ("none", "downstream"): "ea3cc99c1d22df67",
+    ("hete", "direct"): "9ed5e28cd0533be1",
+    ("hete", "downstream"): "cc5035d9438943cf",
+    ("inner", "direct"): "f4d31a1a33c936e3",
+    ("inner", "downstream"): "f4d31a1a33c936e3",
+    ("cross", "direct"): "a3543fef266de313",
+    ("cross", "downstream"): "da06936413ef219b",
+    ("att", "direct"): "edc2f8ffa0f5cfbc",
+    ("att", "downstream"): "edc2f8ffa0f5cfbc",
+}
+
+
+@pytest.mark.parametrize("mode", ["direct", "downstream"])
+@pytest.mark.parametrize("ablation", ["none", "hete", "inner", "cross", "att"])
+def test_train_artifacts_match_pinned_digests(dataset, tmp_path, ablation, mode):
+    out = tmp_path / "run"
+    rc = main(["train", "--graph", str(dataset), "--out", str(out),
+               "--epochs", "3", "--dim", "8", "--proj-dim", "4",
+               "--batch-size", "32", "--seed", "3", "--test-fraction", "0.3",
+               "--ablation", ablation, "--eval-mode", mode])
+    assert rc == 0
+    h = hashlib.sha256()
+    for name in TRAIN_ARTIFACTS:
+        h.update((out / name).read_bytes())
+    assert h.hexdigest()[:16] == PINNED_TRAIN[(ablation, mode)]
+
+
+@pytest.mark.parametrize("communities,decoys,tx_density,invest,fires", [
+    ("1", "0", "0.1", "0.01", True),    # 87 of 90 companies have no instance
+    ("20", "6", "1.5", "0.1", False),   # 17 of 90
+])
+def test_train_warns_once_when_most_scored_companies_have_no_instance(
+        tmp_path, caplog, communities, decoys, tx_density, invest, fires):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--seed", "7",
+                 "--companies", "90", "--persons", "80", "--items", "25",
+                 "--events", "6", "--communities", communities, "--decoys", decoys,
+                 "--tx-density", tx_density, "--invest-coverage", invest,
+                 "--label-coverage", "1.0", "--feature-dim", "4"]) == 0
+    with caplog.at_level(logging.WARNING, logger="rptdetect.training"):
+        assert main(["train", "--graph", str(data), "--out", str(tmp_path / "run"),
+                     "--epochs", "2", "--dim", "8", "--proj-dim", "4",
+                     "--batch-size", "32", "--seed", "3", "--test-fraction", "0.3"]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.name == "rptdetect.training"]
+    assert len(warnings) == (1 if fires else 0), warnings
+    if fires:
+        assert "scored companies have no instance of any pattern" in warnings[0]
 
 
 def test_export_round_trips(dataset, tmp_path):

@@ -260,7 +260,10 @@ def test_forward_matches_reference_composition(rng):
     assert_forward_matches_reference(graph, index, sorted(li), params, config, li)
 
 
-@pytest.mark.parametrize("ablation", [(), ("hete",)])
+ALL_ABLATIONS = [(), ("hete",), ("inner",), ("cross",), ("att",)]
+
+
+@pytest.mark.parametrize("ablation", ALL_ABLATIONS)
 def test_forward_matches_reference_on_shuffled_mixed_batch(rng, ablation):
     graph, labels, index, params, config = toy_setup(seed=1, ablation=ablation)
     li = labels_to_indices(graph, labels)
@@ -405,6 +408,43 @@ def test_gradients_match_finite_differences_small():
 
     err = finite_diff_check(build, params.arrays, eps=1e-5)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("ablation", ALL_ABLATIONS[1:], ids=lambda a: a[0])
+def test_gradients_match_finite_differences_under_ablation(ablation):
+    # the full model is the test above
+    graph, labels, index, params, config = toy_setup(
+        seed=8, companies=10, communities=1, decoys=1, n_patterns=2,
+        heads=2, embed_dim=8, proj_dim=4, ablation=ablation)
+    li = labels_to_indices(graph, labels)
+    batch = sorted(li)[:6]
+    assert any(index.has_any(i) for i in batch)
+
+    def build(arrays):
+        p2 = ModelParams({k: v.copy() for k, v in arrays.items()}, params.meta)
+        res = forward(graph, index, batch, p2, config, labels=li)
+        return res.tape, res.loss_tensor
+
+    err = finite_diff_check(build, params.arrays, eps=1e-5)
+    assert err < 1e-4
+
+
+def test_params_are_named_views_into_one_flat_buffer():
+    _, _, _, params, _ = toy_setup(seed=9)
+    arrays = params.arrays
+    assert arrays.flat.size == sum(a.size for a in arrays.values())
+    for a in arrays.values():
+        assert np.shares_memory(a, arrays.flat)
+    arrays["cross_b"] = np.arange(8.0)           # same shape: written in place
+    np.testing.assert_array_equal(arrays["cross_b"], np.arange(8.0))
+    assert np.shares_memory(arrays["cross_b"], arrays.flat)
+    before = {k: a.copy() for k, a in arrays.items()}
+    arrays["readout_w"] = np.ones(3)             # new shape: the buffer is rebuilt
+    assert arrays["readout_w"].shape == (3,)
+    assert all(np.shares_memory(a, arrays.flat) for a in arrays.values())
+    for k in before:
+        if k != "readout_w":
+            np.testing.assert_array_equal(arrays[k], before[k])
 
 
 def test_checkpoint_round_trip_exact(tmp_path):

@@ -11,13 +11,14 @@ from rptdetect.errors import (
 )
 import logging
 
-from rptdetect.hetgraph import HetGraph
+from rptdetect.hetgraph import HetGraph, labels_to_indices
 from rptdetect.matcher import build_neighbor_index
-from rptdetect.model import init_params
+from rptdetect.model import forward, init_params
 from rptdetect.patterns import applicable_patterns, bundled_patterns
 from rptdetect.synth import GenConfig, generate, scaled_config
 
 logging.getLogger("rptdetect.matcher").setLevel(logging.ERROR)
+from rptdetect import training
 from rptdetect.training import (
     TrainConfig,
     adam_step,
@@ -218,6 +219,53 @@ def test_zero_epochs_returns_initial_params_and_empty_history():
     for k in initial.arrays:
         np.testing.assert_array_equal(result.params.arrays[k], initial.arrays[k])
     assert result.metrics.loss_history == []
+
+
+@pytest.mark.parametrize("batch_size", [16, 100])
+def test_training_batch_records_at_most_40_tape_nodes(batch_size):
+    # projection (two per node type, one stack), query (3), cross transform
+    # (1), one fused instance-level op per pattern, the pattern level, the loss
+    graph, index, labels = bench_dataset()
+    config = TrainConfig(embed_dim=8, proj_dim=8)
+    mc = config.model_config()
+    params = init_params(graph.schema, index.patterns, mc, seed=0)
+    li = labels_to_indices(graph, labels)
+    batch = sorted(li)[:batch_size]
+    res = forward(graph, index, batch, params, mc, labels=li)
+    assert len(batch) == batch_size and len(index.pattern_ids) == 5
+    assert len(res.tape._nodes) <= 40
+
+
+@pytest.mark.parametrize("n_patterns", [1, 5])
+def test_trend_is_the_node_by_node_mean_of_beta(monkeypatch, n_patterns):
+    graph, index, labels = bench_dataset(seed=1)
+    index = build_neighbor_index(graph, index.patterns[:n_patterns], cap=64,
+                                 cap_mode="truncate")
+    recorded = []
+
+    def spy(*args, **kwargs):
+        res = forward(*args, **kwargs)
+        if kwargs.get("labels") is not None:
+            recorded.append(res.beta)
+        return res
+
+    monkeypatch.setattr(training, "forward", spy)
+    config = TrainConfig(epochs=2, batch_size=16, embed_dim=8, proj_dim=8,
+                         test_fraction=0.3, seed=1)
+    trend = train(graph, index, labels, config).trend
+    per_epoch = len(recorded) // 2
+    expected = []
+    for epoch in range(2):
+        sums = {pid: 0.0 for pid in index.pattern_ids}
+        counts = {pid: 0 for pid in index.pattern_ids}
+        for betas in recorded[epoch * per_epoch:(epoch + 1) * per_epoch]:
+            for node_betas in betas.values():
+                for pid, b in node_betas.items():
+                    sums[pid] += b
+                    counts[pid] += 1
+        expected += [(epoch, pid, sums[pid] / counts[pid] if counts[pid] else None)
+                     for pid in index.pattern_ids]
+    assert trend == expected
 
 
 def test_training_loss_decreases_on_separable_config():
