@@ -25,6 +25,7 @@ from .hetgraph import (
     save_graph,
     save_labels,
     validate_labels,
+    write_text,
 )
 from .matcher import build_neighbor_index, enumerate_instances, k_order_neighbors, metapath_neighbors
 from .model import load_params, save_params
@@ -67,11 +68,6 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
             setattr(args, dest, cast(value))
         except (TypeError, ValueError) as exc:
             raise PipelineError(f"{source}: bad value {value!r} for {dest!r}") from exc
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def _graph_paths(args: argparse.Namespace) -> tuple[str, str, str]:
@@ -256,11 +252,11 @@ def cmd_ingest(args) -> int:
             print(f"  {v}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "degree_hist.tsv"),
-               "degree\tcount\n" + "".join(f"{d}\t{c}\n" for d, c in hist))
+        write_text(os.path.join(args.out, "degree_hist.tsv"),
+                   "degree\tcount\n" + "".join(f"{d}\t{c}\n" for d, c in hist))
         if report is not None:
-            _write(os.path.join(args.out, "label_report.txt"),
-                   "".join(v + "\n" for v in report.violations))
+            write_text(os.path.join(args.out, "label_report.txt"),
+                       "".join(v + "\n" for v in report.violations))
     return 0
 
 
@@ -278,7 +274,7 @@ def cmd_match(args) -> int:
     print(table, end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "instances.tsv"), table)
+        write_text(os.path.join(args.out, "instances.tsv"), table)
     return 0
 
 
@@ -301,8 +297,8 @@ def cmd_stats(args) -> int:
     print(stats_table_text(stats), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "stats.tsv"), stats_table_text(stats))
-        _write(os.path.join(args.out, "ratios.tsv"), ratio_table_text(stats))
+        write_text(os.path.join(args.out, "stats.tsv"), stats_table_text(stats))
+        write_text(os.path.join(args.out, "ratios.tsv"), ratio_table_text(stats))
     return 0
 
 
@@ -317,17 +313,17 @@ def _prepare_training(args):
 def _write_train_outputs(out_dir, result) -> None:
     os.makedirs(out_dir, exist_ok=True)
     save_params(result.params, os.path.join(out_dir, "checkpoint.json"))
-    _write(os.path.join(out_dir, "metrics.tsv"), _metrics_text(result.metrics))
-    _write(os.path.join(out_dir, "trend.tsv"), _trend_text(result.trend))
-    _write(os.path.join(out_dir, "loss.tsv"), _loss_text(result.metrics.loss_history))
-    _write(os.path.join(out_dir, "embeddings.csv"), _embeddings_text(result.embeddings))
+    write_text(os.path.join(out_dir, "metrics.tsv"), _metrics_text(result.metrics))
+    write_text(os.path.join(out_dir, "trend.tsv"), _trend_text(result.trend))
+    write_text(os.path.join(out_dir, "loss.tsv"), _loss_text(result.metrics.loss_history))
+    write_text(os.path.join(out_dir, "embeddings.csv"), _embeddings_text(result.embeddings))
     split = {"train": result.train_ids, "test": result.test_ids}
-    _write(os.path.join(out_dir, "split.json"),
-           json.dumps(split, indent=2, sort_keys=True) + "\n")
+    write_text(os.path.join(out_dir, "split.json"),
+               json.dumps(split, indent=2, sort_keys=True) + "\n")
     seconds = result.metrics.epoch_seconds
-    _write(os.path.join(out_dir, "timing.txt"),
-           f"total_seconds\t{sum(seconds)!r}\n"
-           + "".join(f"epoch_{i}\t{s!r}\n" for i, s in enumerate(seconds)))
+    write_text(os.path.join(out_dir, "timing.txt"),
+               f"total_seconds\t{sum(seconds)!r}\n"
+               + "".join(f"epoch_{i}\t{s!r}\n" for i, s in enumerate(seconds)))
 
 
 def cmd_train(args) -> int:
@@ -367,7 +363,7 @@ def cmd_eval(args) -> int:
     print(_metrics_text(metrics), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "metrics.tsv"), _metrics_text(metrics))
+        write_text(os.path.join(args.out, "metrics.tsv"), _metrics_text(metrics))
     return 0
 
 
@@ -383,7 +379,7 @@ def cmd_ablate(args) -> int:
         print(lines[-1])
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "ablation.tsv"), "\n".join(lines) + "\n")
+        write_text(os.path.join(args.out, "ablation.tsv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -420,13 +416,12 @@ def cmd_sweep(args) -> int:
         out_name = "timing.tsv"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, out_name), table)
+        write_text(os.path.join(args.out, out_name), table)
     return 0
 
 
 def cmd_export(args) -> int:
     graph = load_graph(*_graph_paths(args))
-    os.makedirs(args.out, exist_ok=True)
     save_graph(graph, args.out)
     labels_path = _labels_path(args)
     if labels_path:

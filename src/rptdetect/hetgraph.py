@@ -8,14 +8,14 @@ all-or-nothing; any violation aborts before a graph object exists.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -68,8 +68,8 @@ class HetGraph:
     sorted ``type_names``, and its attributes are row ``row_in_type[i]`` of
     its type's matrix (``type_features``).  Edges are kept exactly as
     ingested, as the parallel arrays ``src``, ``dst`` and ``edge_code`` (an
-    index into ``edge_names``, the schema's order).  Neighbor CSRs, edge keys
-    and degrees are built from those arrays on first use.
+    index into ``edge_names``, the schema's order).  Neighbor CSRs and their
+    degree orders, edge keys and degrees are built from those arrays on first use.
     """
 
     def __init__(self, schema: Schema,
@@ -146,6 +146,7 @@ class HetGraph:
 
         self.type_code = code
         self.src, self.dst, self.edge_code = src, dst, ecode
+        self._degree_orders: dict[tuple[str | None, bool], np.ndarray] = {}
         self.row_in_type = np.empty(n, dtype=np.intp)
         starts = np.cumsum(widths) - widths
         self._features: dict[str, np.ndarray] = {}
@@ -228,6 +229,13 @@ class HetGraph:
         undirected type) are ``idx[ptr[i]:ptr[i + 1]]``, ascending.  With
         ``etype`` None they are the nodes sharing an edge of any type with i."""
         return self._any_csr if etype is None else self._typed_csr[etype][reverse]
+
+    def degree_order(self, etype: str | None, reverse: bool = False) -> np.ndarray:
+        """The nodes with a neighbor in ``adjacency(etype, reverse)``, most first; built once."""
+        if (etype, reverse) not in self._degree_orders:
+            deg = np.diff(self.adjacency(etype, reverse)[0])
+            self._degree_orders[etype, reverse] = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
+        return self._degree_orders[etype, reverse]
 
     @cached_property
     def edge_degrees(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -343,79 +351,85 @@ def save_schema(schema: Schema, path: str | os.PathLike) -> None:
             for name, et in schema.edge_types.items()
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(raw, indent=2, sort_keys=True) + "\n")
 
 
-def _read_records(path: str | os.PathLike):
-    """A CSV file's header, then its non-empty records with their line numbers."""
+def _read_records(path: str | os.PathLike) -> tuple[list[str] | None, list[list[str]]]:
+    """A CSV file's header, then its records, blank ones (``[]``) too: record k is on line k + 2."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        return header, [(line_no, rec) for line_no, rec in enumerate(reader, start=2) if rec]
+        return next(reader, None), list(reader)
 
 
 def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
                edges_file: str | os.PathLike) -> HetGraph:
     """Load and validate; any violation rejects the whole load."""
     schema = load_schema(schema_file)
-    header, nodes = _read_records(nodes_file)
+    header, records = _read_records(nodes_file)
     if header is None or header[:2] != ["id", "type"]:
         raise DimensionMismatch(f"nodes file {nodes_file}: missing 'id,type,...' header")
-    values: list[float] = []
-    for line_no, rec in nodes:
-        if len(rec) < 2:
-            raise DimensionMismatch(f"nodes file line {line_no}: too few columns")
-        try:
-            row = list(map(float, rec[2:]))
-        except ValueError as exc:
-            raise DimensionMismatch(f"nodes file line {line_no}: {exc}") from exc
-        if not all(map(math.isfinite, row)):
-            raise DimensionMismatch(f"nodes file line {line_no}: non-finite attribute")
-        values += row
-    header, edges = _read_records(edges_file)
+    widths = np.fromiter(map(len, records), np.intp, len(records))
+    nodes = [rec for rec in records if rec]
+    tokens = list(chain.from_iterable(rec[2:] for rec in nodes))
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        values = np.array([np.nan])  # not a number: the pass below names the bad token
+    if (widths == 1).any() or not np.isfinite(values).all():  # find the first bad line
+        for line_no, rec in enumerate(records, start=2):
+            if len(rec) == 1:
+                raise DimensionMismatch(f"nodes file line {line_no}: too few columns")
+            try:
+                row = list(map(float, rec[2:]))
+            except ValueError as exc:
+                raise DimensionMismatch(f"nodes file line {line_no}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise DimensionMismatch(f"nodes file line {line_no}: non-finite attribute")
+    header, records = _read_records(edges_file)
     if header != ["source", "target", "type"]:
         raise DimensionMismatch(f"edges file {edges_file}: missing 'source,target,type' header")
-    for line_no, rec in edges:
-        if len(rec) != 3:
-            raise DimensionMismatch(
-                f"edges file line {line_no}: expected 3 columns, got {len(rec)}")
+    columns = np.fromiter(map(len, records), np.intp, len(records))
+    if ((columns != 3) & (columns != 0)).any():
+        k = np.flatnonzero((columns != 3) & (columns != 0))[0]
+        raise DimensionMismatch(f"edges file line {k + 2}: expected 3 columns, got {columns[k]}")
     return HetGraph.from_columns(
-        schema, [rec[0] for _, rec in nodes], [rec[1] for _, rec in nodes],
-        np.array(values, dtype=np.float64),
-        np.fromiter((len(rec) - 2 for _, rec in nodes), np.intp, len(nodes)),
-        [rec for _, rec in edges])
+        schema, [rec[0] for rec in nodes], [rec[1] for rec in nodes], values,
+        widths[widths > 0] - 2, [rec for rec in records if rec])
 
 
-def _write_csv(path: str | os.PathLike, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for r in rows:
-        writer.writerow(r)
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _quote(field: str) -> str:
+    """A CSV field as ``csv.writer`` writes it, but quoted also when it holds a carriage
+    return: the writer leaves that bare, and a reader takes it for a line break."""
+    return '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write the text as UTF-8, line ends as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(text)
 
 
 def save_graph(graph: HetGraph, out_dir: str | os.PathLike) -> dict[str, str]:
     """Write schema/nodes/edges files; output is byte-deterministic."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "schema": os.path.join(out_dir, "schema.json"),
-        "nodes": os.path.join(out_dir, "nodes.csv"),
-        "edges": os.path.join(out_dir, "edges.csv"),
-    }
+    paths = {key: os.path.join(out_dir, name) for key, name in
+             (("schema", "schema.json"), ("nodes", "nodes.csv"), ("edges", "edges.csv"))}
     save_schema(graph.schema, paths["schema"])
-    rows = {t: graph.type_features(t).tolist() for t in graph.type_names}
-    node_rows = (
-        [node_id, t] + [repr(v) for v in rows[t][r]]
-        for node_id, t, r in zip(graph.ids, graph.types, graph.row_in_type.tolist())
-    )
-    _write_csv(paths["nodes"], ["id", "type", "attrs"], node_rows)
-    ids = graph.ids
-    edge_rows = ([ids[s], ids[t], r] for s, t, r in graph.edges)
-    _write_csv(paths["edges"], ["source", "target", "type"], edge_rows)
+    ids = list(map(_quote, graph.ids))
+    types = list(map(_quote, graph.type_names))
+    # a list of floats prints as "[1.0, -0.0]", each value its repr
+    attrs = [[str(row)[1:-1].replace(" ", "") for row in graph.type_features(t).tolist()]
+             for t in graph.type_names]
+    write_text(paths["nodes"], "id,type,attrs\n" + "".join([
+        f"{i},{types[c]},{attrs[c][r]}\n" for i, c, r in
+        zip(ids, graph.type_code.tolist(), graph.row_in_type.tolist())]))
+    etypes = list(map(_quote, graph.edge_names))
+    write_text(paths["edges"], "source,target,type\n" + "".join([
+        f"{ids[s]},{ids[t]},{etypes[r]}\n" for s, t, r in
+        zip(graph.src.tolist(), graph.dst.tolist(), graph.edge_code.tolist())]))
     return paths
 
 
@@ -425,7 +439,7 @@ def load_labels(path: str | os.PathLike) -> dict[str, int]:
         raise DimensionMismatch(f"labels file {path}: missing 'id,label' header")
     labels: dict[str, int] = {}
     line_of: dict[str, int] = {}
-    for line_no, rec in records:
+    for line_no, rec in filter(lambda numbered: numbered[1], enumerate(records, start=2)):
         if len(rec) != 2:
             raise DimensionMismatch(
                 f"labels file line {line_no}: expected 2 columns, got {len(rec)}")
@@ -441,4 +455,5 @@ def load_labels(path: str | os.PathLike) -> dict[str, int]:
 
 
 def save_labels(labels: dict[str, int], path: str | os.PathLike) -> None:
-    _write_csv(path, ["id", "label"], ([k, str(int(v))] for k, v in labels.items()))
+    write_text(path, "id,label\n" + "".join(
+        [f"{_quote(k)},{int(v)}\n" for k, v in labels.items()]))

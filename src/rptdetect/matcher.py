@@ -286,13 +286,23 @@ def _own_bits(n: int, centers: Sequence[int]) -> tuple[list[int], np.ndarray]:
     return centers, bits
 
 
-def _hop(frontier: np.ndarray, csrs) -> np.ndarray:
-    """Per node, the OR of the frontier rows of its neighbors in any of the CSRs."""
+def _hop(frontier: np.ndarray, graph: HetGraph, csrs) -> np.ndarray:
+    """Per node, the OR of the frontier rows of its neighbors in the CSRs named by their
+    ``adjacency`` arguments.  In ``degree_order`` the nodes with a p-th neighbor are a
+    prefix, so each position below h, the degrees' h-index, is one gather-and-OR of at
+    least h rows into one accumulator; a reduceat ends the at most h with more neighbors."""
     out = np.zeros_like(frontier)
-    for ptr, idx in csrs:
-        # reduceat gives an empty segment its first element, so reduce only full ones
-        full = ptr[1:] > ptr[:-1]
-        out[full] |= np.bitwise_or.reduceat(frontier[idx], ptr[:-1][full], axis=0)
+    for etype, reverse in csrs:
+        (ptr, idx), order = graph.adjacency(etype, reverse), graph.degree_order(etype, reverse)
+        deg, start = ptr[order + 1] - ptr[order], ptr[order]
+        h = int(np.count_nonzero(deg > np.arange(deg.size)))
+        acc = np.zeros((deg.size, frontier.shape[1]), dtype=frontier.dtype)
+        for p, count in enumerate(np.searchsorted(-deg, -np.arange(h)).tolist()):
+            acc[:count] |= frontier[idx[start[:count] + p]]
+        rest = deg[deg > h] - h
+        acc[:rest.size] |= np.bitwise_or.reduceat(frontier[idx[_ranges(
+            start[:rest.size] + h, rest)]], np.cumsum(rest) - rest, axis=0)
+        out[order] |= acc
     return out
 
 
@@ -324,13 +334,13 @@ def metapath_neighbors(graph: HetGraph, metapath: Sequence[str],
         if not (forward or backward):
             raise MalformedMetapath(
                 f"edge type {e!r} does not join {ta!r} and {tb!r}")
-        steps.append([graph.adjacency(e, True)] * forward + [graph.adjacency(e)] * backward)
+        steps.append([(e, True)] * forward + [(e, False)] * backward)
 
     centers, own = _own_bits(len(graph), graph.nodes_of_type(node_types[0])
                              if centers is None else centers)
     frontier = own
     for csrs in steps:
-        frontier = _hop(frontier, csrs)
+        frontier = _hop(frontier, graph, csrs)
     return CenterSets(centers, frontier & ~own)
 
 
@@ -347,7 +357,7 @@ def k_order_neighbors(graph: HetGraph, k: int,
     centers, own = _own_bits(len(graph), range(len(graph)) if centers is None else centers)
     seen = frontier = own
     for _ in range(k):
-        frontier = _hop(frontier, [graph.adjacency(None)]) & ~seen
+        frontier = _hop(frontier, graph, [(None, False)]) & ~seen
         seen = seen | frontier
     seen[graph.type_code != graph.type_names.index(graph.schema.company_type)] = 0
     return CenterSets(centers, seen & ~own)

@@ -204,6 +204,30 @@ def test_export_round_trips(dataset, tmp_path):
         assert read(dataset / name) == read(tmp_path / "copy" / name)
 
 
+def test_export_then_ingest_keeps_an_id_holding_a_carriage_return(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "schema.json").write_text(json.dumps({
+        "node_types": {"company": {"dim": 1}, "person": {"dim": 1}},
+        "edge_types": {"transaction": {"source": "company", "target": "company"},
+                       "invest": {"source": "person", "target": "company"}}}))
+    (src / "nodes.csv").write_bytes(
+        b'id,type,attrs\n"c\r1",company,1.0\nc2,company,2.0\np1,person,0.5\n')
+    (src / "edges.csv").write_bytes(
+        b'source,target,type\n"c\r1",c2,transaction\np1,"c\r1",invest\n')
+    (src / "labels.csv").write_bytes(b'id,label\n"c\r1",1\nc2,0\n')
+    copy, again = tmp_path / "copy", tmp_path / "again"
+    assert main(["ingest", "--graph", str(src)]) == 0
+    assert main(["export", "--graph", str(src), "--out", str(copy)]) == 0
+    assert main(["ingest", "--graph", str(copy)]) == 0
+    assert main(["export", "--graph", str(copy), "--out", str(again)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("nodes: 3 ") == 2 and out.count("labels: ok") == 2, out
+    for name in ("nodes.csv", "edges.csv", "labels.csv"):
+        assert (copy / name).read_bytes() == (src / name).read_bytes(), name
+        assert (again / name).read_bytes() == (src / name).read_bytes(), name
+
+
 def test_ablate_writes_variant_table(dataset, tmp_path):
     rc = main(["ablate", "--graph", str(dataset), "--out", str(tmp_path),
                "--epochs", "2", "--dim", "8", "--proj-dim", "4",

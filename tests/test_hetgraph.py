@@ -1,5 +1,8 @@
 """Graph storage, ingestion validation, and histogram tests."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -220,6 +223,48 @@ def test_round_trip_identity(tmp_path):
     paths2 = save_graph(again, second)
     for key in ("schema", "nodes", "edges"):
         assert open(paths[key], "rb").read() == open(paths2[key], "rb").read()
+
+
+def csv_writer_bytes(rows) -> bytes:
+    """``csv.writer``'s rows, each ended by ``\\n``.  The writer is given ``\\r\\n`` as
+    its terminator, so it quotes a field holding either character: with ``\\n``
+    alone it leaves a carriage return bare, and readers take that for a line end."""
+    out = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out).encode("utf-8")
+
+
+ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rid", " spaced out ", "näive-ü", "", "plain"]
+
+
+def test_writers_match_csv_writer_on_odd_names_and_values(tmp_path):
+    schema = Schema(node_types={"co,mpany": 5, 'pé "rson"': 1},
+                    edge_types={"in\nvest": EdgeType('pé "rson"', "co,mpany"),
+                                "trans action": EdgeType("co,mpany", "co,mpany", directed=False)},
+                    company_type="co,mpany")
+    values = [-0.0, 5e-324, 1e16, 1e-05, 0.1]
+    nodes = ([(name, "co,mpany", np.array(values[k:] + values[:k]))
+              for k, name in enumerate(ODD_NAMES)] + [("p\r,1", 'pé "rson"', np.array([-1.5]))])
+    edges = [("p\r,1", name, "in\nvest") for name in ODD_NAMES[::2]] + [
+        (a, b, "trans action") for a, b in zip(ODD_NAMES, ODD_NAMES[1:])]
+    g = HetGraph(schema, nodes, edges)
+    paths = save_graph(g, tmp_path)
+    want_nodes = [["id", "type", "attrs"]] + [[i, t] + list(map(repr, x.tolist())) for i, t, x in nodes]
+    want_edges = [["source", "target", "type"]] + [list(e) for e in edges]
+    assert open(paths["nodes"], "rb").read() == csv_writer_bytes(want_nodes)
+    assert open(paths["edges"], "rb").read() == csv_writer_bytes(want_edges)
+    labels = {name: k % 2 for k, name in enumerate(ODD_NAMES)}
+    save_labels(labels, tmp_path / "labels.csv")
+    assert (tmp_path / "labels.csv").read_bytes() == csv_writer_bytes(
+        [["id", "label"]] + [[k, str(v)] for k, v in labels.items()])
+    again = load_graph(paths["schema"], paths["nodes"], paths["edges"])
+    assert again.ids == g.ids and again.types == g.types and again.edges == g.edges
+    for a, b in zip(again.x, g.x):
+        assert a.tobytes() == b.tobytes()  # -0.0 keeps its sign, 5e-324 its value
+    assert load_labels(tmp_path / "labels.csv") == labels
 
 
 def test_labels_round_trip(tmp_path):

@@ -409,6 +409,61 @@ def test_k_order_matches_matrix_power_oracle(rng):
             assert k_order_neighbors(g, k) == brute_force_k_order(g, k)
 
 
+def hop_branch_graph():
+    """A graph on which the hop kernel takes every branch: more than 64 centers
+    (several bitset words), isolated nodes, hubs with more neighbors than the
+    positional passes cover, and directed and undirected edge types."""
+    from rptdetect.hetgraph import EdgeType, Schema
+    schema = Schema(
+        node_types={"company": 1, "person": 1, "item": 1},
+        edge_types={"transaction": EdgeType("company", "company"),
+                    "partner": EdgeType("company", "company", directed=False),
+                    "invest": EdgeType("person", "company"),
+                    "sell": EdgeType("company", "item")})
+    rng = np.random.default_rng(5)
+    # c90..c99, p30..p39 and i9 stay isolated
+    nodes = ([(f"c{i}", "company") for i in range(100)]
+             + [(f"p{i}", "person") for i in range(40)] + [(f"i{i}", "item") for i in range(10)])
+    edges = ([("c0", f"c{i}", "transaction") for i in range(1, 70)]
+             + [(f"c{i}", "c1", "transaction") for i in range(2, 50, 2)]
+             + [(f"c{i}", "c2", "partner") for i in range(3, 60)]
+             + [("p0", f"c{i}", "invest") for i in range(0, 90, 2)])
+    for _ in range(150):
+        a, b = rng.integers(0, 90, size=2)
+        edges.append((f"c{a}", f"c{b}", str(rng.choice(["transaction", "partner"]))))
+    edges += [(f"p{rng.integers(1, 30)}", f"c{rng.integers(0, 90)}", "invest") for _ in range(60)]
+    edges += [(f"c{rng.integers(0, 90)}", f"i{rng.integers(0, 9)}", "sell") for _ in range(40)]
+    return make_graph(schema, nodes, edges)
+
+
+def test_hop_branch_graph_reaches_every_branch():
+    g = hop_branch_graph()
+    assert len(g.nodes_of_type("company")) > 64
+    for etype, reverse in [(None, False), ("transaction", False), ("transaction", True),
+                           ("partner", False), ("invest", False)]:
+        ptr, _ = g.adjacency(etype, reverse)
+        deg = np.diff(ptr)
+        # h nodes of degree >= h hold h * h entries, so the passes stop below sqrt(entries)
+        assert deg.max() > np.sqrt(ptr[-1]) and (deg == 0).any(), (etype, reverse)
+
+
+@pytest.mark.parametrize("path", [
+    ["company", "transaction", "company", "transaction", "company"],
+    ["company", "partner", "company", "sell", "item"],
+    ["company", "invest", "person", "invest", "company"],
+    ["person", "invest", "company", "partner", "company"],
+], ids=["directed-both-ways", "undirected", "backward-then-forward", "few-centers"])
+def test_metapath_matches_brute_force_on_every_hop_branch(path):
+    g = hop_branch_graph()
+    assert metapath_neighbors(g, path) == brute_force_metapath(g, path)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_order_matches_matrix_power_oracle_on_every_hop_branch(k):
+    g = hop_branch_graph()
+    assert k_order_neighbors(g, k) == brute_force_k_order(g, k)
+
+
 def test_k_order_rejects_bad_radius():
     g = make_graph(small_schema(), [("a", "company")], [])
     with pytest.raises(ValueError):
