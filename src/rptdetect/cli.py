@@ -18,12 +18,14 @@ import numpy as np
 
 from .errors import InfeasibleConfig, PipelineError
 from .hetgraph import (
+    _quote,
     degree_histogram,
     labels_to_indices,
     load_graph,
     load_labels,
     save_graph,
     save_labels,
+    tsv,
     validate_labels,
     write_text,
 )
@@ -114,13 +116,9 @@ def _load_pattern_arg(patterns_arg: str | None, schema):
     return usable
 
 
-def _add_graph_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", help="dataset directory (schema.json/nodes.csv/edges.csv)")
-    p.add_argument("--schema")
-    p.add_argument("--nodes")
-    p.add_argument("--edges")
-    p.add_argument("--labels")
-    p.add_argument("--manifest", help="JSON file supplying defaults for any option")
+def node_counts(text) -> list[int]:
+    """Comma-separated node counts, such as ``5000,10000``; empty items are skipped."""
+    return [int(s) for s in str(text).split(",") if s]
 
 
 TRAIN_SPEC = {
@@ -150,7 +148,8 @@ GENERATE_SPEC = {
 }
 MATCH_SPEC = {"patterns": (str, "default"), "cap": (int, 64), "cap_mode": (str, "error")}
 STATS_SPEC = {**MATCH_SPEC, "cap_mode": (str, "truncate"), "korder_max": (int, 3)}
-SWEEP_SPEC = {**TRAIN_SPEC, "mode": (str, "psr"), "sizes": (str, "5000,10000,20000,40000"),
+SWEEP_SPEC = {**TRAIN_SPEC, "mode": (str, "psr"),
+              "sizes": (node_counts, "5000,10000,20000,40000"),
               "threshold": (float, 0.2), "max_epochs": (int, 500),
               "p_rpt": (float, 1.0), "p_bg": (float, 0.0)}
 CHOICES = {"eval_mode": ["downstream", "direct"], "cap_mode": ["error", "truncate"],
@@ -158,13 +157,6 @@ CHOICES = {"eval_mode": ["downstream", "direct"], "cap_mode": ["error", "truncat
 HELP = {"patterns": "pattern file or 'default'", "dim": "embedding dimension",
         "delta": "class-conditional feature shift",
         "sizes": "comma-separated node counts for timing mode"}
-
-
-def _add_options(p: argparse.ArgumentParser, spec: dict[str, tuple]) -> None:
-    """One flag per option of ``spec`` (``--test-fraction`` sets ``test_fraction``)."""
-    for dest, (cast, _) in spec.items():
-        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast,
-                       choices=CHOICES.get(dest), help=HELP.get(dest))
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -179,37 +171,25 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _metrics_text(metrics) -> str:
-    lines = ["metric\tvalue",
-             f"f1\t{metrics.f1!r}",
-             f"accuracy\t{metrics.accuracy!r}",
-             f"tp\t{metrics.tp}",
-             f"fp\t{metrics.fp}",
-             f"fn\t{metrics.fn}",
-             f"tn\t{metrics.tn}"]
-    return "\n".join(lines) + "\n"
-
-
-def _trend_text(trend) -> str:
-    lines = ["epoch\tpattern\tmean_beta"]
-    for epoch, pid, beta in trend:
-        lines.append(f"{epoch}\t{pid}\t{'na' if beta is None else repr(beta)}")
-    return "\n".join(lines) + "\n"
-
-
-def _loss_text(history) -> str:
-    lines = ["epoch\tloss"]
-    lines += [f"{i}\t{v!r}" for i, v in enumerate(history)]
-    return "\n".join(lines) + "\n"
+    return tsv(("metric", "value"), [("f1", metrics.f1), ("accuracy", metrics.accuracy),
+                                     ("tp", metrics.tp), ("fp", metrics.fp),
+                                     ("fn", metrics.fn), ("tn", metrics.tn)])
 
 
 def _embeddings_text(embeddings: dict[str, np.ndarray]) -> str:
     ids = sorted(embeddings)
-    dim = len(next(iter(embeddings.values()))) if ids else 0
-    header = "id," + ",".join(f"z{k}" for k in range(dim))
-    lines = [header]
-    for i in ids:
-        lines.append(i + "," + ",".join(repr(float(v)) for v in embeddings[i]))
+    dim = len(embeddings[ids[0]]) if ids else 0
+    lines = ["id" + "".join(f",z{k}" for k in range(dim))]
+    lines += [_quote(i) + "".join(f",{float(v)!r}" for v in embeddings[i]) for i in ids]
     return "\n".join(lines) + "\n"
+
+
+def _write_outputs(out: str | None, texts: dict[str, str]) -> None:
+    """Write each text to the file of its name under ``out``; nothing without ``out``."""
+    if out:
+        os.makedirs(out, exist_ok=True)
+        for name, text in texts.items():
+            write_text(os.path.join(out, name), text)
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -250,13 +230,10 @@ def cmd_ingest(args) -> int:
         print(f"labels: {status}")
         for v in report.violations:
             print(f"  {v}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_text(os.path.join(args.out, "degree_hist.tsv"),
-                   "degree\tcount\n" + "".join(f"{d}\t{c}\n" for d, c in hist))
-        if report is not None:
-            write_text(os.path.join(args.out, "label_report.txt"),
-                       "".join(v + "\n" for v in report.violations))
+    texts = {"degree_hist.tsv": tsv(("degree", "count"), hist)}
+    if report is not None:
+        texts["label_report.txt"] = "".join(v + "\n" for v in report.violations)
+    _write_outputs(args.out, texts)
     return 0
 
 
@@ -264,17 +241,15 @@ def cmd_match(args) -> int:
     _resolve(args, MATCH_SPEC)
     graph = load_graph(*_graph_paths(args))
     pats = _load_pattern_arg(args.patterns, graph.schema)
-    lines = ["pattern\tinstances\tanchors"]
+    rows = []
     for p in pats:
         insts = enumerate_instances(graph, p, injective=args.injective,
                                     cap=args.cap, cap_mode=args.cap_mode)
-        anchors = len(np.unique(insts[:, p.role_names.index(p.anchor)]))
-        lines.append(f"{p.pattern_id}\t{len(insts)}\t{anchors}")
-    table = "\n".join(lines) + "\n"
+        rows.append((p.pattern_id, len(insts),
+                     len(np.unique(insts[:, p.role_names.index(p.anchor)]))))
+    table = tsv(("pattern", "instances", "anchors"), rows)
     print(table, end="")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_text(os.path.join(args.out, "instances.tsv"), table)
+    _write_outputs(args.out, {"instances.tsv": table})
     return 0
 
 
@@ -294,11 +269,9 @@ def cmd_stats(args) -> int:
           and all(e in graph.schema.edge_types for e in path[1::2])}
     ko = {k: k_order_neighbors(graph, k, centers) for k in range(1, args.korder_max + 1)}
     stats = evasion_ratio_stats(graph, index, mp, ko, labels)
-    print(stats_table_text(stats), end="")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_text(os.path.join(args.out, "stats.tsv"), stats_table_text(stats))
-        write_text(os.path.join(args.out, "ratios.tsv"), ratio_table_text(stats))
+    table = stats_table_text(stats)
+    print(table, end="")
+    _write_outputs(args.out, {"stats.tsv": table, "ratios.tsv": ratio_table_text(stats)})
     return 0
 
 
@@ -310,28 +283,24 @@ def _prepare_training(args):
     return graph, labels, index
 
 
-def _write_train_outputs(out_dir, result) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    save_params(result.params, os.path.join(out_dir, "checkpoint.json"))
-    write_text(os.path.join(out_dir, "metrics.tsv"), _metrics_text(result.metrics))
-    write_text(os.path.join(out_dir, "trend.tsv"), _trend_text(result.trend))
-    write_text(os.path.join(out_dir, "loss.tsv"), _loss_text(result.metrics.loss_history))
-    write_text(os.path.join(out_dir, "embeddings.csv"), _embeddings_text(result.embeddings))
-    split = {"train": result.train_ids, "test": result.test_ids}
-    write_text(os.path.join(out_dir, "split.json"),
-               json.dumps(split, indent=2, sort_keys=True) + "\n")
-    seconds = result.metrics.epoch_seconds
-    write_text(os.path.join(out_dir, "timing.txt"),
-               f"total_seconds\t{sum(seconds)!r}\n"
-               + "".join(f"epoch_{i}\t{s!r}\n" for i, s in enumerate(seconds)))
-
-
 def cmd_train(args) -> int:
     _resolve(args, TRAIN_SPEC)
     config = _train_config(args)
     graph, labels, index = _prepare_training(args)
     result = train(graph, index, labels, config)
-    _write_train_outputs(args.out, result)
+    seconds = result.metrics.epoch_seconds
+    _write_outputs(args.out, {
+        "metrics.tsv": _metrics_text(result.metrics),
+        "trend.tsv": tsv(("epoch", "pattern", "mean_beta"),
+                         ((e, pid, "na" if b is None else b) for e, pid, b in result.trend)),
+        "loss.tsv": tsv(("epoch", "loss"), enumerate(result.metrics.loss_history)),
+        "embeddings.csv": _embeddings_text(result.embeddings),
+        "split.json": json.dumps({"train": result.train_ids, "test": result.test_ids},
+                                 indent=2, sort_keys=True) + "\n",
+        "timing.txt": tsv(("total_seconds", sum(seconds)),
+                          ((f"epoch_{i}", s) for i, s in enumerate(seconds))),
+    })
+    save_params(result.params, os.path.join(args.out, "checkpoint.json"))
     print(f"f1={result.metrics.f1:.4f} accuracy={result.metrics.accuracy:.4f} "
           f"final_loss={result.metrics.loss_history[-1] if result.metrics.loss_history else float('nan'):.4f}")
     return 0
@@ -360,10 +329,9 @@ def cmd_eval(args) -> int:
     pats = _load_pattern_arg(args.patterns, graph.schema)
     index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode)
     metrics, _, _ = score_split(graph, index, labels, params, train_ids, test_ids, config)
-    print(_metrics_text(metrics), end="")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_text(os.path.join(args.out, "metrics.tsv"), _metrics_text(metrics))
+    table = _metrics_text(metrics)
+    print(table, end="")
+    _write_outputs(args.out, {"metrics.tsv": table})
     return 0
 
 
@@ -371,32 +339,30 @@ def cmd_ablate(args) -> int:
     _resolve(args, TRAIN_SPEC)
     base = _train_config(args)
     graph, labels, index = _prepare_training(args)
-    lines = ["variant\tf1\taccuracy"]
+    rows = []
     for variant in ("full", "hete", "inner", "cross", "att"):
         ablation = () if variant == "full" else (variant,)
-        result = train(graph, index, labels, replace(base, ablation=ablation))
-        lines.append(f"{variant}\t{result.metrics.f1!r}\t{result.metrics.accuracy!r}")
-        print(lines[-1])
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_text(os.path.join(args.out, "ablation.tsv"), "\n".join(lines) + "\n")
+        metrics = train(graph, index, labels, replace(base, ablation=ablation)).metrics
+        rows.append((variant, metrics.f1, metrics.accuracy))
+        print(*rows[-1], sep="\t")
+    _write_outputs(args.out, {"ablation.tsv": tsv(("variant", "f1", "accuracy"), rows)})
     return 0
 
 
 def cmd_sweep(args) -> int:
     _resolve(args, SWEEP_SPEC)
+    rows = []
     if args.mode == "psr":
         base = _train_config(args)
         graph, labels, index = _prepare_training(args)
-        lines = ["psr\tf1\taccuracy"]
         for psr in PSR_GRID:
             metrics = train(graph, index, labels, replace(base, psr=psr)).metrics
-            lines.append(f"{psr!r}\t{metrics.f1!r}\t{metrics.accuracy!r}")
-            print(lines[-1])
-        table = "\n".join(lines) + "\n"
-        out_name = "psr_sweep.tsv"
+            rows.append((psr, metrics.f1, metrics.accuracy))
+            print(*rows[-1], sep="\t")
+        name, header = "psr_sweep.tsv", ("psr", "f1", "accuracy")
     else:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+        if not args.sizes:
+            raise InfeasibleConfig("sizes must name at least one node count")
         base_gen = GenConfig(p_rpt=args.p_rpt, p_bg=args.p_bg, seed=args.seed)
         pats = bundled_patterns()
 
@@ -406,17 +372,12 @@ def cmd_sweep(args) -> int:
                                          cap=args.cap, cap_mode="truncate")
             return graph, index, labels
 
-        rows = timing_sweep(sizes, make_dataset, _train_config(args),
-                            loss_threshold=args.threshold, max_epochs=args.max_epochs)
-        lines = ["nodes\tepochs\tseconds"]
-        for r in rows:
-            lines.append(f"{r.n_nodes}\t{r.epochs}\t{r.seconds!r}")
-            print(lines[-1])
-        table = "\n".join(lines) + "\n"
-        out_name = "timing.tsv"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_text(os.path.join(args.out, out_name), table)
+        for r in timing_sweep(args.sizes, make_dataset, _train_config(args),
+                              loss_threshold=args.threshold, max_epochs=args.max_epochs):
+            rows.append((r.n_nodes, r.epochs, r.seconds))
+            print(*rows[-1], sep="\t")
+        name, header = "timing.tsv", ("nodes", "epochs", "seconds")
+    _write_outputs(args.out, {name: tsv(header, rows)})
     return 0
 
 
@@ -435,62 +396,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rptdetect",
         description="Tax-evasion detection over heterogeneous tax graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a synthetic dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    _add_options(p, GENERATE_SPEC)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("ingest", help="load, validate, and summarize a dataset")
-    _add_graph_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("match", help="count pattern instances")
-    _add_graph_flags(p)
-    _add_options(p, MATCH_SPEC)
-    p.add_argument("--injective", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("stats", help="evasion probability per neighbor definition")
-    _add_graph_flags(p)
-    _add_options(p, STATS_SPEC)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("train", help="train the detector")
-    _add_graph_flags(p)
-    _add_options(p, TRAIN_SPEC)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_graph_flags(p)
-    _add_options(p, TRAIN_SPEC)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", help="split.json from a training run")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="train every model variant")
-    _add_graph_flags(p)
-    _add_options(p, TRAIN_SPEC)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep", help="PSR grid or timing-by-scale sweep")
-    _add_graph_flags(p)
-    _add_options(p, SWEEP_SPEC)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("export", help="round-trip a dataset to a new directory")
-    _add_graph_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export)
-
+    for name, func, help_text, spec, out_required in (
+            ("generate", cmd_generate, "write a synthetic dataset", GENERATE_SPEC, True),
+            ("ingest", cmd_ingest, "load, validate, and summarize a dataset", {}, False),
+            ("match", cmd_match, "count pattern instances", MATCH_SPEC, False),
+            ("stats", cmd_stats, "evasion probability per neighbor definition", STATS_SPEC,
+             False),
+            ("train", cmd_train, "train the detector", TRAIN_SPEC, True),
+            ("eval", cmd_eval, "evaluate a checkpoint", TRAIN_SPEC, False),
+            ("ablate", cmd_ablate, "train every model variant", TRAIN_SPEC, False),
+            ("sweep", cmd_sweep, "PSR grid or timing-by-scale sweep", SWEEP_SPEC, False),
+            ("export", cmd_export, "round-trip a dataset to a new directory", {}, True)):
+        p = sub.add_parser(name, help=help_text)
+        if name != "generate":
+            p.add_argument("--graph", help="dataset directory (schema.json/nodes.csv/edges.csv)")
+            for flag in ("--schema", "--nodes", "--edges", "--labels"):
+                p.add_argument(flag)
+        p.add_argument("--manifest", help="JSON file supplying defaults for any option")
+        for dest, (cast, _) in spec.items():  # --test-fraction sets test_fraction
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=cast,
+                           choices=CHOICES.get(dest), help=HELP.get(dest))
+        p.add_argument("--out", required=out_required)
+        p.set_defaults(func=func)
+    sub.choices["match"].add_argument("--injective", action="store_true")
+    sub.choices["eval"].add_argument("--checkpoint", required=True)
+    sub.choices["eval"].add_argument("--split", help="split.json from a training run")
     return parser
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -71,15 +70,6 @@ class HetGraph:
     index into ``edge_names``, the schema's order).  Neighbor CSRs and their
     degree orders, edge keys and degrees are built from those arrays on first use.
     """
-
-    def __init__(self, schema: Schema,
-                 nodes: list[tuple[str, str, np.ndarray]],
-                 edges: list[tuple[str, str, str]]):
-        """``nodes`` holds (id, type, attributes) triples, ``edges`` (source id, target id, type)."""
-        ids, types, attrs = zip(*nodes) if nodes else ((), (), ())
-        rows = [np.asarray(a, dtype=np.float64).ravel() for a in attrs]
-        self._build(schema, list(ids), types, np.concatenate(rows) if rows else np.zeros(0),
-                    np.fromiter(map(len, rows), np.intp, len(rows)), edges)
 
     @classmethod
     def from_columns(cls, schema: Schema, ids: list[str], types: Sequence[str],
@@ -182,7 +172,7 @@ class HetGraph:
     @cached_property
     def _edge_keys(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per edge type, the sorted distinct ``source * n + target`` keys of its
-        edges, of its reversed edges, and of the pairs ``has_edge`` accepts (both
+        edges, of its reversed edges, and of the pairs ``has_edges`` accepts (both
         for an undirected type) closed by ``n * n``, which is above every key."""
         n, keys = self._n, {}
         for k, r in enumerate(self.edge_names):
@@ -208,23 +198,14 @@ class HetGraph:
         n = self._n
         return _csr(np.unique(np.concatenate((self.src * n + self.dst, self.dst * n + self.src))), n)
 
-    @cached_property
-    def _key_lists(self) -> dict[str, list[int]]:
-        """``has_edge``'s keys as lists: a bisect is ~10x faster per call than numpy."""
-        return {r: keys[2].tolist() for r, keys in self._edge_keys.items()}
-
-    def has_edge(self, s: int, t: int, etype: str) -> bool:
-        """True if the typed edge exists; undirected types match either way."""
-        keys, key = self._key_lists[etype], s * self._n + t
-        return keys[bisect_left(keys, key)] == key
-
     def has_edges(self, s: np.ndarray, t: np.ndarray, etype: str) -> np.ndarray:
-        """``has_edge`` for each pair of the source and target arrays."""
+        """For each pair of the source and target arrays, True if the typed edge
+        exists; undirected types match either way."""
         keys, key = self._edge_keys[etype][2], s * self._n + t
         return keys[keys.searchsorted(key)] == key
 
     def adjacency(self, etype: str | None, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The CSR ``(ptr, idx)`` of the pairs ``has_edge`` accepts: node i's
+        """The CSR ``(ptr, idx)`` of the pairs ``has_edges`` accepts: node i's
         distinct ``etype`` targets (sources when ``reverse``; both for an
         undirected type) are ``idx[ptr[i]:ptr[i + 1]]``, ascending.  With
         ``etype`` None they are the nodes sharing an edge of any type with i."""
@@ -355,10 +336,23 @@ def save_schema(schema: Schema, path: str | os.PathLike) -> None:
 
 
 def _read_records(path: str | os.PathLike) -> tuple[list[str] | None, list[list[str]]]:
-    """A CSV file's header, then its records, blank ones (``[]``) too: record k is on line k + 2."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        return next(reader, None), list(reader)
+    """A CSV file's header, then its records, blank ones (``[]``) too: record k is on line k + 2.
+
+    Bytes that are not UTF-8 raise ``DimensionMismatch`` naming the file and line.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            return next(reader, None), list(reader)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:  # the reader decodes in chunks: locate the bad bytes in the whole file
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DimensionMismatch(f"{path} line {line}: not UTF-8 ({exc.reason})") from exc
+        raise
 
 
 def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
@@ -410,6 +404,11 @@ def write_text(path: str | os.PathLike, text: str) -> None:
     """Write the text as UTF-8, line ends as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def tsv(header: Sequence, rows) -> str:
+    """A tab-separated table: the header's fields, then each row's, one line each."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in chain([header], rows))
 
 
 def save_graph(graph: HetGraph, out_dir: str | os.PathLike) -> dict[str, str]:

@@ -11,9 +11,9 @@ Pipeline per company node i:
   5. a linear readout plus sigmoid turns the fused embedding into the
      evasion probability, trained with binary cross-entropy.
 
-``forward`` runs the whole pipeline batched on an autodiff tape; the
-module-level functions implement the same stages one node at a time in plain
-numpy and exist as the readable reference (tests check both paths agree).
+``forward`` runs the whole pipeline for a batch on an autodiff tape, with
+two fused ops for stages 2-3 and 4-5.  The readable node-at-a-time reference
+that the tests check it against is ``tests/reference_model.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,16 +75,6 @@ class ModelConfig:
         return "hete" in self.ablation
 
 
-def _elu(x):
-    """Feature transform of stages 2-4 (``ad.elu`` on the tape)."""
-    return np.where(x >= 0, x, np.expm1(np.minimum(x, 0.0)))
-
-
-def _leaky_relu(x):
-    """Attention-logit activation, slope 0.2 (``ad._leaky_relu`` in the fused ops)."""
-    return np.where(x >= 0, x, 0.2 * x)
-
-
 class FlatArrays(dict):
     """Named float64 arrays that are views into one flat buffer, ``flat``.
 
@@ -128,21 +119,6 @@ class ModelParams:
     def company_type(self) -> str:
         return self.meta["company_type"]
 
-    def proj(self, node_type: str) -> np.ndarray:
-        key = f"proj::{node_type}"
-        if key not in self.arrays:
-            raise MissingProjection(f"no projection matrix for node type {node_type!r}")
-        return self.arrays[key]
-
-    def inst_w(self, pattern_id: str, head: int) -> np.ndarray:
-        return self.arrays[f"inst::{pattern_id}::h{head}"]
-
-    def attn_inst(self, pattern_id: str) -> np.ndarray:
-        return self.arrays[f"attn_inst::{pattern_id}"]
-
-    def attn_cross(self, pattern_id: str) -> np.ndarray:
-        return self.arrays[f"attn_cross::{pattern_id}"]
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     s = math.sqrt(6.0 / (fan_in + fan_out))
@@ -184,134 +160,41 @@ def init_params(schema: Schema, patterns: Sequence[RptPattern],
     return ModelParams(arrays, meta)
 
 
-# --- per-node reference path ---------------------------------------------------
-
-def project(graph: HetGraph, params: ModelParams,
-            nodes: Sequence[int] | None = None) -> dict[int, np.ndarray]:
-    """Shared-space vectors: h_i = P[type(i)] @ x_i."""
-    out: dict[int, np.ndarray] = {}
-    targets = range(len(graph)) if nodes is None else nodes
-    for i in targets:
-        P = params.proj(graph.types[i])
-        if P.shape[1] != graph.x[i].size:
-            raise ShapeMismatch(
-                f"projection for type {graph.types[i]!r} expects input "
-                f"{P.shape[1]}, node has {graph.x[i].size}")
-        out[i] = P @ graph.x[i]
-    return out
-
-
-def encode_instance(row: np.ndarray, h: dict[int, np.ndarray], params: ModelParams,
-                    pattern: RptPattern, config: ModelConfig) -> np.ndarray:
-    """Per-head linear map over the concatenated role projections, heads concatenated.
-
-    ``row`` holds the instance's nodes in canonical role order.  The anchor's
-    vector always leads; remaining roles follow canonical pattern order, so a
-    node filling two roles contributes its vector once per slot.  With the
-    company-only ablation, non-company roles contribute zeros.
-    """
-    mapping = dict(zip(pattern.role_names, row.tolist()))
-    parts = []
-    for role, rtype in pattern.anchor_first_roles():
-        if config.company_only and rtype != params.company_type:
-            parts.append(np.zeros(config.proj_dim))
-        else:
-            parts.append(h[mapping[role]])
-    c = np.concatenate(parts)
-    heads = [_elu(params.inst_w(pattern.pattern_id, k) @ c) for k in range(config.heads)]
-    return np.concatenate(heads)
-
-
-def inner_rpt_attention(encodings: np.ndarray, params: ModelParams,
-                        pattern_id: str, config: ModelConfig
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Attend over one node's instance encodings (rows); returns (summary, weights)."""
-    if encodings.ndim != 2 or encodings.shape[0] < 1:
-        raise ShapeMismatch("need at least one instance encoding")
-    n = encodings.shape[0]
-    if config.inner_uniform:
-        alpha = np.full(n, 1.0 / n)
-    else:
-        e = _leaky_relu(encodings @ params.attn_inst(pattern_id))
-        e = e - e.max()
-        alpha = np.exp(e) / np.exp(e).sum()
-    f = _elu(alpha @ encodings)
-    return f, alpha
-
-
-def cross_rpt_attention(summaries: dict[str, np.ndarray], x_i: np.ndarray,
-                        params: ModelParams, config: ModelConfig
-                        ) -> tuple[np.ndarray, dict[str, float]]:
-    """Fuse per-pattern summaries into the final embedding.
-
-    Only patterns present in ``summaries`` take part; their weights renormalize
-    among themselves.  With no pattern present the query vector alone is pushed
-    through the shared transform (degenerate path).
-    """
-    W, b, Q = params.arrays["cross_w"], params.arrays["cross_b"], params.arrays["query"]
-    q = _elu(Q @ x_i)
-    present = [pid for pid in params.pattern_ids if pid in summaries]
-    if not present:
-        return _elu(W @ q + b), {}
-    d = config.embed_dim
-    m = {pid: _elu(W @ summaries[pid] + b) for pid in present}
-    if config.cross_uniform:
-        beta = np.full(len(present), 1.0 / len(present))
-    else:
-        logits = np.array([
-            _leaky_relu(float(params.attn_cross(pid) @ np.concatenate([q, m[pid]])) / math.sqrt(d))
-            for pid in present
-        ])
-        logits = logits - logits.max()
-        beta = np.exp(logits) / np.exp(logits).sum()
-    z = np.zeros(d)
-    for w, pid in zip(beta, present):
-        z += w * m[pid]
-    return z, {pid: float(w) for pid, w in zip(present, beta)}
-
-
-def readout(z: np.ndarray, params: ModelParams) -> float:
-    """Evasion probability from the fused embedding: sigmoid of a linear logit."""
-    t = float(params.arrays["readout_w"] @ z) + float(params.arrays["readout_b"])
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    return math.exp(t) / (1.0 + math.exp(t))
-
-
 # --- batched tape path -----------------------------------------------------------
 
+@dataclass
 class ForwardResult:
     """One batch's outputs, keyed by node.
 
-    ``alpha`` and ``beta`` are dicts; ``forward`` builds them on first read from
-    the arrays it keeps: ``betas`` ([batch row, pattern column], zero where
-    ``present`` is not set) and, per pattern, (batch rows, segment offsets,
-    instance weights).
+    ``betas`` is [batch row, pattern column], zero where ``present`` is not
+    set; ``inner`` holds per pattern (batch rows, segment offsets, instance
+    weights).  ``alpha`` and ``beta`` build dicts from them on first read.
     """
 
-    def __init__(self, batch, loss, p, z, degenerate, alpha, beta, tape=None,
-                 loss_tensor=None, betas=None, present=None, pattern_ids=()):
-        self.batch: list[int] = batch
-        self.loss: float | None = loss
-        self.p: dict[int, float] = p
-        self.z: dict[int, np.ndarray] = z
-        self.degenerate: set[int] = degenerate
-        self._alpha, self._beta = alpha, beta
-        self.tape: ad.Tape | None = tape
-        self.loss_tensor: ad.Tensor | None = loss_tensor
-        self.betas, self.present, self.pattern_ids = betas, present, list(pattern_ids)
+    batch: list[int]
+    loss: float | None
+    p: dict[int, float]
+    z: dict[int, np.ndarray]
+    degenerate: set[int]
+    tape: ad.Tape | None
+    loss_tensor: ad.Tensor | None
+    betas: np.ndarray
+    present: np.ndarray
+    pattern_ids: list[str]
+    inner: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    @property
+    @cached_property
     def alpha(self) -> dict[tuple[int, str], np.ndarray]:
-        if callable(self._alpha):
-            self._alpha = self._alpha()
-        return self._alpha
+        return {(self.batch[r], pid): weights[a:b]
+                for pid, (positions, offsets, weights) in self.inner.items()
+                for r, a, b in zip(positions.tolist(), offsets[:-1].tolist(),
+                                   offsets[1:].tolist())}
 
-    @property
+    @cached_property
     def beta(self) -> dict[int, dict[str, float]]:
-        if callable(self._beta):
-            self._beta = self._beta()
-        return self._beta
+        return {node: {pid: b for pid, b, on in zip(self.pattern_ids, row, on_row) if on}
+                for node, row, on_row in zip(self.batch, self.betas.tolist(),
+                                             self.present.tolist())}
 
 
 def _check_batch(graph: HetGraph, batch: list[int], company: str,
@@ -420,69 +303,13 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
         loss_tensor = ad.bce_with_logits_mean(logits, y)
         loss = float(loss_tensor.data)
 
-    def alpha_of():
-        return {(batch[r], pid): weights[a:b]
-                for pid, (positions, offsets, weights) in inner.items()
-                for r, a, b in zip(positions.tolist(), offsets[:-1].tolist(),
-                                   offsets[1:].tolist())}
-
-    def beta_of():
-        return {node: {pid: b for pid, b, on in zip(pattern_ids, row, on_row) if on}
-                for node, row, on_row in zip(batch, betas.tolist(), present.tolist())}
-
     return ForwardResult(
         batch, loss,
         p=dict(zip(batch, ad.sigmoid(logits.data).tolist())),
         z=dict(zip(batch, z.copy())),
         degenerate={i for i, on in zip(batch, present.any(axis=1).tolist()) if not on},
-        alpha=alpha_of, beta=beta_of,
         tape=tape if labels is not None else None, loss_tensor=loss_tensor,
-        betas=betas, present=present, pattern_ids=pattern_ids)
-
-
-def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
-                      params: ModelParams, config: ModelConfig,
-                      labels: dict[int, int] | None = None) -> ForwardResult:
-    """Node-at-a-time composition of the reference stages (no tape, no gradients)."""
-    batch = list(batch)
-    _check_batch(graph, batch, params.company_type, labels)
-    needed: set[int] = set(batch)
-    pattern_by_id = {p.pattern_id: p for p in index.patterns}
-    for i in batch:
-        for pid in index.pattern_ids:
-            needed.update(index.instances(i, pid).ravel().tolist())
-    h = project(graph, params, sorted(needed))
-    p_map: dict[int, float] = {}
-    z_map: dict[int, np.ndarray] = {}
-    alpha_rec: dict[tuple[int, str], np.ndarray] = {}
-    beta_rec: dict[int, dict[str, float]] = {}
-    degenerate: set[int] = set()
-    losses = []
-    for i in batch:
-        summaries: dict[str, np.ndarray] = {}
-        for pid in index.pattern_ids:
-            rows = index.instances(i, pid)
-            if not len(rows):
-                continue
-            enc = np.stack([
-                encode_instance(row, h, params, pattern_by_id[pid], config)
-                for row in rows
-            ])
-            f, alpha = inner_rpt_attention(enc, params, pid, config)
-            summaries[pid] = f
-            alpha_rec[(i, pid)] = alpha
-        z, beta = cross_rpt_attention(summaries, graph.x[i], params, config)
-        if not summaries:
-            degenerate.add(i)
-        z_map[i] = z
-        beta_rec[i] = beta
-        p_map[i] = readout(z, params)
-        if labels is not None:
-            y = labels[i]
-            p = min(max(p_map[i], 1e-12), 1.0 - 1e-12)
-            losses.append(-(y * math.log(p) + (1 - y) * math.log(1.0 - p)))
-    loss = float(np.mean(losses)) if losses else None
-    return ForwardResult(list(batch), loss, p_map, z_map, degenerate, alpha_rec, beta_rec)
+        betas=betas, present=present, pattern_ids=pattern_ids, inner=inner)
 
 
 # --- checkpoints -----------------------------------------------------------------

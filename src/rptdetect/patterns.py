@@ -163,29 +163,20 @@ BUNDLED_METAPATHS: dict[str, list[str]] = {
 
 
 def load_patterns(path: str | os.PathLike) -> list[RptPattern]:
+    """Read a ``{"patterns": [{"id", "roles", "edges", "anchor"}, ...]}`` file;
+    a file that is not one raises ``PatternTypeUnknown`` naming it."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    out = []
-    for spec in raw["patterns"]:
-        out.append(RptPattern(
-            pattern_id=spec["id"],
-            roles=tuple((r, t) for r, t in spec["roles"]),
-            edges=tuple((s, t, e) for s, t, e in spec["edges"]),
-            anchor=spec["anchor"],
-        ))
-    return out
-
-
-def save_patterns(patterns, path: str | os.PathLike) -> None:
-    raw = {"patterns": [
-        {
-            "id": p.pattern_id,
-            "anchor": p.anchor,
-            "roles": [list(rt) for rt in p.roles],
-            "edges": [list(e) for e in p.edges],
-        }
-        for p in patterns
-    ]}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(raw, fh, indent=2)
-        fh.write("\n")
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise PatternTypeUnknown(f"pattern file {path}: not JSON ({exc})") from exc
+    try:
+        return [RptPattern(pattern_id=spec["id"],
+                           roles=tuple((r, t) for r, t in spec["roles"]),
+                           edges=tuple((s, t, e) for s, t, e in spec["edges"]),
+                           anchor=spec["anchor"])
+                for spec in raw["patterns"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PatternTypeUnknown(
+            f"pattern file {path}: needs a 'patterns' list of objects with 'id', 'roles', "
+            f"'edges' and 'anchor' ({type(exc).__name__}: {exc})") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoLabeledPairs
-from .hetgraph import HetGraph
+from .hetgraph import HetGraph, tsv
 from .matcher import CenterSets, NeighborIndex
 
 KIND_RPT = "rpt"
@@ -126,15 +126,11 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
 
 def stats_table_text(stats: EvasionStats) -> str:
     """Plot-ready TSV: one row per neighbor definition."""
-    lines = ["definition\tkind\tpairs\thits\tprobability"]
-    for r in stats.rows:
-        p = "undefined" if r.probability is None else repr(r.probability)
-        lines.append(f"{r.name}\t{r.kind}\t{r.pairs}\t{r.hits}\t{p}")
-    return "\n".join(lines) + "\n"
+    return tsv(("definition", "kind", "pairs", "hits", "probability"),
+               ((r.name, r.kind, r.pairs, r.hits,
+                 "undefined" if r.probability is None else r.probability) for r in stats.rows))
 
 
 def ratio_table_text(stats: EvasionStats) -> str:
-    lines = ["rpt_definition\tbaseline\tratio"]
-    for a, b, v in stats.ratios:
-        lines.append(f"{a}\t{b}\t{'undefined' if v is None else repr(v)}")
-    return "\n".join(lines) + "\n"
+    return tsv(("rpt_definition", "baseline", "ratio"),
+               ((a, b, "undefined" if v is None else v) for a, b, v in stats.ratios))

@@ -184,16 +184,15 @@ class LinearClassifier:
     mean: np.ndarray
     std: np.ndarray
 
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        return ((X - self.mean) / self.std) @ self.w + self.b
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision(X) >= 0).astype(int)
+        return (((X - self.mean) / self.std) @ self.w + self.b >= 0).astype(int)
+
+
+# the downstream classifier's iteration budget, L2 weight and base step size
+CLASSIFIER_ITERS, CLASSIFIER_REG, CLASSIFIER_LR0 = 300, 1e-3, 0.5
 
 
 def train_downstream_classifier(X: np.ndarray, y: Sequence[int], seed: int = 0, *,
-                                iters: int = 300, reg: float = 1e-3,
-                                lr0: float = 0.5,
                                 class_weight: str | None = None) -> LinearClassifier:
     """Linear max-margin classifier: L2-regularized hinge loss minimized by
     deterministic full-batch subgradient descent with a fixed iteration budget.
@@ -222,13 +221,13 @@ def train_downstream_classifier(X: np.ndarray, y: Sequence[int], seed: int = 0, 
     rng = np.random.default_rng(seed)
     w = rng.uniform(-0.01, 0.01, size=X.shape[1])
     b = 0.0
-    for t in range(1, iters + 1):
+    for t in range(1, CLASSIFIER_ITERS + 1):
         margins = s * (Xs @ w + b)
         viol = margins < 1.0
         sw = s[viol] * weight[viol]
-        gw = reg * w - (sw[:, None] * Xs[viol]).sum(axis=0) / n
+        gw = CLASSIFIER_REG * w - (sw[:, None] * Xs[viol]).sum(axis=0) / n
         gb = -float(sw.sum()) / n
-        lr = lr0 / math.sqrt(t)
+        lr = CLASSIFIER_LR0 / math.sqrt(t)
         w = w - lr * gw
         b = b - lr * gb
     return LinearClassifier(w, b, mean, std)

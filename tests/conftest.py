@@ -37,9 +37,12 @@ def small_schema(dim: int = 2) -> Schema:
 
 
 def make_graph(schema: Schema, nodes, edges) -> HetGraph:
-    """nodes: (id, type) pairs; attributes filled with zeros of the right size."""
-    full = [(nid, t, np.zeros(schema.node_types[t])) for nid, t in nodes]
-    return HetGraph(schema, full, edges)
+    """nodes: (id, type, attributes) triples, or (id, type) pairs whose attributes
+    are zeros of the right size; edges: (source id, target id, type) triples."""
+    attrs = [np.ravel(n[2]) if len(n) == 3 else np.zeros(schema.node_types[n[1]]) for n in nodes]
+    return HetGraph.from_columns(schema, [n[0] for n in nodes], [n[1] for n in nodes],
+                                 np.concatenate([np.zeros(0), *attrs]),
+                                 np.array([a.size for a in attrs], dtype=np.intp), edges)
 
 
 def random_typed_graph(rng: np.random.Generator, n_companies: int, n_persons: int,
@@ -116,6 +119,13 @@ class InstanceRows(np.ndarray):
         return not self == other
 
 
+def edge_set(graph: HetGraph) -> set[tuple[int, int, str]]:
+    """The (source, target, type) triples an edge test accepts, built from
+    ``graph.edges``: an undirected type's edges count both ways."""
+    return set(graph.edges) | {(t, s, r) for s, t, r in graph.edges
+                               if not graph.schema.edge_types[r].directed}
+
+
 def brute_force_instances(graph: HetGraph, pattern: RptPattern,
                           injective: bool = False) -> InstanceRows:
     """Exhaustive enumeration over every typed role assignment.
@@ -125,6 +135,7 @@ def brute_force_instances(graph: HetGraph, pattern: RptPattern,
     representative, then sorts like the production matcher.  Returns one row
     per instance, columns in canonical role order.
     """
+    accepted = edge_set(graph)
     role_names = list(pattern.role_names)
     anchor_pos = role_names.index(pattern.anchor)
     candidate_lists = [graph.nodes_of_type(t) for _, t in pattern.roles]
@@ -133,8 +144,7 @@ def brute_force_instances(graph: HetGraph, pattern: RptPattern,
         if injective and len(set(combo)) != len(combo):
             continue
         assign = dict(zip(role_names, combo))
-        if not all(graph.has_edge(assign[s], assign[t], e)
-                   for s, t, e in pattern.edges):
+        if not all((assign[s], assign[t], e) in accepted for s, t, e in pattern.edges):
             continue
         key = (combo[anchor_pos], tuple(sorted(combo)))
         if key not in kept or combo < kept[key]:

@@ -1,12 +1,15 @@
 """End-to-end CLI tests over a small synthetic dataset."""
 
+import csv
 import hashlib
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rptdetect
@@ -250,6 +253,36 @@ def test_sweep_timing_mode_writes_rows(tmp_path):
     assert len(rows) == 3
 
 
+def test_sweep_timing_mode_rejects_bad_sizes_flag_in_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--mode", "timing", "--sizes", "5k,10k"])
+    assert exc.value.code == 2 and "--sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--manifest", "{manifest}"], "PipelineError\tmanifest {manifest}:"),
+    ([], "PipelineError\tRPTDETECT_SIZES:"),
+    (["--sizes", ","], "InfeasibleConfig\t"),
+], ids=["manifest", "env", "empty"])
+def test_sweep_timing_mode_rejects_bad_sizes_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                                 flags, error):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"sizes": "5k,10k"}))
+    monkeypatch.setenv("RPTDETECT_SIZES", "5k,10k")  # the manifest and a flag come first
+    argv = ["sweep", "--mode", "timing", "--out", str(tmp_path / "run")]
+    assert main(argv + [f.format(manifest=manifest) for f in flags]) == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1, errors
+    assert errors[0].startswith("error\t" + error.format(manifest=manifest)), errors
+    assert not (tmp_path / "run").exists()
+
+
+def test_embeddings_csv_quotes_ids_for_csv_reader():
+    embeddings = {'a,"b"': np.array([0.5, -1.0]), "plain": np.array([1e-05, 2.0])}
+    rows = list(csv.reader(io.StringIO(cli._embeddings_text(embeddings), newline="")))
+    assert rows == [["id", "z0", "z1"], ['a,"b"', "0.5", "-1.0"], ["plain", "1e-05", "2.0"]]
+
+
 def test_sweep_timing_mode_rejects_one_class_train_split(capsys):
     rc = main(["sweep", "--mode", "timing", "--sizes", "250", "--psr", "1.0",
                "--epochs", "1", "--dim", "8", "--proj-dim", "4",
@@ -368,6 +401,37 @@ def test_short_edges_row_fails_with_line_number(dataset, tmp_path, capsys):
     errors = error_lines(capsys)
     assert len(errors) == 1
     assert errors[0].startswith("error\tDimensionMismatch\tedges file line 4:")
+
+
+@pytest.mark.parametrize("name", ["nodes.csv", "edges.csv", "labels.csv"])
+def test_non_utf8_bytes_fail_naming_the_file_and_line(dataset, tmp_path, capsys, name):
+    bad = tmp_path / "bad"
+    assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
+    lines = (bad / name).read_bytes().split(b"\n")
+    lines[2] = b"\xff\xfe" + lines[2]
+    (bad / name).write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    rc = main(["ingest", "--graph", str(bad)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error\tDimensionMismatch\t{bad / name} line 3: not UTF-8")
+
+
+@pytest.mark.parametrize("content", [
+    "not json",
+    '[{"id": "X"}]',
+    '{"patterns": [{"id": "X", "edges": [], "anchor": "a"}]}',
+    '{"patterns": [{"id": "X", "roles": [["a"]], "edges": [], "anchor": "a"}]}',
+], ids=["not-json", "not-an-object", "no-roles", "role-not-a-pair"])
+def test_malformed_pattern_file_fails_naming_the_file(dataset, tmp_path, capsys, content):
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text(content)
+    rc = main(["match", "--graph", str(dataset), "--patterns", str(patterns)])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error\tPatternTypeUnknown\tpattern file {patterns}:")
 
 
 @pytest.mark.parametrize("command", ["stats", "train"])

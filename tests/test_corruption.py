@@ -2,7 +2,8 @@
 
 Each example takes a valid generated file set, breaks one file in one way
 (drops a cell, puts junk in a cell, cuts the file short, writes NaN or inf,
-repeats an id), adds blank lines, and runs every command that reads the file.
+repeats an id, writes bytes that are not UTF-8), adds blank lines, and runs
+every command that reads the file.
 """
 
 import contextlib
@@ -19,10 +20,11 @@ from rptdetect.cli import main  # noqa: E402
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity"]
 # (file, corruption) pairs that always make the file set invalid
 CORRUPTIONS = ([("nodes.csv", k) for k in ("drop-column", "junk-cell", "truncate",
-                                           "non-finite", "duplicate-id")]
-               + [("edges.csv", k) for k in ("drop-column", "junk-cell", "truncate")]
+                                           "non-finite", "duplicate-id", "invalid-bytes")]
+               + [("edges.csv", k) for k in ("drop-column", "junk-cell", "truncate",
+                                             "invalid-bytes")]
                + [("labels.csv", k) for k in ("drop-column", "junk-cell", "truncate",
-                                              "non-finite", "duplicate-id")]
+                                              "non-finite", "duplicate-id", "invalid-bytes")]
                + [("schema.json", "truncate")])
 # the first cell junk always breaks: a junk node id would only rename an
 # unconnected node, and a junk label id is reported, not rejected, by ingest
@@ -65,6 +67,8 @@ def corrupt(text: str, name: str, kind: str, row: int, cell: int, other: int,
     elif kind == "duplicate-id":
         shift = 1 + other % (len(lines) - 2)  # to another record
         cells[0] = lines[1 + (r - 1 + shift) % (len(lines) - 1)].split(",")[0]
+    elif kind == "invalid-bytes":  # written as the bytes 0xff 0xfe, which are not UTF-8
+        cells[cell % len(cells)] = "\udcff\udcfe" + cells[cell % len(cells)]
     lines[r] = ",".join(cells)
     if kind == "truncate":  # cut just after the first cell of a line, header included
         r = row % len(lines)
@@ -84,7 +88,8 @@ def test_corrupted_file_fails_every_reading_command_with_one_error_line(
     for f in ("schema.json", "nodes.csv", "edges.csv", "labels.csv"):
         shutil.copy(dataset / f, bad / f)
     (bad / name).write_text(corrupt((dataset / name).read_text(encoding="utf-8"), name, kind,
-                                    row, cell, other, junk, blanks), encoding="utf-8")
+                                    row, cell, other, junk, blanks),
+                            encoding="utf-8", errors="surrogateescape")
     for command, flags in COMMANDS.items():
         if name == "labels.csv" and command == "match":  # the one command without labels
             continue

@@ -8,25 +8,20 @@ import pytest
 from rptdetect import autodiff as ad
 from rptdetect.autodiff import finite_diff_check
 from rptdetect.errors import DuplicateBatchNode, EmptyBatch, MissingProjection
-from rptdetect.hetgraph import HetGraph, labels_to_indices
+from rptdetect.hetgraph import labels_to_indices
 from rptdetect.matcher import build_neighbor_index
-from rptdetect.model import (
-    ModelConfig,
-    ModelParams,
-    cross_rpt_attention,
-    encode_instance,
-    forward,
-    forward_reference,
-    init_params,
-    inner_rpt_attention,
-    load_params,
-    project,
-    save_params,
-)
+from rptdetect.model import ModelConfig, ModelParams, forward, init_params, load_params, save_params
 from rptdetect.patterns import bundled_patterns
 from rptdetect.synth import GenConfig, generate
 
 from conftest import make_graph, small_schema
+from reference_model import (
+    cross_rpt_attention,
+    encode_instance,
+    forward_reference,
+    inner_rpt_attention,
+    project,
+)
 
 
 def toy_setup(seed=0, companies=14, communities=2, decoys=1, heads=2,
@@ -44,8 +39,8 @@ def toy_setup(seed=0, companies=14, communities=2, decoys=1, heads=2,
 
 
 def test_projection_identity_and_zero():
-    g = HetGraph(small_schema(), [("a", "company", np.array([1.0, -2.0])),
-                                  ("p", "person", np.array([3.0, 4.0]))], [])
+    g = make_graph(small_schema(), [("a", "company", np.array([1.0, -2.0])),
+                                    ("p", "person", np.array([3.0, 4.0]))], [])
     params = ModelParams(
         {"proj::company": np.eye(2), "proj::person": np.zeros((2, 2))},
         {"patterns": {}, "company_type": "company", "proj_dim": 2,
@@ -59,7 +54,7 @@ def test_projection_matches_direct_product(rng):
     graph, _, _, params, _ = toy_setup()
     h = project(graph, params)
     for i in range(len(graph)):
-        expected = params.proj(graph.types[i]) @ graph.x[i]
+        expected = params.arrays[f"proj::{graph.types[i]}"] @ graph.x[i]
         np.testing.assert_allclose(h[i], expected, atol=1e-12)
 
 
@@ -91,7 +86,7 @@ def test_encode_input_width_is_roles_times_proj_dim():
     graph, _, index, params, config = toy_setup()
     for p in index.patterns:
         for head in range(config.heads):
-            assert params.inst_w(p.pattern_id, head).shape == (
+            assert params.arrays[f"inst::{p.pattern_id}::h{head}"].shape == (
                 config.head_dim, len(p.roles) * config.proj_dim)
 
 
@@ -127,7 +122,7 @@ def test_inner_attention_matches_direct_softmax(rng):
     graph, _, index, params, config = toy_setup()
     enc = rng.normal(size=(5, config.embed_dim))
     f, alpha = inner_rpt_attention(enc, params, "PCCP", config)
-    k = params.attn_inst("PCCP")
+    k = params.arrays["attn_inst::PCCP"]
     logits = enc @ k
     logits = np.where(logits >= 0, logits, 0.2 * logits)  # leaky attention
     expect = np.exp(logits - logits.max())
@@ -171,7 +166,7 @@ def test_cross_attention_matches_direct_recomputation(rng):
     q = act(Q @ x)
     m = {pid: act(W @ summaries[pid] + b) for pid in params.pattern_ids}
     logits = np.array([
-        leaky(float(params.attn_cross(pid) @ np.concatenate([q, m[pid]]))
+        leaky(float(params.arrays[f"attn_cross::{pid}"] @ np.concatenate([q, m[pid]]))
               / math.sqrt(config.embed_dim))
         for pid in params.pattern_ids])
     expect_beta = np.exp(logits - logits.max())

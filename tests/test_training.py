@@ -11,7 +11,7 @@ from rptdetect.errors import (
 )
 import logging
 
-from rptdetect.hetgraph import HetGraph, labels_to_indices
+from rptdetect.hetgraph import labels_to_indices
 from rptdetect.matcher import build_neighbor_index
 from rptdetect.model import forward, init_params
 from rptdetect.patterns import applicable_patterns, bundled_patterns
@@ -30,6 +30,8 @@ from rptdetect.training import (
     train,
     train_downstream_classifier,
 )
+
+from conftest import make_graph
 
 
 def balanced_labels(n=100):
@@ -308,9 +310,9 @@ def test_diverged_loss_raises():
     graph, index, labels = bench_dataset(seed=5)
     # overflow-scale attributes drive the forward pass to NaN within an epoch
     with np.errstate(all="ignore"):
-        graph = HetGraph(graph.schema, [(i, t, a * 1e308) for i, t, a in
-                                        zip(graph.ids, graph.types, graph.x)],
-                         [(graph.ids[s], graph.ids[t], r) for s, t, r in graph.edges])
+        graph = make_graph(graph.schema, [(i, t, a * 1e308) for i, t, a in
+                                          zip(graph.ids, graph.types, graph.x)],
+                           [(graph.ids[s], graph.ids[t], r) for s, t, r in graph.edges])
     config = TrainConfig(epochs=5, batch_size=64, embed_dim=8, proj_dim=8,
                          test_fraction=0.3, seed=5)
     with np.errstate(all="ignore"), pytest.raises(DivergedLoss):
