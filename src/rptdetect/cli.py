@@ -13,21 +13,23 @@ import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InfeasibleConfig, PipelineError
 from .hetgraph import (
+    GRAPH_FILES,
     _quote,
     degree_histogram,
     labels_to_indices,
     load_graph,
     load_labels,
+    read_json,
     save_graph,
     save_labels,
     tsv,
     validate_labels,
-    write_text,
 )
 from .matcher import build_neighbor_index, enumerate_instances, k_order_neighbors, metapath_neighbors
 from .model import load_params, save_params
@@ -45,19 +47,11 @@ ENV_PREFIX = "RPTDETECT_"
 PSR_GRID = (0.5, 0.4, 0.3, 0.2, 0.1)
 
 
-def _read_json(path: str, what: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise PipelineError(f"{what} {path}: not JSON ({exc})") from exc
-
-
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
     """Fill unset options from manifest, environment, then defaults."""
     manifest = {}
     if getattr(args, "manifest", None):
-        manifest = _read_json(args.manifest, "manifest")
+        manifest = read_json(args.manifest, "manifest", PipelineError)
         if not isinstance(manifest, dict):
             raise PipelineError(f"manifest {args.manifest}: not a JSON object")
     for dest, (cast, default) in spec.items():
@@ -74,10 +68,7 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
 
 def _graph_paths(args: argparse.Namespace) -> tuple[str, str, str]:
     if args.graph:
-        base = args.graph
-        return (os.path.join(base, "schema.json"),
-                os.path.join(base, "nodes.csv"),
-                os.path.join(base, "edges.csv"))
+        return tuple(os.path.join(args.graph, name) for name in GRAPH_FILES)
     if not (args.schema and args.nodes and args.edges):
         raise PipelineError("provide --graph DIR or all of --schema/--nodes/--edges")
     return args.schema, args.nodes, args.edges
@@ -99,9 +90,9 @@ def _load_labels(args: argparse.Namespace, graph) -> dict[str, int]:
     if not labels_path:
         raise PipelineError(f"{args.command} requires --labels")
     labels = load_labels(labels_path)
-    report = validate_labels(graph, labels)
-    if not report.ok:
-        raise PipelineError("invalid labels: " + "; ".join(report.violations))
+    violations = validate_labels(graph, labels)
+    if violations:
+        raise PipelineError("invalid labels: " + "; ".join(violations))
     return labels
 
 
@@ -189,7 +180,7 @@ def _write_outputs(out: str | None, texts: dict[str, str]) -> None:
     if out:
         os.makedirs(out, exist_ok=True)
         for name, text in texts.items():
-            write_text(os.path.join(out, name), text)
+            Path(out, name).write_text(text, encoding="utf-8", newline="")
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -206,7 +197,6 @@ def cmd_generate(args) -> int:
         seed=args.seed,
     )
     graph, labels, truth = generate(config)
-    os.makedirs(args.out, exist_ok=True)
     export_dataset(graph, labels, args.out)
     save_ground_truth(truth, os.path.join(args.out, "communities.json"))
     print(f"wrote dataset: {len(graph)} nodes, {len(graph.src)} edges, "
@@ -221,18 +211,15 @@ def cmd_ingest(args) -> int:
         counts = np.bincount(codes, minlength=len(names)).tolist()
         print(f"{what}: {len(codes)} " + " ".join(
             f"{name}={c}" for name, c in sorted(zip(names, counts)) if c))
-    hist = degree_histogram(graph)
+    texts = {"degree_hist.tsv": tsv(("degree", "count"), degree_histogram(graph))}
     labels_path = _labels_path(args)
-    report = None
     if labels_path:
-        report = validate_labels(graph, load_labels(labels_path))
-        status = "ok" if report.ok else f"{len(report.violations)} violations"
+        violations = validate_labels(graph, load_labels(labels_path))
+        status = f"{len(violations)} violations" if violations else "ok"
         print(f"labels: {status}")
-        for v in report.violations:
+        for v in violations:
             print(f"  {v}")
-    texts = {"degree_hist.tsv": tsv(("degree", "count"), hist)}
-    if report is not None:
-        texts["label_report.txt"] = "".join(v + "\n" for v in report.violations)
+        texts["label_report.txt"] = "".join(v + "\n" for v in violations)
     _write_outputs(args.out, texts)
     return 0
 
@@ -314,7 +301,7 @@ def cmd_eval(args) -> int:
     config = replace(_train_config(args), proj_dim=params.meta["proj_dim"],
                      embed_dim=params.meta["embed_dim"], heads=params.meta["heads"])
     if args.split:
-        split = _read_json(args.split, "split")
+        split = read_json(args.split, "split", PipelineError)
         if not (isinstance(split, dict) and isinstance(split.get("train"), list)
                 and isinstance(split.get("test"), list)):
             raise PipelineError(f"split {args.split}: needs 'train' and 'test' id lists")

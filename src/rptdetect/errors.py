@@ -89,11 +89,7 @@ class SingleClass(PipelineError):
     pass
 
 
-# --- data generation / io --------------------------------------------------
+# --- data generation -------------------------------------------------------
 
 class InfeasibleConfig(PipelineError):
-    pass
-
-
-class IoFailure(PipelineError):
     pass

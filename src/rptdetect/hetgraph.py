@@ -8,13 +8,17 @@ all-or-nothing; any violation aborts before a graph object exists.
 from __future__ import annotations
 
 import csv
+import gc
+import hashlib
+import io
 import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +71,7 @@ class HetGraph:
     sorted ``type_names``, and its attributes are row ``row_in_type[i]`` of
     its type's matrix (``type_features``).  Edges are kept exactly as
     ingested, as the parallel arrays ``src``, ``dst`` and ``edge_code`` (an
-    index into ``edge_names``, the schema's order).  Neighbor CSRs and their
+    index into the sorted ``edge_names``).  Neighbor CSRs and their
     degree orders, edge keys and degrees are built from those arrays on first use.
     """
 
@@ -78,51 +82,54 @@ class HetGraph:
         """The graph of nodes given column-wise: node i's attribute vector is the
         next ``widths[i]`` entries of ``values``, the vectors laid end to end in
         node order.  ``edges`` holds (source id, target id, type) records."""
-        graph = cls.__new__(cls)
-        graph._build(schema, ids, types, values, widths, edges)
-        return graph
+        index = dict(zip(ids, range(len(ids))))
+        names = (types, *(zip(*edges) if len(edges) else ((), (), ())))
+        lookups = ({t: k for k, t in enumerate(sorted(schema.node_types))}, index, index,
+                   {r: k for k, r in enumerate(sorted(schema.edge_types))})
+        codes = [np.fromiter(map(d.get, col, repeat(-1)), np.intp, len(col))
+                 for d, col in zip(lookups, names)]
+        return cls.__new__(cls)._build(schema, ids, index, *codes, values, widths, names)
 
-    def _build(self, schema, ids, types, values, widths, edges) -> None:
-        """Validate every node, then every edge; the first violation raises."""
-        self.schema = schema
+    def _build(self, schema, ids, index, code, src, dst, ecode, values, widths,
+               names=None) -> HetGraph | None:
+        """Check the coded nodes, then the coded edges, and keep them (``widths`` None: each
+        type's dimension).  The first violation raises, quoting ``names`` (types, sources,
+        targets, edge types); with no names, it or a bad ``values`` block returns None."""
+        n = len(ids)
+        self.schema, self.ids, self.index, self._n = schema, ids, index, n
         self.type_names: tuple[str, ...] = tuple(sorted(schema.node_types))
-        self.edge_names: tuple[str, ...] = tuple(schema.edge_types)
-        sources, targets, etypes = zip(*edges) if len(edges) else ((), (), ())
-        n, m = len(ids), len(sources)
-        self._n = n
-        self.ids: list[str] = ids
-        self.index: dict[str, int] = dict(zip(ids, range(n)))
-
-        code_of = {t: k for k, t in enumerate(self.type_names)}
-        code = np.fromiter(map(code_of.get, types, repeat(-1)), np.intp, n)
+        self.edge_names: tuple[str, ...] = tuple(sorted(schema.edge_types))
         dims = np.array([schema.node_types[t] for t in self.type_names] + [-1])
+        # a code or node index out of range, clipped to -1 or past the end, reads a sentinel
+        code = np.clip(code, -1, len(self.type_names))
+        widths = dims[code] if widths is None else widths
         duplicate = np.zeros(n, dtype=bool)
-        if len(self.index) != n:
+        if len(index) != n:
             first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
             duplicate = np.fromiter(map(first.__getitem__, ids), np.intp, n) != np.arange(n)
-        bad = np.flatnonzero((code < 0) | duplicate | (widths != dims[code]))
-        if bad.size:
-            k = bad[0]
-            if code[k] < 0:
+        bad = np.flatnonzero((dims[code] < 0) | duplicate | (widths != dims[code]))
+        ends = np.array([[self.type_names.index(schema.edge_types[r].source),
+                          self.type_names.index(schema.edge_types[r].target)]
+                         for r in self.edge_names] + [[-3, -3]], dtype=np.intp)
+        codes, ecode = np.append(code, -2), np.clip(ecode, -1, len(self.edge_names))
+        src, dst = np.clip(src, -1, n), np.clip(dst, -1, n)
+        bad_edge = np.flatnonzero((codes[src] != ends[ecode, 0]) | (codes[dst] != ends[ecode, 1]))
+        if names is None:
+            if (bad.size or bad_edge.size or values.size != widths.sum()
+                    or not np.isfinite(values).all()):
+                return None
+        elif bad.size:
+            k, types = bad[0], names[0]
+            if dims[code[k]] < 0:
                 raise UnknownType(f"node {ids[k]!r} has undeclared type {types[k]!r}")
             if duplicate[k]:
                 raise DuplicateNodeId(f"node id {ids[k]!r} appears twice")
             raise DimensionMismatch(
                 f"node {ids[k]!r}: expected {dims[code[k]]} "
                 f"attributes for type {types[k]!r}, got {widths[k]}")
-
-        ecode_of = {r: k for k, r in enumerate(self.edge_names)}
-        ecode = np.fromiter(map(ecode_of.get, etypes, repeat(-1)), np.intp, m)
-        src = np.fromiter(map(self.index.get, sources, repeat(-1)), np.intp, m)
-        dst = np.fromiter(map(self.index.get, targets, repeat(-1)), np.intp, m)
-        # index -1 (an unknown edge type or node id) reads a sentinel that matches nothing
-        ends = np.array([[code_of[et.source], code_of[et.target]]
-                         for et in schema.edge_types.values()] + [[-3, -3]], dtype=np.intp)
-        codes = np.append(code, -2)
-        bad = np.flatnonzero((codes[src] != ends[ecode, 0]) | (codes[dst] != ends[ecode, 1]))
-        if bad.size:
-            k = bad[0]
-            s, t, etype = sources[k], targets[k], etypes[k]
+        elif bad_edge.size:
+            k = bad_edge[0]
+            types, s, t, etype = names[0], names[1][k], names[2][k], names[3][k]
             if ecode[k] < 0:
                 raise UnknownType(f"edge ({s!r}, {t!r}) has undeclared type {etype!r}")
             if src[k] < 0:
@@ -133,7 +140,6 @@ class HetGraph:
             raise UnknownType(
                 f"edge type {etype!r} expects ({et.source} -> {et.target}), "
                 f"got ({types[src[k]]} -> {types[dst[k]]})")
-
         self.type_code = code
         self.src, self.dst, self.edge_code = src, dst, ecode
         self._degree_orders: dict[tuple[str | None, bool], np.ndarray] = {}
@@ -144,6 +150,7 @@ class HetGraph:
             members = np.flatnonzero(code == k)
             self.row_in_type[members] = np.arange(members.size)
             self._features[t] = values[starts[members, None] + np.arange(dims[k])]
+        return self
 
     # --- structure accessors -------------------------------------------------
 
@@ -256,31 +263,21 @@ def degree_histogram(graph: HetGraph) -> list[tuple[int, int]]:
     return list(zip(present.tolist(), hist[present].tolist()))
 
 
-@dataclass
-class LabelReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_labels(graph: HetGraph, labels: dict[str, int]) -> LabelReport:
+def validate_labels(graph: HetGraph, labels: dict[str, int]) -> list[str]:
     """List violations instead of raising: unknown ids, non-company nodes, bad values."""
-    report = LabelReport()
+    violations = []
     company = graph.schema.company_type
     for node_id, y in labels.items():
         if node_id not in graph.index:
-            report.violations.append(f"label on unknown node id {node_id!r}")
+            violations.append(f"label on unknown node id {node_id!r}")
             continue
         t = graph.types[graph.index[node_id]]
         if t != company:
-            report.violations.append(
-                f"label on node {node_id!r} of type {t!r} (only {company!r} may be labeled)"
-            )
+            violations.append(f"label on node {node_id!r} of type {t!r} "
+                              f"(only {company!r} may be labeled)")
         if y not in (0, 1):
-            report.violations.append(f"label for {node_id!r} must be 0 or 1, got {y!r}")
-    return report
+            violations.append(f"label for {node_id!r} must be 0 or 1, got {y!r}")
+    return violations
 
 
 def labels_to_indices(graph: HetGraph, labels: dict[str, int]) -> dict[int, int]:
@@ -294,15 +291,29 @@ def labels_to_indices(graph: HetGraph, labels: dict[str, int]) -> dict[int, int]
 # nodes.csv   : header "id,type,attrs"; each row: id, type, then dim(type) values
 # edges.csv   : header "source,target,type"
 # labels.csv  : header "id,label"
+# graph.bin   : the arrays of the other three, written beside them by ``save_graph``
+#               and keyed by their bytes (layout in ``_sidecar_bytes``)
+
+GRAPH_FILES = ("schema.json", "nodes.csv", "edges.csv")
+SIDECAR = "graph.bin"
+MAGIC = b"rptdetect graph.bin 1\n"
 
 
-def load_schema(path: str | os.PathLike) -> Schema:
-    """Read ``schema.json``; a file that is not a schema raises ``DimensionMismatch`` naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise DimensionMismatch(f"schema file {path}: not JSON ({exc})") from exc
+def read_json(path: str | os.PathLike, what: str, error: type[Exception],
+              data: bytes | None = None):
+    """The JSON in the file, or in ``data``, its bytes when already read, decoded as a
+    file opened in text mode is; text that is not JSON raises ``error`` naming ``what``."""
+    try:
+        return json.loads(io.StringIO((Path(path).read_bytes() if data is None else data)
+                                      .decode("utf-8"), newline=None).read())
+    except ValueError as exc:
+        raise error(f"{what} {path}: not JSON ({exc})") from exc
+
+
+def load_schema(path: str | os.PathLike, data: bytes | None = None) -> Schema:
+    """Read ``schema.json``, or parse its bytes when already read; a file that is not a
+    schema raises ``DimensionMismatch`` naming it."""
+    raw = read_json(path, "schema file", DimensionMismatch, data)
     for key in ("node_types", "edge_types"):
         if not isinstance(raw, dict) or not isinstance(raw.get(key), dict):
             raise DimensionMismatch(f"schema file {path}: needs a {key!r} object")
@@ -323,43 +334,83 @@ def load_schema(path: str | os.PathLike) -> Schema:
     return Schema(node_types, edge_types, raw.get("company_type", "company"))
 
 
-def save_schema(schema: Schema, path: str | os.PathLike) -> None:
-    raw = {
-        "company_type": schema.company_type,
-        "node_types": {name: {"dim": dim} for name, dim in schema.node_types.items()},
-        "edge_types": {
-            name: {"source": et.source, "target": et.target, "directed": et.directed}
-            for name, et in schema.edge_types.items()
-        },
-    }
-    write_text(path, json.dumps(raw, indent=2, sort_keys=True) + "\n")
-
-
-def _read_records(path: str | os.PathLike) -> tuple[list[str] | None, list[list[str]]]:
-    """A CSV file's header, then its records, blank ones (``[]``) too: record k is on line k + 2.
-
-    Bytes that are not UTF-8 raise ``DimensionMismatch`` naming the file and line.
-    """
+def _read_records(path: str | os.PathLike,
+                  data: bytes | None = None) -> tuple[list[str] | None, list[list[str]]]:
+    """A CSV file's (or its bytes' when already read) header, then its records, blank ones
+    (``[]``) too: record k is on line k + 2.  Bytes that are not UTF-8 raise
+    ``DimensionMismatch`` naming the file and line."""
+    data = Path(path).read_bytes() if data is None else data
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            return next(reader, None), list(reader)
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:  # the reader decodes in chunks: locate the bad bytes in the whole file
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise DimensionMismatch(f"{path} line {line}: not UTF-8 ({exc.reason})") from exc
-        raise
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DimensionMismatch(f"{path} line {line}: not UTF-8 ({exc.reason})") from exc
+    enabled = gc.isenabled()
+    gc.disable()  # the records hold no cycles: collections would only scan them
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        return next(reader, None), list(reader)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _key(files: Sequence[bytes]) -> bytes:
+    parts = (part for f in files for part in (len(f).to_bytes(8, "little"), f))
+    return hashlib.sha256(b"".join(parts)).digest()
+
+
+def _sidecar_bytes(graph: HetGraph, files: Sequence[bytes]) -> bytes:
+    """The ``graph.bin`` of the graph saved as the schema, nodes and edges bytes ``files``:
+    MAGIC, their ``_key``, the sha256 of the rest, the header's length, the header (JSON:
+    the edge count and the ids), ``type_code``, ``src``, ``dst`` and ``edge_code`` as
+    ``<i8``, then the attribute values in node order as ``<f8`` up to the end."""
+    widths = np.array([graph.schema.node_types[t] for t in graph.type_names])[graph.type_code]
+    starts, values = np.cumsum(widths) - widths, np.empty(widths.sum(), "<f8")
+    for k, rows in enumerate(map(graph.type_features, graph.type_names)):
+        values[starts[graph.type_code == k, None] + np.arange(rows.shape[1])] = rows
+    header = json.dumps({"edges": len(graph.src), "ids": graph.ids},
+                        separators=(",", ":")).encode("ascii")
+    codes = np.concatenate([graph.type_code, graph.src, graph.dst, graph.edge_code]).astype("<i8")
+    rest = len(header).to_bytes(8, "little") + header + codes.tobytes() + values.tobytes()
+    return MAGIC + _key(files) + hashlib.sha256(rest).digest() + rest
+
+
+def _load_sidecar(path: str, schema: Schema, files: Sequence[bytes]) -> HetGraph | None:
+    """The graph ``save_graph`` wrote whole to ``path`` with exactly ``files``; else None."""
+    start = len(MAGIC) + 72
+    try:
+        data = Path(path).read_bytes()
+        if data[:start - 8] != MAGIC + _key(files) + hashlib.sha256(data[start - 8:]).digest():
+            return None
+        end = start + int.from_bytes(data[start - 8:start], "little")
+        header = json.loads(data[start:end])
+        ids, m = header["ids"], header["edges"]
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                and m >= 0):
+            return None
+        n = len(ids)
+        codes = np.frombuffer(data, "<i8", n + 3 * m, end)
+        values = np.frombuffer(data, "<f8", offset=end + codes.nbytes)
+        return HetGraph.__new__(HetGraph)._build(schema, ids, dict(zip(ids, range(n))),
+                                                 *np.split(codes, [n, n + m, n + 2 * m]),
+                                                 values, None)
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
 
 
 def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
                edges_file: str | os.PathLike) -> HetGraph:
-    """Load and validate; any violation rejects the whole load."""
-    schema = load_schema(schema_file)
-    header, records = _read_records(nodes_file)
+    """Load and validate; any violation rejects the whole load.  A ``graph.bin`` written
+    with exactly these files stands in for the CSV parse, after the same checks."""
+    sidecar = os.path.join(os.path.dirname(nodes_file), SIDECAR)
+    files = ([Path(p).read_bytes() for p in (schema_file, nodes_file, edges_file)]
+             if os.path.isfile(sidecar) else [None] * 3)
+    schema = load_schema(schema_file, files[0])
+    graph = None if files[0] is None else _load_sidecar(sidecar, schema, files)
+    if graph is not None:
+        return graph
+    header, records = _read_records(nodes_file, files[1])
     if header is None or header[:2] != ["id", "type"]:
         raise DimensionMismatch(f"nodes file {nodes_file}: missing 'id,type,...' header")
     widths = np.fromiter(map(len, records), np.intp, len(records))
@@ -379,7 +430,7 @@ def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
                 raise DimensionMismatch(f"nodes file line {line_no}: {exc}") from exc
             if not all(map(math.isfinite, row)):
                 raise DimensionMismatch(f"nodes file line {line_no}: non-finite attribute")
-    header, records = _read_records(edges_file)
+    header, records = _read_records(edges_file, files[2])
     if header != ["source", "target", "type"]:
         raise DimensionMismatch(f"edges file {edges_file}: missing 'source,target,type' header")
     columns = np.fromiter(map(len, records), np.intp, len(records))
@@ -400,35 +451,40 @@ def _quote(field: str) -> str:
     return '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
 
 
-def write_text(path: str | os.PathLike, text: str) -> None:
-    """Write the text as UTF-8, line ends as they are."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def tsv(header: Sequence, rows) -> str:
     """A tab-separated table: the header's fields, then each row's, one line each."""
     return "".join("\t".join(map(str, row)) + "\n" for row in chain([header], rows))
 
 
 def save_graph(graph: HetGraph, out_dir: str | os.PathLike) -> dict[str, str]:
-    """Write schema/nodes/edges files; output is byte-deterministic."""
+    """Write schema/nodes/edges files, then their ``graph.bin``; output is byte-deterministic."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, name) for key, name in
-             (("schema", "schema.json"), ("nodes", "nodes.csv"), ("edges", "edges.csv"))}
-    save_schema(graph.schema, paths["schema"])
+             zip(("schema", "nodes", "edges", "sidecar"), GRAPH_FILES + (SIDECAR,))}
+    schema = graph.schema
+    raw = {
+        "company_type": schema.company_type,
+        "node_types": {name: {"dim": dim} for name, dim in schema.node_types.items()},
+        "edge_types": {
+            name: {"source": et.source, "target": et.target, "directed": et.directed}
+            for name, et in schema.edge_types.items()
+        },
+    }
     ids = list(map(_quote, graph.ids))
     types = list(map(_quote, graph.type_names))
-    # a list of floats prints as "[1.0, -0.0]", each value its repr
-    attrs = [[str(row)[1:-1].replace(" ", "") for row in graph.type_features(t).tolist()]
+    attrs = [[",".join(map(repr, row)) for row in graph.type_features(t).tolist()]
              for t in graph.type_names]
-    write_text(paths["nodes"], "id,type,attrs\n" + "".join([
+    nodes = "id,type,attrs\n" + "".join([
         f"{i},{types[c]},{attrs[c][r]}\n" for i, c, r in
-        zip(ids, graph.type_code.tolist(), graph.row_in_type.tolist())]))
+        zip(ids, graph.type_code.tolist(), graph.row_in_type.tolist())])
     etypes = list(map(_quote, graph.edge_names))
-    write_text(paths["edges"], "source,target,type\n" + "".join([
+    edges = "source,target,type\n" + "".join([
         f"{ids[s]},{ids[t]},{etypes[r]}\n" for s, t, r in
-        zip(graph.src.tolist(), graph.dst.tolist(), graph.edge_code.tolist())]))
+        zip(graph.src.tolist(), graph.dst.tolist(), graph.edge_code.tolist())])
+    files = [text.encode("utf-8")
+             for text in (json.dumps(raw, indent=2, sort_keys=True) + "\n", nodes, edges)]
+    for path, data in zip(paths.values(), files + [_sidecar_bytes(graph, files)]):
+        Path(path).write_bytes(data)
     return paths
 
 
@@ -454,5 +510,5 @@ def load_labels(path: str | os.PathLike) -> dict[str, int]:
 
 
 def save_labels(labels: dict[str, int], path: str | os.PathLike) -> None:
-    write_text(path, "id,label\n" + "".join(
-        [f"{_quote(k)},{int(v)}\n" for k, v in labels.items()]))
+    Path(path).write_text("id,label\n" + "".join(
+        [f"{_quote(k)},{int(v)}\n" for k, v in labels.items()]), encoding="utf-8", newline="")

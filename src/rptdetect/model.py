@@ -24,6 +24,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
     MissingProjection,
     ShapeMismatch,
 )
-from .hetgraph import HetGraph, Schema
+from .hetgraph import HetGraph, Schema, read_json
 from .matcher import NeighborIndex
 from .patterns import RptPattern
 
@@ -327,18 +328,13 @@ def save_params(params: ModelParams, path: str | os.PathLike) -> None:
             for name, arr in params.arrays.items()
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8",
+                          newline="\n")
 
 
 def load_params(path: str | os.PathLike) -> ModelParams:
     """Read a ``save_params`` file; a file that is not one raises ``DimensionMismatch``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise DimensionMismatch(f"checkpoint {path}: not JSON ({exc})") from exc
+    doc = read_json(path, "checkpoint", DimensionMismatch)
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise DimensionMismatch(

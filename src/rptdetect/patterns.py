@@ -7,12 +7,11 @@ role as the anchor whose embedding the matched instances feed.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 from .errors import PatternTypeUnknown
-from .hetgraph import Schema
+from .hetgraph import Schema, read_json
 
 
 @dataclass(frozen=True)
@@ -165,11 +164,7 @@ BUNDLED_METAPATHS: dict[str, list[str]] = {
 def load_patterns(path: str | os.PathLike) -> list[RptPattern]:
     """Read a ``{"patterns": [{"id", "roles", "edges", "anchor"}, ...]}`` file;
     a file that is not one raises ``PatternTypeUnknown`` naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise PatternTypeUnknown(f"pattern file {path}: not JSON ({exc})") from exc
+    raw = read_json(path, "pattern file", PatternTypeUnknown)
     try:
         return [RptPattern(pattern_id=spec["id"],
                            roles=tuple((r, t) for r, t in spec["roles"]),

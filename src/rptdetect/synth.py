@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleConfig, IoFailure
+from .errors import InfeasibleConfig
 from .hetgraph import EdgeType, HetGraph, Schema, save_graph, save_labels
 
 
@@ -50,8 +51,9 @@ class GenConfig:
         if self.p_rpt < self.p_bg:
             raise InfeasibleConfig(
                 f"p_rpt ({self.p_rpt}) must be >= p_bg ({self.p_bg})")
-        if min(self.companies, self.persons, self.items, self.events) < 0:
-            raise InfeasibleConfig("node counts must be non-negative")
+        for name in ("companies", "persons", "items", "events", "communities", "decoy_communities"):
+            if getattr(self, name) < 0:
+                raise InfeasibleConfig(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.degree_exponent <= 1.0:
             raise InfeasibleConfig("degree_exponent must exceed 1")
         needed_c = 3 * self.communities + 2 * self.decoy_communities
@@ -287,12 +289,9 @@ def generate(config: GenConfig) -> tuple[HetGraph, dict[str, int], GroundTruth]:
 
 def export(graph: HetGraph, labels: dict[str, int], out_dir: str | os.PathLike) -> dict[str, str]:
     """Write schema/nodes/edges/labels files loadable by the graph module."""
-    try:
-        paths = save_graph(graph, out_dir)
-        paths["labels"] = os.path.join(out_dir, "labels.csv")
-        save_labels(labels, paths["labels"])
-    except OSError as exc:
-        raise IoFailure(f"cannot write dataset to {out_dir}: {exc}") from exc
+    paths = save_graph(graph, out_dir)
+    paths["labels"] = os.path.join(out_dir, "labels.csv")
+    save_labels(labels, paths["labels"])
     return paths
 
 
@@ -314,9 +313,8 @@ def save_ground_truth(truth: GroundTruth, path: str | os.PathLike) -> None:
         "community_of": truth.community_of,
         "true_labels": truth.true_labels,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8",
+                          newline="\n")
 
 
 def scaled_config(base: GenConfig, total_nodes: int) -> GenConfig:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import shutil
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rptdetect.hetgraph import EdgeType, HetGraph, Schema
+from rptdetect import hetgraph
+from rptdetect.hetgraph import GRAPH_FILES, EdgeType, HetGraph, Schema, load_graph
 from rptdetect.patterns import RptPattern
 
 
@@ -43,6 +46,36 @@ def make_graph(schema: Schema, nodes, edges) -> HetGraph:
     return HetGraph.from_columns(schema, [n[0] for n in nodes], [n[1] for n in nodes],
                                  np.concatenate([np.zeros(0), *attrs]),
                                  np.array([a.size for a in attrs], dtype=np.intp), edges)
+
+
+def assert_same_graph(a: HetGraph, b: HetGraph) -> None:
+    """The same ids, index and schema, and every array equal in dtype, shape and bytes."""
+    assert a.ids == b.ids and a.index == b.index and a.schema == b.schema
+    assert (a.type_names, a.edge_names) == (b.type_names, b.edge_names)
+    for name in ("type_code", "row_in_type", "src", "dst", "edge_code"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for t in a.type_names:
+        x, y = a.type_features(t), b.type_features(t)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), t
+
+
+def load_both(directory: Path, monkeypatch) -> tuple[HetGraph, HetGraph]:
+    """The graph in ``directory`` read through its ``graph.bin`` with the CSV parse
+    switched off, and the graph parsed from a copy of its CSV files alone."""
+    files = [directory / name for name in GRAPH_FILES]
+    copy = directory.parent / (directory.name + "-csv-only")
+    copy.mkdir()
+    for f in files:
+        shutil.copy(f, copy)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the CSV files were parsed although graph.bin matches them")
+
+    with monkeypatch.context() as m:
+        m.setattr(hetgraph, "_read_records", no_parse)
+        loaded = load_graph(*files)
+    return loaded, load_graph(*(copy / name for name in GRAPH_FILES))
 
 
 def random_typed_graph(rng: np.random.Generator, n_companies: int, n_persons: int,

@@ -16,6 +16,8 @@ import rptdetect
 from rptdetect import cli
 from rptdetect.cli import main
 
+from conftest import assert_same_graph, load_both
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -23,6 +25,20 @@ def dataset(tmp_path_factory):
     rc = main(["generate", "--out", str(out), "--seed", "7",
                "--companies", "90", "--persons", "80", "--items", "25",
                "--events", "6", "--communities", "9", "--decoys", "4",
+               "--label-coverage", "1.0", "--feature-dim", "4"])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def dense_dataset(tmp_path_factory):
+    """Like ``dataset``, but with 20 evasion communities where ``dataset`` has 9: 17 of its
+    90 companies anchor no pattern instance (50 in ``dataset``), so training and scoring on
+    it run mostly through the attention path, not the attribute-only fallback."""
+    out = tmp_path_factory.mktemp("dense")
+    rc = main(["generate", "--out", str(out), "--seed", "7",
+               "--companies", "90", "--persons", "80", "--items", "25",
+               "--events", "6", "--communities", "20", "--decoys", "6",
                "--label-coverage", "1.0", "--feature-dim", "4"])
     assert rc == 0
     return out
@@ -75,12 +91,14 @@ def test_stats_writes_tables(dataset, tmp_path):
     assert "rpt::all" in ratios
 
 
-def test_train_writes_all_artifacts(dataset, tmp_path):
+def test_train_writes_all_artifacts(dense_dataset, tmp_path, caplog):
     out = tmp_path / "run"
-    rc = main(["train", "--graph", str(dataset), "--out", str(out),
-               "--epochs", "3", "--dim", "8", "--proj-dim", "4",
-               "--batch-size", "64", "--seed", "3", "--test-fraction", "0.3"])
+    with caplog.at_level(logging.WARNING, logger="rptdetect.training"):
+        rc = main(["train", "--graph", str(dense_dataset), "--out", str(out),
+                   "--epochs", "3", "--dim", "8", "--proj-dim", "4",
+                   "--batch-size", "64", "--seed", "3", "--test-fraction", "0.3"])
     assert rc == 0
+    assert not [r for r in caplog.records if r.name == "rptdetect.training"]
     for name in ("checkpoint.json", "metrics.tsv", "trend.tsv", "loss.tsv",
                  "embeddings.csv", "split.json", "timing.txt"):
         assert (out / name).exists(), name
@@ -89,13 +107,16 @@ def test_train_writes_all_artifacts(dataset, tmp_path):
     assert 0.0 <= float(metrics["f1"]) <= 1.0
     loss_rows = read(out / "loss.tsv").splitlines()[1:]
     assert len(loss_rows) == 3
+    # every pattern's attention was read in every epoch
+    trend = [line.split("\t") for line in read(out / "trend.tsv").splitlines()[1:]]
+    assert len(trend) == 3 * 5 and all(beta != "na" for _, _, beta in trend)
 
 
-def test_seeded_runs_reproduce_byte_identical_outputs(dataset, tmp_path):
+def test_seeded_runs_reproduce_byte_identical_outputs(dense_dataset, tmp_path):
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        rc = main(["train", "--graph", str(dataset), "--out", str(out),
+        rc = main(["train", "--graph", str(dense_dataset), "--out", str(out),
                    "--epochs", "2", "--dim", "8", "--proj-dim", "4",
                    "--batch-size", "64", "--seed", "11", "--test-fraction", "0.3"])
         assert rc == 0
@@ -105,7 +126,7 @@ def test_seeded_runs_reproduce_byte_identical_outputs(dataset, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_outputs_do_not_depend_on_blas_thread_count(dataset, tmp_path):
+def test_outputs_do_not_depend_on_blas_thread_count(dense_dataset, tmp_path):
     """`rptdetect train` in fresh processes, BLAS pinned to one thread and not."""
     src = os.path.dirname(os.path.dirname(rptdetect.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -116,7 +137,7 @@ def test_outputs_do_not_depend_on_blas_thread_count(dataset, tmp_path):
         run_env = dict(env, OPENBLAS_NUM_THREADS=threads) if threads else env
         out = tmp_path / sub
         subprocess.run(
-            [sys.executable, "-m", "rptdetect.cli", "train", "--graph", str(dataset),
+            [sys.executable, "-m", "rptdetect.cli", "train", "--graph", str(dense_dataset),
              "--out", str(out), "--epochs", "3", "--dim", "8", "--proj-dim", "4",
              "--batch-size", "64", "--seed", "4", "--test-fraction", "0.3"],
             env=run_env, check=True, capture_output=True, timeout=300)
@@ -207,6 +228,37 @@ def test_export_round_trips(dataset, tmp_path):
         assert read(dataset / name) == read(tmp_path / "copy" / name)
 
 
+def test_sidecar_load_equals_the_csv_parse_on_the_dataset(dataset, tmp_path, monkeypatch):
+    copy = tmp_path / "data"
+    assert main(["export", "--graph", str(dataset), "--out", str(copy)]) == 0
+    assert (copy / "graph.bin").read_bytes() == (dataset / "graph.bin").read_bytes()
+    loaded, parsed = load_both(copy, monkeypatch)
+    assert_same_graph(loaded, parsed)
+
+
+def test_generate_writes_the_same_sidecar_bytes_for_the_same_seed(tmp_path):
+    flags = ["--seed", "3", "--companies", "60", "--persons", "50", "--items", "15",
+             "--events", "3", "--communities", "6", "--decoys", "2"]
+    for sub in ("a", "b"):
+        assert main(["generate", "--out", str(tmp_path / sub)] + flags) == 0
+    assert (tmp_path / "a" / "graph.bin").read_bytes() == (tmp_path / "b" / "graph.bin").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["ingest", "match", "stats", "train", "eval"])
+def test_readers_never_write_a_sidecar(dataset, tmp_path, command):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in ("schema.json", "nodes.csv", "edges.csv", "labels.csv"):
+        (bare / name).write_bytes((dataset / name).read_bytes())
+    run = tmp_path / "run"
+    assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "1"]) == 0
+    flags = {"train": ["--epochs", "1"], "eval": ["--checkpoint", str(run / "checkpoint.json")]}
+    assert main([command, "--graph", str(bare), "--out", str(tmp_path / "out")]
+                + flags.get(command, [])) == 0
+    assert sorted(p.name for p in bare.iterdir()) == [
+        "edges.csv", "labels.csv", "nodes.csv", "schema.json"]
+
+
 def test_export_then_ingest_keeps_an_id_holding_a_carriage_return(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()
@@ -231,8 +283,8 @@ def test_export_then_ingest_keeps_an_id_holding_a_carriage_return(tmp_path, caps
         assert (again / name).read_bytes() == (src / name).read_bytes(), name
 
 
-def test_ablate_writes_variant_table(dataset, tmp_path):
-    rc = main(["ablate", "--graph", str(dataset), "--out", str(tmp_path),
+def test_ablate_writes_variant_table(dense_dataset, tmp_path):
+    rc = main(["ablate", "--graph", str(dense_dataset), "--out", str(tmp_path),
                "--epochs", "2", "--dim", "8", "--proj-dim", "4",
                "--batch-size", "64", "--seed", "2", "--test-fraction", "0.3"])
     assert rc == 0
@@ -308,6 +360,19 @@ def test_out_of_range_config_fails_with_one_error_line(dataset, tmp_path, capsys
     assert rc == 1
     errors = error_lines(capsys)
     assert len(errors) == 1 and errors[0].startswith("error\tInfeasibleConfig\t"), errors
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--decoys", "-1"],
+    ["generate", "--communities", "-1"],
+    ["sweep", "--mode", "timing", "--sizes", "-50", "--epochs", "1"],
+], ids=["decoys", "communities", "sweep-size"])
+def test_negative_community_count_fails_with_one_error_line(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "run")])
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error\tInfeasibleConfig\t"), errors
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("row", ["C0,x", "C0"])

@@ -3,7 +3,12 @@
 Each example takes a valid generated file set, breaks one file in one way
 (drops a cell, puts junk in a cell, cuts the file short, writes NaN or inf,
 repeats an id, writes bytes that are not UTF-8), adds blank lines, and runs
-every command that reads the file.
+every command that reads the file.  The set keeps the ``graph.bin`` written
+with the unbroken files, which the break makes stale.
+
+A corrupted ``graph.bin`` (cut short, a flipped byte in its key or payload, a
+garbage header) is never an error: every command gives the outputs it gives
+with no ``graph.bin`` at all.
 """
 
 import contextlib
@@ -85,7 +90,7 @@ def corrupt(text: str, name: str, kind: str, row: int, cell: int, other: int,
 def test_corrupted_file_fails_every_reading_command_with_one_error_line(
         dataset, tmp_path_factory, name, kind, row, cell, other, junk, blanks):
     bad = tmp_path_factory.mktemp("bad")
-    for f in ("schema.json", "nodes.csv", "edges.csv", "labels.csv"):
+    for f in ("schema.json", "nodes.csv", "edges.csv", "labels.csv", "graph.bin"):
         shutil.copy(dataset / f, bad / f)
     (bad / name).write_text(corrupt((dataset / name).read_text(encoding="utf-8"), name, kind,
                                     row, cell, other, junk, blanks),
@@ -99,3 +104,56 @@ def test_corrupted_file_fails_every_reading_command_with_one_error_line(
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error\t")]
         assert rc == 1 and len(errors) == 1, (command, name, kind, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+def run_all(directory, tmp_path_factory) -> dict[str, bytes]:
+    """Every reading command's stdout, exit code and output files (``timing.txt`` aside)."""
+    outs = {}
+    for command, flags in COMMANDS.items():
+        out = tmp_path_factory.mktemp(command)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = main([command, "--graph", str(directory), "--out", str(out / "o")] + flags)
+        outs[command] = (rc, stdout.getvalue().replace(str(out), "OUT"))
+        for f in sorted((out / "o").iterdir()):
+            if f.name != "timing.txt":
+                outs[f"{command}/{f.name}"] = f.read_bytes()
+    return outs
+
+
+@pytest.fixture(scope="module")
+def without_sidecar(dataset, tmp_path_factory):
+    bare = tmp_path_factory.mktemp("bare")
+    for f in ("schema.json", "nodes.csv", "edges.csv", "labels.csv"):
+        shutil.copy(dataset / f, bare / f)
+    return run_all(bare, tmp_path_factory)
+
+
+MAGIC = len(b"rptdetect graph.bin 1\n")
+HEADER = MAGIC + 72  # past the key, the digest and the header length
+
+
+def break_sidecar(data: bytes, kind: str, at: int) -> bytes:
+    if kind == "truncate":
+        return data[:at % len(data)]
+    if kind == "flip-key":
+        k = MAGIC + at % 32
+    elif kind == "flip-payload":
+        k = HEADER + at % (len(data) - HEADER)
+    else:  # garbage-header: junk over the start of the JSON header
+        return data[:HEADER] + bytes((at + j) % 256 for j in range(16)) + data[HEADER + 16:]
+    return data[:k] + bytes([data[k] ^ (1 + at % 255)]) + data[k + 1:]
+
+
+@pytest.mark.parametrize("kind", ["truncate", "flip-key", "flip-payload", "garbage-header"])
+@settings(max_examples=3, deadline=None, database=None, derandomize=True)
+@given(at=st.integers(0, 10**6))
+def test_corrupted_sidecar_changes_no_command_output(dataset, tmp_path_factory, without_sidecar,
+                                                     kind, at):
+    data = tmp_path_factory.mktemp("sidecar")
+    for f in ("schema.json", "nodes.csv", "edges.csv", "labels.csv"):
+        shutil.copy(dataset / f, data / f)
+    (data / "graph.bin").write_bytes(break_sidecar((dataset / "graph.bin").read_bytes(), kind, at))
+    got = run_all(data, tmp_path_factory)
+    assert all(rc == 0 for rc, _ in (got[c] for c in COMMANDS)), kind
+    assert got == without_sidecar

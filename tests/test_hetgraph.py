@@ -1,11 +1,15 @@
 """Graph storage, ingestion validation, and histogram tests."""
 
 import csv
+import gc
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
+from rptdetect import hetgraph
 from rptdetect.errors import (
     DanglingEdge,
     DimensionMismatch,
@@ -24,7 +28,14 @@ from rptdetect.hetgraph import (
 )
 from rptdetect.synth import GenConfig, generate
 
-from conftest import make_graph, random_typed_graph, small_schema, tax_schema
+from conftest import (
+    assert_same_graph,
+    load_both,
+    make_graph,
+    random_typed_graph,
+    small_schema,
+    tax_schema,
+)
 
 
 def test_minimal_graph_loads():
@@ -239,7 +250,9 @@ def csv_writer_bytes(rows) -> bytes:
 ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rid", " spaced out ", "näive-ü", "", "plain"]
 
 
-def test_writers_match_csv_writer_on_odd_names_and_values(tmp_path):
+def odd_graph():
+    """A graph whose ids, type names and values need quoting or exact float text, with
+    its (id, type, values) nodes and (source, target, type) edges."""
     schema = Schema(node_types={"co,mpany": 5, 'pé "rson"': 1},
                     edge_types={"in\nvest": EdgeType('pé "rson"', "co,mpany"),
                                 "trans action": EdgeType("co,mpany", "co,mpany", directed=False)},
@@ -249,7 +262,11 @@ def test_writers_match_csv_writer_on_odd_names_and_values(tmp_path):
               for k, name in enumerate(ODD_NAMES)] + [("p\r,1", 'pé "rson"', np.array([-1.5]))])
     edges = [("p\r,1", name, "in\nvest") for name in ODD_NAMES[::2]] + [
         (a, b, "trans action") for a, b in zip(ODD_NAMES, ODD_NAMES[1:])]
-    g = make_graph(schema, nodes, edges)
+    return make_graph(schema, nodes, edges), nodes, edges
+
+
+def test_writers_match_csv_writer_on_odd_names_and_values(tmp_path):
+    g, nodes, edges = odd_graph()
     paths = save_graph(g, tmp_path)
     want_nodes = [["id", "type", "attrs"]] + [[i, t] + list(map(repr, x.tolist())) for i, t, x in nodes]
     want_edges = [["source", "target", "type"]] + [list(e) for e in edges]
@@ -264,6 +281,135 @@ def test_writers_match_csv_writer_on_odd_names_and_values(tmp_path):
     for a, b in zip(again.x, g.x):
         assert a.tobytes() == b.tobytes()  # -0.0 keeps its sign, 5e-324 its value
     assert load_labels(tmp_path / "labels.csv") == labels
+
+
+def test_sidecar_load_equals_the_csv_parse_on_odd_ids_and_values(tmp_path, monkeypatch):
+    g, _, _ = odd_graph()
+    save_graph(g, tmp_path / "data")
+    loaded, parsed = load_both(tmp_path / "data", monkeypatch)
+    assert_same_graph(loaded, parsed)
+    assert_same_graph(loaded, g)
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("nodes.csv", lambda text: text.replace(",1e-05", ",2e-05", 1)),
+    ("nodes.csv", lambda text: text + 'extra,"co,mpany",1.0,2.0,3.0,4.0,5.0\n'),
+    ("edges.csv", lambda text: text[:text.rindex("\n", 0, -1) + 1]),
+    ("schema.json", lambda text: text.replace('"company_type"', '"company_type" ')),
+], ids=["node-value", "node-added", "edge-dropped", "schema-whitespace"])
+def test_load_sees_an_edit_made_after_save(tmp_path, monkeypatch, name, edit):
+    g, _, _ = odd_graph()
+    paths = save_graph(g, tmp_path / "data")
+    path = tmp_path / "data" / name
+    path.write_bytes(edit(path.read_bytes().decode("utf-8")).encode("utf-8"))
+    calls = []
+    monkeypatch.setattr(hetgraph, "_read_records",
+                        lambda *a, _read=hetgraph._read_records: calls.append(a) or _read(*a))
+    again = load_graph(paths["schema"], paths["nodes"], paths["edges"])
+    assert len(calls) == 2  # the stale sidecar was passed over for the parse
+    monkeypatch.undo()
+    (tmp_path / "data" / "graph.bin").unlink()
+    assert_same_graph(again, load_graph(paths["schema"], paths["nodes"], paths["edges"]))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_csv_parse_pauses_garbage_collection_and_leaves_it_as_found(tmp_path, monkeypatch,
+                                                                     enabled):
+    g, _, _ = odd_graph()
+    paths = save_graph(g, tmp_path)
+    (tmp_path / "graph.bin").unlink()
+    during, reader = [], csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a: during.append(gc.isenabled()) or reader(*a))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        load_graph(paths["schema"], paths["nodes"], paths["edges"])
+        assert gc.isenabled() == enabled
+        (tmp_path / "edges.csv").write_text("source,target,type\nx\n")
+        with pytest.raises(DimensionMismatch):
+            load_graph(paths["schema"], paths["nodes"], paths["edges"])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False] * 4
+
+
+def sidecar_bytes(files, blocks) -> bytes:
+    """``graph.bin`` built from its documented layout: MAGIC, the sha256 of the three files
+    each prefixed by its 8-byte length, the sha256 of the rest; then the header's length,
+    the header (the edge count and the ids), the type, source, target and edge type codes
+    as ``<i8``, the values as ``<f8`` and any ``tail`` bytes."""
+    header = json.dumps({"edges": blocks["edges"], "ids": blocks["ids"]},
+                        separators=(",", ":")).encode("ascii")
+    ints = np.concatenate([np.asarray(blocks[k], "<i8") for k in ("code", "src", "dst", "ecode")])
+    rest = (len(header).to_bytes(8, "little") + header + ints.tobytes()
+            + np.asarray(blocks["values"], "<f8").tobytes() + blocks.get("tail", b""))
+    key = hashlib.sha256(b"".join(len(f).to_bytes(8, "little") + f for f in files)).digest()
+    return hetgraph.MAGIC + key + hashlib.sha256(rest).digest() + rest
+
+
+def set_at(name, k, value):
+    def edit(blocks):
+        blocks[name][k] = value
+    return edit
+
+
+def shift(name, by):
+    def edit(blocks):
+        blocks[name] = blocks[name] + by(blocks)
+    return edit
+
+
+# each breaks one check of the load while the key and the digest stay valid
+BAD_BLOCKS = {
+    "type-code-past-the-end": set_at("code", 4, 2),
+    "negative-type-code": set_at("code", 2, -7),
+    "node-of-another-type": set_at("code", 0, 1),
+    "edge-code-past-the-end": shift("ecode", lambda b: 2),
+    "negative-edge-code": shift("ecode", lambda b: -2),
+    "edge-code-of-another-type": shift("ecode", lambda b: 1 - 2 * b["ecode"]),
+    "endpoint-past-the-end": shift("dst", lambda b: len(b["ids"])),
+    "negative-endpoint": shift("src", lambda b: -len(b["ids"])),
+    "endpoint-of-another-type": shift("src", lambda b: b["dst"] - b["src"]),
+    "duplicate-id": set_at("ids", 0, "plain"),
+    "non-finite-value": set_at("values", 3, np.nan),
+    "values-short": lambda b: b.update(values=b["values"][:-1]),
+    "values-long": lambda b: b.update(values=np.append(b["values"], 1.0)),
+    "values-ragged": lambda b: b.update(tail=b"\0\0\0"),
+    "codes-short": lambda b: b.update(code=b["code"][:-1]),
+    "edges-uneven": lambda b: b.update(dst=b["dst"][:-1]),
+    "edge-count-high": lambda b: b.update(edges=b["edges"] + 1),
+    # read as one type code for ten ids and no edge, the values sized for that code
+    "edge-count-negative": lambda b: b.update(ids=b["ids"] + ["spare"], edges=-3,
+                                              code=b["code"][:1], src=[], dst=[], ecode=[],
+                                              values=b["values"][:5]),
+    "edge-count-not-an-integer": lambda b: b.update(edges=float(b["edges"])),
+    "ids-not-a-list": lambda b: b.update(ids={i: 0 for i in b["ids"]}),
+    "ids-not-text": lambda b: b.update(ids=list(range(len(b["ids"])))),
+}
+
+
+@pytest.mark.parametrize("breaks", [None, *BAD_BLOCKS], ids=["unchanged", *BAD_BLOCKS])
+def test_sidecar_arrays_that_break_a_load_check_give_way_to_the_parse(tmp_path, monkeypatch,
+                                                                      breaks):
+    g, nodes, _ = odd_graph()
+    paths = save_graph(g, tmp_path / "data")
+    files = [open(paths[k], "rb").read() for k in ("schema", "nodes", "edges")]
+    blocks = {"ids": list(g.ids), "edges": len(g.src), "code": g.type_code.copy(),
+              "src": g.src.copy(), "dst": g.dst.copy(), "ecode": g.edge_code.copy(),
+              "values": np.concatenate([values for _, _, values in nodes])}
+    if breaks is None:  # the layout as documented is the layout written
+        assert sidecar_bytes(files, blocks) == open(paths["sidecar"], "rb").read()
+        loaded, parsed = load_both(tmp_path / "data", monkeypatch)
+        assert_same_graph(loaded, parsed)
+        return
+    BAD_BLOCKS[breaks](blocks)
+    open(paths["sidecar"], "wb").write(sidecar_bytes(files, blocks))
+    parses = []
+    monkeypatch.setattr(hetgraph, "_read_records",
+                        lambda *a, _read=hetgraph._read_records: parses.append(a) or _read(*a))
+    assert_same_graph(load_graph(paths["schema"], paths["nodes"], paths["edges"]), g)
+    assert len(parses) == 2
 
 
 def test_labels_round_trip(tmp_path):
@@ -310,10 +456,7 @@ def test_validate_labels_clean_and_violations():
                    [("a", "company"), ("b", "company"), ("c", "company"),
                     ("jay", "person")],
                    [])
-    assert validate_labels(g, {"a": 1, "b": 0, "c": 1}).ok
-    report = validate_labels(g, {"jay": 1})
-    assert len(report.violations) == 1
-    report = validate_labels(g, {"ghost": 0})
-    assert len(report.violations) == 1
-    report = validate_labels(g, {"a": 2})
-    assert len(report.violations) == 1
+    assert validate_labels(g, {"a": 1, "b": 0, "c": 1}) == []
+    assert len(validate_labels(g, {"jay": 1})) == 1
+    assert len(validate_labels(g, {"ghost": 0})) == 1
+    assert len(validate_labels(g, {"a": 2})) == 1

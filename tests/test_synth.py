@@ -131,9 +131,11 @@ def test_cdf_draws_match_generator_choice(seed):
 
 # sha256 of the files written for SMALL by the generator that drew each
 # weighted index with ``rng.choice(n, p=w)``; the CDF draws keep the data.
+# graph.bin, the sidecar of schema/nodes/edges, was pinned when it was added.
 SMALL_DIGESTS = {
     "communities.json": "955e1fd538467e9bc5a1f15f37c59ff0b8ad15d8ecf88e0091a249f358bdcaca",
     "edges.csv": "746cfeb96715400931dada275e8cf443d954d813ffc5241b7874ed68dc8b0c44",
+    "graph.bin": "0da6cb1942ccb4b76cb2f4a16fcd0edbce8720a990d5d59c10f58bb8d778782c",
     "labels.csv": "034bc296fdf1db05caffc23f8fc171953f508a768264d83fc9b41cca0aa20b46",
     "nodes.csv": "180ef32fef03f94764fb91bf6601c2c796660d10010b64fe766f87ccda6339f1",
     "schema.json": "11c6fe11553640380a2a134e11760462b94067fd6b3f5b73c9a69f3b84bb3a9b",
