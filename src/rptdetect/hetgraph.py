@@ -71,8 +71,8 @@ class HetGraph:
     sorted ``type_names``, and its attributes are row ``row_in_type[i]`` of
     its type's matrix (``type_features``).  Edges are kept exactly as
     ingested, as the parallel arrays ``src``, ``dst`` and ``edge_code`` (an
-    index into the sorted ``edge_names``).  Neighbor CSRs and their
-    degree orders, edge keys and degrees are built from those arrays on first use.
+    index into the sorted ``edge_names``).  Neighbor CSRs, edge keys and
+    degrees are built from those arrays on first use.
     """
 
     @classmethod
@@ -142,7 +142,6 @@ class HetGraph:
                 f"got ({types[src[k]]} -> {types[dst[k]]})")
         self.type_code = code
         self.src, self.dst, self.edge_code = src, dst, ecode
-        self._degree_orders: dict[tuple[str | None, bool], np.ndarray] = {}
         self.row_in_type = np.empty(n, dtype=np.intp)
         starts = np.cumsum(widths) - widths
         self._features: dict[str, np.ndarray] = {}
@@ -217,13 +216,6 @@ class HetGraph:
         undirected type) are ``idx[ptr[i]:ptr[i + 1]]``, ascending.  With
         ``etype`` None they are the nodes sharing an edge of any type with i."""
         return self._any_csr if etype is None else self._typed_csr[etype][reverse]
-
-    def degree_order(self, etype: str | None, reverse: bool = False) -> np.ndarray:
-        """The nodes with a neighbor in ``adjacency(etype, reverse)``, most first; built once."""
-        if (etype, reverse) not in self._degree_orders:
-            deg = np.diff(self.adjacency(etype, reverse)[0])
-            self._degree_orders[etype, reverse] = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
-        return self._degree_orders[etype, reverse]
 
     @cached_property
     def edge_degrees(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:

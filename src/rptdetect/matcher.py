@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Mapping
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ DEFAULT_CAP = 64
 # partial rows a chunk of anchors is sized to hold at any level of the join:
 # a new chunk starts where the anchors' summed row bound passes a multiple of it
 ROW_BUDGET = 1 << 18
+# bytes a baseline walk's node-major bit matrix may take: it sets the centers per block
+WALK_BUDGET = 1 << 22
 
 
 def _bfs_role_order(pattern: RptPattern) -> list[str]:
@@ -244,18 +247,28 @@ def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,
 
 
 class CenterSets(Mapping):
-    """Per center, a set of nodes held as bits: bit ``j % 64`` of word ``j // 64``
-    in node ``v``'s row of ``bits`` (``uint64``, ``[n_nodes, ceil(len(centers) / 64)]``)
-    is set when ``v`` is in the set of ``centers[j]``.  A lookup builds that
-    center's frozenset; ``count`` tallies many centers' members without any."""
+    """Per center, the nodes a walk from it reaches, the center excluded.  Each of the
+    walk's ``steps`` names the CSRs (``adjacency`` arguments) a node pulls the next
+    frontier through; a set is the last frontier, or with ``ball`` every node seen,
+    companies only.  Only the walk is held: a lookup walks the center's block of
+    ``width`` centers and keeps the last block it walked."""
 
-    def __init__(self, centers: list[int], bits: np.ndarray):
-        self.centers, self.bits = centers, bits
-        self._pos = dict(zip(centers, range(len(centers))))
+    def __init__(self, graph: HetGraph, centers: Sequence[int], steps: list, ball: bool = False):
+        self.graph, self.steps, self.ball = graph, steps, ball
+        self.centers = list(dict.fromkeys(centers))
+        self._pos = dict(zip(self.centers, range(len(self.centers))))
+        # 64 centers per uint64 word of a node's row within WALK_BUDGET bytes
+        self.width = 64 * max(1, WALK_BUDGET // max(8 * len(graph), 1))
+        self._plans, self._last = {}, (-1, None)
 
     def __getitem__(self, center: int) -> frozenset[int]:
         j = self._pos[center]
-        return frozenset(np.flatnonzero(self.bits[:, j >> 6] & _bit(j)).tolist())
+        lo = j - j % self.width
+        if self._last[0] != lo:
+            for bits in self.walk(self.centers[lo:lo + self.width]):
+                self._last = lo, bits
+        word = self._last[1][:, (j - lo) >> 6] >> np.uint64((j - lo) & 63)
+        return frozenset(np.flatnonzero(word & np.uint64(1)).tolist())
 
     def __iter__(self):
         return iter(self.centers)
@@ -263,47 +276,78 @@ class CenterSets(Mapping):
     def __len__(self) -> int:
         return len(self.centers)
 
-    def count(self, centers: Sequence[int], rows: np.ndarray) -> np.ndarray:
-        """Per node of ``rows``, how many of the ``centers``' sets hold it; a
-        center this map does not hold raises ``KeyError``."""
-        j = np.array([self._pos[c] for c in centers], dtype=np.intp)
-        mask = np.zeros(self.bits.shape[1], dtype=np.uint64)
-        np.bitwise_or.at(mask, j >> 6, _bit(j))
-        return np.bitwise_count(self.bits[rows] & mask).sum(axis=1, dtype=np.int64)
+    def walk(self, centers: Sequence[int]):
+        """After each step, the ``centers``' sets of a walk that stops there, node-major:
+        bit ``j % 64`` of word ``j // 64`` in node ``v``'s row is set when ``v`` is in
+        the set of ``centers[j]``."""
+        graph, j = self.graph, np.arange(len(centers))
+        own = np.zeros((len(graph), -(-j.size // 64)), dtype=np.uint64)
+        own[np.array(centers, dtype=np.intp), j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
+        keep = ~own
+        if self.ball:
+            keep[graph.type_code != graph.type_names.index(graph.schema.company_type)] = 0
+        seen = frontier = own
+        for csrs in self.steps:
+            for key in set(csrs) - self._plans.keys():
+                self._plans[key] = _hop_plan(graph, *key)
+            frontier = reduce(np.bitwise_or, (_hop(frontier, self._plans[key]) for key in csrs))
+            if self.ball:
+                frontier &= ~seen
+                seen |= frontier
+            yield (seen if self.ball else frontier) & keep
 
 
-def _bit(j):
-    """The bit of center position ``j`` within its ``uint64`` word."""
-    return np.left_shift(np.uint64(1), np.asarray(j & 63, dtype=np.uint64))
+def count_members(sets: Sequence[CenterSets], centers: Sequence[int],
+                  rows: np.ndarray) -> list[np.ndarray]:
+    """Per set, how many of the distinct ``centers``' sets hold each node of ``rows``.
+    Each block of centers is reduced to counts before the next is walked, and the
+    ``ball`` sets share one walk that counts at every radius.  A center a set does
+    not hold raises ``KeyError``."""
+    for s in sets:
+        for c in centers:
+            s._pos[c]  # raises KeyError for a center the set does not hold
+    counts = [np.zeros(len(rows), dtype=np.int64) for _ in sets]
+    balls = [k for k, s in enumerate(sets) if s.ball]
+    for walk in [[k] for k, s in enumerate(sets) if not s.ball] + [balls] * bool(balls):
+        walker = max((sets[k] for k in walk), key=lambda s: len(s.steps))
+        for lo in range(0, len(centers), walker.width):
+            for radius, reached in enumerate(walker.walk(centers[lo:lo + walker.width]), 1):
+                held = np.bitwise_count(reached.take(rows, axis=0)).sum(axis=1, dtype=np.int64)
+                for k in walk:
+                    if len(sets[k].steps) == radius:
+                        counts[k] += held
+    return counts
 
 
-def _own_bits(n: int, centers: Sequence[int]) -> tuple[list[int], np.ndarray]:
-    """The distinct centers in order, and node-major bits with each one's own bit set."""
-    centers = list(dict.fromkeys(centers))
-    bits = np.zeros((n, -(-len(centers) // 64)), dtype=np.uint64)
-    j = np.arange(len(centers))
-    bits[np.array(centers, dtype=np.intp), j >> 6] = _bit(j)
-    return centers, bits
+def _hop_plan(graph: HetGraph, etype: str | None, reverse: bool):
+    """What ``_hop`` gathers through the CSR, whatever the frontier's width.  In
+    descending degree order the nodes with a p-th neighbor are a prefix, so each
+    position below h, the degrees' h-index, is one gather of at least h rows; the at
+    most h nodes with more neighbors end with one reduceat over their other ones.
+    ``inverse`` is each node's place in that order, ``size`` for none."""
+    ptr, idx = graph.adjacency(etype, reverse)
+    deg = np.diff(ptr)
+    order = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
+    inverse = np.full(deg.size, order.size)
+    inverse[order] = np.arange(order.size)
+    deg, start = deg[order], ptr[order]
+    h = int(np.count_nonzero(deg > np.arange(deg.size)))
+    gathers = [idx[start[:count] + p]
+               for p, count in enumerate(np.searchsorted(-deg, -np.arange(h)).tolist())]
+    rest = deg[deg > h] - h
+    return (inverse, order.size, gathers, idx[_ranges(start[:rest.size] + h, rest)],
+            np.cumsum(rest) - rest)
 
 
-def _hop(frontier: np.ndarray, graph: HetGraph, csrs) -> np.ndarray:
-    """Per node, the OR of the frontier rows of its neighbors in the CSRs named by their
-    ``adjacency`` arguments.  In ``degree_order`` the nodes with a p-th neighbor are a
-    prefix, so each position below h, the degrees' h-index, is one gather-and-OR of at
-    least h rows into one accumulator; a reduceat ends the at most h with more neighbors."""
-    out = np.zeros_like(frontier)
-    for etype, reverse in csrs:
-        (ptr, idx), order = graph.adjacency(etype, reverse), graph.degree_order(etype, reverse)
-        deg, start = ptr[order + 1] - ptr[order], ptr[order]
-        h = int(np.count_nonzero(deg > np.arange(deg.size)))
-        acc = np.zeros((deg.size, frontier.shape[1]), dtype=frontier.dtype)
-        for p, count in enumerate(np.searchsorted(-deg, -np.arange(h)).tolist()):
-            acc[:count] |= frontier[idx[start[:count] + p]]
-        rest = deg[deg > h] - h
-        acc[:rest.size] |= np.bitwise_or.reduceat(frontier[idx[_ranges(
-            start[:rest.size] + h, rest)]], np.cumsum(rest) - rest, axis=0)
-        out[order] |= acc
-    return out
+def _hop(frontier: np.ndarray, plan) -> np.ndarray:
+    """Per node, the OR of the frontier rows of its neighbors in one planned CSR."""
+    inverse, size, gathers, tail, starts = plan
+    acc = np.zeros((size + 1, frontier.shape[1]), dtype=frontier.dtype)
+    for rows in gathers:
+        acc[:rows.size] |= frontier.take(rows, axis=0)
+    if starts.size:
+        acc[:starts.size] |= np.bitwise_or.reduceat(frontier.take(tail, axis=0), starts, axis=0)
+    return acc.take(inverse, axis=0)
 
 
 def metapath_neighbors(graph: HetGraph, metapath: Sequence[str],
@@ -336,12 +380,8 @@ def metapath_neighbors(graph: HetGraph, metapath: Sequence[str],
                 f"edge type {e!r} does not join {ta!r} and {tb!r}")
         steps.append([(e, True)] * forward + [(e, False)] * backward)
 
-    centers, own = _own_bits(len(graph), graph.nodes_of_type(node_types[0])
-                             if centers is None else centers)
-    frontier = own
-    for csrs in steps:
-        frontier = _hop(frontier, graph, csrs)
-    return CenterSets(centers, frontier & ~own)
+    return CenterSets(graph, graph.nodes_of_type(node_types[0]) if centers is None else centers,
+                      steps)
 
 
 def k_order_neighbors(graph: HetGraph, k: int,
@@ -349,15 +389,10 @@ def k_order_neighbors(graph: HetGraph, k: int,
     """Type-agnostic BFS ball of radius k minus the center.
 
     Reported sets are restricted to company-type members; traversal itself
-    crosses all node types.  All centers walk at once, one bit each, so a hop
-    costs one pass over the graph's CSR per 64 centers.
+    crosses all node types.  A walk takes its centers 64 to a ``uint64`` word,
+    so a hop costs one pass over the graph's CSR per word.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    centers, own = _own_bits(len(graph), range(len(graph)) if centers is None else centers)
-    seen = frontier = own
-    for _ in range(k):
-        frontier = _hop(frontier, graph, [(None, False)]) & ~seen
-        seen = seen | frontier
-    seen[graph.type_code != graph.type_names.index(graph.schema.company_type)] = 0
-    return CenterSets(centers, seen & ~own)
+    return CenterSets(graph, range(len(graph)) if centers is None else centers,
+                      [[(None, False)]] * k, ball=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoLabeledPairs
 from .hetgraph import HetGraph, tsv
-from .matcher import CenterSets, NeighborIndex
+from .matcher import CenterSets, NeighborIndex, count_members
 
 KIND_RPT = "rpt"
 KIND_RPT_AGGREGATE = "rpt_aggregate"
@@ -103,10 +103,10 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
     rows.append(StatsRow(AGGREGATE_NAME, KIND_RPT_AGGREGATE,
                          sum(r.pairs for r in rows), sum(r.hits for r in rows)))
 
-    for name in sorted(metapaths, key=str):
-        rows.append(row(str(name), KIND_METAPATH, metapaths[name].count(centers, labeled)))
-    for k in sorted(k_orders):
-        rows.append(row(f"{k}-order", KIND_KORDER, k_orders[k].count(centers, labeled)))
+    walked = ([(str(m), KIND_METAPATH, metapaths[m]) for m in sorted(metapaths, key=str)]
+              + [(f"{k}-order", KIND_KORDER, k_orders[k]) for k in sorted(k_orders)])
+    counts = count_members([sets for *_, sets in walked], centers, labeled)
+    rows += [row(name, kind, c) for (name, kind, _), c in zip(walked, counts)]
 
     # labeled companies that anchor no instance of any pattern
     anchored = sum(np.diff(ptr) for ptr in index.anchor_ptr.values())

@@ -12,6 +12,7 @@ attachment so degree distributions come out heavy-tailed.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -44,18 +45,25 @@ class GenConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("p_rpt", "p_bg", "label_coverage", "invest_coverage"):
+        for name in ("p_rpt", "p_bg", "label_coverage", "invest_coverage", "item_trade_rate"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise InfeasibleConfig(f"{name} must be in [0, 1], got {v}")
+        for name in ("transaction_density", "event_degree", "category_density"):
+            v = getattr(self, name)
+            if not (0.0 <= v < math.inf):
+                raise InfeasibleConfig(f"{name} must be finite and non-negative, got {v}")
+        if not math.isfinite(self.class_shift):
+            raise InfeasibleConfig(f"class_shift must be finite, got {self.class_shift}")
         if self.p_rpt < self.p_bg:
             raise InfeasibleConfig(
                 f"p_rpt ({self.p_rpt}) must be >= p_bg ({self.p_bg})")
         for name in ("companies", "persons", "items", "events", "communities", "decoy_communities"):
             if getattr(self, name) < 0:
                 raise InfeasibleConfig(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.degree_exponent <= 1.0:
-            raise InfeasibleConfig("degree_exponent must exceed 1")
+        if not (1.0 < self.degree_exponent < math.inf):
+            raise InfeasibleConfig(f"degree_exponent must be finite and exceed 1, "
+                                   f"got {self.degree_exponent}")
         needed_c = 3 * self.communities + 2 * self.decoy_communities
         if needed_c > self.companies:
             raise InfeasibleConfig(

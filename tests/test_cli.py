@@ -375,6 +375,20 @@ def test_negative_community_count_fails_with_one_error_line(tmp_path, capsys, ar
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tx-density", "nan"],
+    ["--tx-density", "-1"],
+    ["--delta", "nan"],
+    ["--exponent", "nan"],
+], ids=["tx-density-nan", "tx-density-negative", "delta-nan", "exponent-nan"])
+def test_bad_float_knob_fails_with_one_error_line(tmp_path, capsys, flags):
+    rc = main(["generate", "--out", str(tmp_path / "run")] + flags)
+    assert rc == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error\tInfeasibleConfig\t"), errors
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("row", ["C0,x", "C0"])
 def test_malformed_labels_row_fails_with_line_number(dataset, tmp_path, capsys, row):
     bad = tmp_path / "bad"

@@ -467,6 +467,20 @@ def test_k_order_matches_matrix_power_oracle_on_every_hop_branch(k):
     assert k_order_neighbors(g, k) == brute_force_k_order(g, k)
 
 
+def test_lookups_walk_one_block_at_a_time(monkeypatch):
+    # one uint64 word per node row: blocks of 64 centers
+    monkeypatch.setattr(matcher, "WALK_BUDGET", 8)
+    g = hop_branch_graph()
+    path = ["company", "transaction", "company", "transaction", "company"]
+    for got, want in [(metapath_neighbors(g, path), brute_force_metapath(g, path)),
+                      (k_order_neighbors(g, 2), brute_force_k_order(g, 2))]:
+        assert got.width == 64 and len(got) > 64
+        # every lookup in the other block from the one before it
+        jumps = [c for pair in zip(got.centers[:64], got.centers[64:]) for c in pair]
+        assert [got[c] for c in jumps] == [want[c] for c in jumps]
+        assert got == want
+
+
 def test_k_order_rejects_bad_radius():
     g = make_graph(small_schema(), [("a", "company")], [])
     with pytest.raises(ValueError):

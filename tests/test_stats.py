@@ -1,8 +1,11 @@
 """Evasion-statistics tests: hand-countable cases and planted-ratio recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rptdetect import matcher
 from rptdetect.errors import NoLabeledPairs
 from rptdetect.hetgraph import labels_to_indices
 from rptdetect.matcher import build_neighbor_index, k_order_neighbors, metapath_neighbors
@@ -197,40 +200,100 @@ def set_tally(centers, sets, y):
     return len(members), sum(y[j] for j in members)
 
 
+def tally_cases(which):
+    """(graph, labels) pairs: the oracle graphs with the last two companies unlabeled,
+    so their pairs count nowhere, or the wide graph."""
+    if which == "wide":
+        return [wide_graph()]
+    rng = np.random.default_rng(17)
+    cases = []
+    for g in criterion_3_graphs() if which == "criterion_3" else [hub_graph()]:
+        y = {i: int(rng.random() < 0.5) for i in g.company_nodes()[:-2]}
+        y[g.company_nodes()[0]] = 1
+        cases.append((g, y))
+    return cases
+
+
+def assert_counts_equal_set_tally(g, y, every_company=False):
+    """Every stats row equals a set tally over the brute-force baselines; with
+    ``every_company`` the baseline sets are built over all companies, as criterion 4's are."""
+    centers = evader_centers(g, y)
+    built_over = g.company_nodes() if every_company else centers
+    index = build_neighbor_index(g, bundled_patterns(), cap=64, cap_mode="truncate")
+    mp = {name: metapath_neighbors(g, path, built_over)
+          for name, path in BUNDLED_METAPATHS.items()}
+    ko = {k: k_order_neighbors(g, k, built_over) for k in (1, 2, 3)}
+    got = {r.name: (r.pairs, r.hits)
+           for r in evasion_ratio_stats(g, index, mp, ko, y).rows}
+
+    want = {pid: set_tally(centers, {
+        i: {v for row in index.instances(i, pid).tolist() for v in row
+            if v != i and g.types[v] == "company"} for i in centers}, y)
+        for pid in index.pattern_ids}
+    want["rpt::all"] = tuple(map(sum, zip(*want.values())))
+    for name, path in BUNDLED_METAPATHS.items():
+        want[name] = set_tally(centers, brute_force_metapath(g, path), y)
+    for k in (1, 2, 3):
+        want[f"{k}-order"] = set_tally(centers, brute_force_k_order(g, k), y)
+    background = [i for i in y if g.types[i] == "company" and not index.has_any(i)]
+    want["background"] = (len(background), sum(y[i] for i in background))
+    assert got == want
+
+
 @pytest.mark.parametrize("which", ["criterion_3", "hub", "wide"])
 def test_counts_equal_a_set_tally_over_the_oracles(which):
-    rng = np.random.default_rng(17)
-    if which == "wide":
-        cases = [wide_graph()]
-    else:
-        graphs = criterion_3_graphs() if which == "criterion_3" else [hub_graph()]
-        cases = []
-        for g in graphs:
-            # the last two companies stay unlabeled, so their pairs count nowhere
-            y = {i: int(rng.random() < 0.5) for i in g.company_nodes()[:-2]}
-            y[g.company_nodes()[0]] = 1
-            cases.append((g, y))
-    for g, y in cases:
-        centers = evader_centers(g, y)
+    for g, y in tally_cases(which):
         if which == "wide":
+            centers = evader_centers(g, y)
             assert len(centers) > 64 and len(centers) % 64
             assert g.index["lone"] == len(g) - 1 and g.index["lone"] in centers
-        index = build_neighbor_index(g, bundled_patterns(), cap=64, cap_mode="truncate")
-        mp = {name: metapath_neighbors(g, path, centers)
-              for name, path in BUNDLED_METAPATHS.items()}
-        ko = {k: k_order_neighbors(g, k, centers) for k in (1, 2, 3)}
-        got = {r.name: (r.pairs, r.hits)
-               for r in evasion_ratio_stats(g, index, mp, ko, y).rows}
+        assert_counts_equal_set_tally(g, y)
 
-        want = {pid: set_tally(centers, {
-            i: {v for row in index.instances(i, pid).tolist() for v in row
-                if v != i and g.types[v] == "company"} for i in centers}, y)
-            for pid in index.pattern_ids}
-        want["rpt::all"] = tuple(map(sum, zip(*want.values())))
-        for name, path in BUNDLED_METAPATHS.items():
-            want[name] = set_tally(centers, brute_force_metapath(g, path), y)
-        for k in (1, 2, 3):
-            want[f"{k}-order"] = set_tally(centers, brute_force_k_order(g, k), y)
-        background = [i for i in y if g.types[i] == "company" and not index.has_any(i)]
-        want["background"] = (len(background), sum(y[i] for i in background))
-        assert got == want
+
+@pytest.fixture
+def one_word_blocks(monkeypatch):
+    """A walk budget of one uint64 word per node row: blocks of 64 centers."""
+    monkeypatch.setattr(matcher, "WALK_BUDGET", 8)
+
+
+@pytest.mark.parametrize("every_company", [False, True], ids=["evaders", "every-company"])
+@pytest.mark.parametrize("which", ["criterion_3", "hub", "wide"])
+def test_blocked_counts_equal_a_set_tally(one_word_blocks, which, every_company):
+    for g, y in tally_cases(which):
+        if which == "wide":  # a full block of 64 centers and a partial one
+            assert 64 < len(evader_centers(g, y)) < 128
+        assert_counts_equal_set_tally(g, y, every_company)
+
+
+def test_blocked_counter_missing_center_raises(one_word_blocks):
+    g, y = wide_graph()
+    centers = evader_centers(g, y)
+    index = build_neighbor_index(g, bundled_patterns(), cap=64, cap_mode="truncate")
+    # the center left out sits in the last block
+    ko = {1: k_order_neighbors(g, 1, centers[:-1])}
+    with pytest.raises(KeyError):
+        evasion_ratio_stats(g, index, {}, ko, y)
+
+
+def test_counting_all_centers_stays_within_twice_one_block(one_word_blocks):
+    graph, labels, _ = generate(GenConfig(
+        companies=962, persons=769, items=231, events=38, communities=115,
+        decoy_communities=38, seed=3))
+    y = labels_to_indices(graph, labels)
+    centers = evader_centers(graph, y)
+    assert len(centers) >= 4 * 64
+    sets = [metapath_neighbors(graph, path, centers) for path in BUNDLED_METAPATHS.values()]
+    sets += [k_order_neighbors(graph, k, centers) for k in (1, 2, 3)]
+    labeled = np.array(sorted(y), dtype=np.intp)
+    matcher.count_members(sets, centers[:64], labeled)  # builds the CSRs and hop plans
+
+    def traced_peak(block):
+        tracemalloc.start()
+        try:
+            matcher.count_members(sets, block, labeled)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, every = traced_peak(centers[:64]), traced_peak(centers)
+    assert every <= 2 * one, (every, one)
