@@ -22,6 +22,7 @@ from .hetgraph import (
     GRAPH_FILES,
     _quote,
     degree_histogram,
+    distinct,
     labels_to_indices,
     load_graph,
     load_labels,
@@ -233,7 +234,7 @@ def cmd_match(args) -> int:
         insts = enumerate_instances(graph, p, injective=args.injective,
                                     cap=args.cap, cap_mode=args.cap_mode)
         rows.append((p.pattern_id, len(insts),
-                     len(np.unique(insts[:, p.role_names.index(p.anchor)]))))
+                     len(distinct(insts[:, p.role_names.index(p.anchor)]))))
     table = tsv(("pattern", "instances", "anchors"), rows)
     print(table, end="")
     _write_outputs(args.out, {"instances.tsv": table})
@@ -282,8 +283,8 @@ def cmd_train(args) -> int:
                          ((e, pid, "na" if b is None else b) for e, pid, b in result.trend)),
         "loss.tsv": tsv(("epoch", "loss"), enumerate(result.metrics.loss_history)),
         "embeddings.csv": _embeddings_text(result.embeddings),
-        "split.json": json.dumps({"train": result.train_ids, "test": result.test_ids},
-                                 indent=2, sort_keys=True) + "\n",
+        "split.json": json.dumps({"seed": config.seed, "train": result.train_ids,
+                                  "test": result.test_ids}, indent=2, sort_keys=True) + "\n",
         "timing.txt": tsv(("total_seconds", sum(seconds)),
                           ((f"epoch_{i}", s) for i, s in enumerate(seconds))),
     })
@@ -294,17 +295,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _resolve(args, TRAIN_SPEC)
+    split = read_json(args.split, "split", PipelineError) if args.split else {}
+    if args.split and not (isinstance(split, dict) and isinstance(split.get("train"), list)
+                           and isinstance(split.get("test"), list)):
+        raise PipelineError(f"split {args.split}: needs 'train' and 'test' id lists")
+    if type(split.get("seed", 0)) is not int:
+        raise PipelineError(f"split {args.split}: seed {split['seed']!r} is not an integer")
+    # the seed train wrote into the split stands in for the built-in default
+    _resolve(args, {**TRAIN_SPEC, "seed": (int, split.get("seed", 0))})
     graph = load_graph(*_graph_paths(args))
     labels = _load_labels(args, graph)
     params = load_params(args.checkpoint)
     config = replace(_train_config(args), proj_dim=params.meta["proj_dim"],
                      embed_dim=params.meta["embed_dim"], heads=params.meta["heads"])
     if args.split:
-        split = read_json(args.split, "split", PipelineError)
-        if not (isinstance(split, dict) and isinstance(split.get("train"), list)
-                and isinstance(split.get("test"), list)):
-            raise PipelineError(f"split {args.split}: needs 'train' and 'test' id lists")
         train_ids, test_ids = split["train"], split["test"]
         unlabeled = [i for i in train_ids + test_ids if not isinstance(i, str) or i not in labels]
         if unlabeled:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleConfig, InstanceCapExceeded, MalformedMetapath
-from .hetgraph import HetGraph
+from .hetgraph import HetGraph, distinct
 from .patterns import RptPattern, validate_pattern
 
 log = logging.getLogger(__name__)
@@ -78,39 +78,52 @@ def _ranges(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(shift, counts)
 
 
-def _keep_first_multisets(leaves: np.ndarray, anchor: np.ndarray,
-                          cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _rank(cols: list[np.ndarray], bits: int) -> tuple[np.ndarray, int]:
+    """Each row's place among the distinct rows of the columns (ids below ``2**bits``), and
+    the bits the places take.  The columns are packed into one int64 key, first column
+    highest; where the next would reach the sign bit, the key (or, too wide, the column)
+    is first replaced by its rank, which orders the same."""
+    key, width = np.zeros(len(cols[0]), dtype=np.int64), 0
+    for c in cols:
+        if width + bits > 63:
+            key, width = _rank([key], 63)
+        c, c_bits = (c, bits) if width + bits <= 63 else _rank([c], 63)
+        key, width = key << c_bits | c, width + c_bits
+    by = np.argsort(key)
+    key[by] = np.cumsum(np.r_[False, key[by[1:]] != key[by[:-1]]])
+    return key, int(key.max()).bit_length()
+
+
+def _keep_first_multisets(leaves: np.ndarray, anchor: np.ndarray, cap: int,
+                          n: int) -> tuple[np.ndarray, np.ndarray]:
     """What a depth-first walk keeps of its leaves, and the anchors it cut short.
 
     ``leaves`` are grouped by ascending ``anchor`` and in walk order within
-    one.  Per anchor, the walk keeps node multisets in order of first
-    occurrence and stops at the first leaf of the (cap+1)-th; each kept
-    multiset is represented by its smallest row among the leaves before the
-    stop.  Rows come back sorted by anchor, then by row.
+    one; every id is below ``n``.  Per anchor, the walk keeps node multisets in
+    order of first occurrence and stops at the first leaf of the (cap+1)-th;
+    each kept multiset is represented by its smallest row among the leaves
+    before the stop.  Rows come back sorted by anchor, then by row.
     """
-    m = len(leaves)
+    m, bits = len(leaves), max(1, (n - 1).bit_length())
     if not m:
         return leaves, anchor
-    key = np.sort(leaves, axis=1)
-    # leaves of one (anchor, multiset) group side by side, in walk order (the sort is stable)
-    by_key = np.lexsort((*key.T[::-1], anchor))
-    key, key_anchor = key[by_key], anchor[by_key]
-    new = np.ones(m, dtype=bool)
-    new[1:] = (key[1:] != key[:-1]).any(axis=1) | (key_anchor[1:] != key_anchor[:-1])
-    group = np.empty(m, dtype=np.intp)
-    group[by_key] = np.cumsum(new) - 1
-    first = np.zeros(m, dtype=bool)
-    first[by_key[new]] = True
+    # one group per (anchor, multiset); the group's first leaf in walk order is its least index
+    group, leaf = _rank([anchor, *np.sort(leaves, axis=1).T], bits)[0], np.arange(m)
+    lead = np.full(m, m)
+    np.minimum.at(lead, group, leaf)
+    first = lead[group] == leaf
     # distinct multisets the walk has met at each leaf, counted per anchor
     seen = np.cumsum(first)
     starts = np.flatnonzero(np.r_[True, anchor[1:] != anchor[:-1]])
     seen -= np.repeat((seen - first)[starts], np.diff(np.r_[starts, m]))
     kept = seen <= cap
-    # sorted by (anchor, row), each group's first kept leaf is its smallest row
-    leaves, group = leaves[kept], group[kept]
-    by_row = np.lexsort((*leaves.T[::-1], anchor[kept]))
-    _, firsts = np.unique(group[by_row], return_index=True)
-    return leaves[by_row[np.sort(firsts)]], np.unique(anchor[~kept])
+    # each kept group's leaf with the least place in (anchor, row) order is its smallest row
+    idx = np.flatnonzero(kept)
+    place = _rank([anchor[idx], *leaves[idx].T], bits)[0]
+    lead[:] = m
+    np.minimum.at(lead, group[idx], place)
+    leaf[place] = idx  # now the kept leaf at each place
+    return leaves[leaf[np.sort(lead[lead < m])]], distinct(anchor[~kept])
 
 
 def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
@@ -179,7 +192,8 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
             if injective:
                 keep &= (rows[parent] != cand[:, None]).all(axis=1)
             rows = np.column_stack((rows[parent[keep]], cand[keep]))
-        kept, truncated = _keep_first_multisets(rows[:, canonical], rows[:, 0], cap)
+        kept, truncated = _keep_first_multisets(rows[:, canonical], rows[:, 0], cap,
+                                                 len(graph))
         if truncated.size and cap_mode == CAP_ERROR:
             raise InstanceCapExceeded(pattern.pattern_id, graph.ids[truncated[0]], cap)
         for anchor_node in truncated.tolist():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoLabeledPairs
-from .hetgraph import HetGraph, tsv
+from .hetgraph import HetGraph, distinct, tsv
 from .matcher import CenterSets, NeighborIndex, count_members
 
 KIND_RPT = "rpt"
@@ -98,7 +98,7 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
     for pid in index.pattern_ids:
         members, counts = index.gather(pid, center_rows)
         owner = np.repeat(center_rows, counts)[:, None]
-        pairs = np.unique((owner * n + members)[is_company[members] & (members != owner)])
+        pairs = distinct((owner * n + members)[is_company[members] & (members != owner)])
         rows.append(row(pid, KIND_RPT, np.bincount(pairs % n, minlength=n)[labeled]))
     rows.append(StatsRow(AGGREGATE_NAME, KIND_RPT_AGGREGATE,
                          sum(r.pairs for r in rows), sum(r.hits for r in rows)))

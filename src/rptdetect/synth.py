@@ -11,10 +11,10 @@ attachment so degree distributions come out heavy-tailed.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -304,25 +304,25 @@ def export(graph: HetGraph, labels: dict[str, int], out_dir: str | os.PathLike) 
 
 
 def save_ground_truth(truth: GroundTruth, path: str | os.PathLike) -> None:
-    doc = {
-        "communities": [
-            {
-                "kind": info.kind,
-                "companies": info.companies,
-                "persons": info.persons,
-                "items": info.items,
-                "instances": [
-                    {"pattern": pid, "anchor": anchor, "nodes": list(nodes)}
-                    for pid, anchor, nodes in info.instances
-                ],
-            }
-            for info in truth.communities
-        ],
-        "community_of": truth.community_of,
-        "true_labels": truth.true_labels,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8",
-                          newline="\n")
+    # the JSON keys are the field names; each instance becomes an object
+    doc = {**vars(truth), "communities": [
+        {**vars(info), "instances": [{"pattern": pid, "anchor": anchor, "nodes": nodes}
+                                     for pid, anchor, nodes in info.instances]}
+        for info in truth.communities]}
+    Path(path).write_text(_json(doc) + "\n", encoding="utf-8", newline="\n")
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for strings, ints, lists and
+    dicts, from C string escapes and joins: the stdlib's indent path is pure Python."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return str(value)
+    inner, ends = indent + "  ", "{}" if isinstance(value, dict) else "[]"
+    items = ([f"{_json(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+             if isinstance(value, dict) else [_json(v, inner) for v in value])
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def scaled_config(base: GenConfig, total_nodes: int) -> GenConfig:

@@ -147,14 +147,14 @@ def test_outputs_do_not_depend_on_blas_thread_count(dense_dataset, tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["direct", "downstream"])
-def test_eval_reuses_checkpoint_and_split(dataset, tmp_path, capsys, mode):
+def test_eval_reuses_checkpoint_and_split(dense_dataset, tmp_path, capsys, mode):
     run = tmp_path / "run"
-    rc = main(["train", "--graph", str(dataset), "--out", str(run),
+    rc = main(["train", "--graph", str(dense_dataset), "--out", str(run),
                "--epochs", "2", "--dim", "8", "--proj-dim", "4",
                "--batch-size", "64", "--seed", "5", "--test-fraction", "0.3",
                "--eval-mode", mode])
     assert rc == 0
-    rc = main(["eval", "--graph", str(dataset),
+    rc = main(["eval", "--graph", str(dense_dataset),
                "--checkpoint", str(run / "checkpoint.json"),
                "--split", str(run / "split.json"), "--eval-mode", mode,
                "--out", str(tmp_path / "eval")])
@@ -169,18 +169,19 @@ TRAIN_ARTIFACTS = ("checkpoint.json", "metrics.tsv", "trend.tsv", "loss.tsv",
 
 # sha256 over the train artifacts above, in that order, per (ablation, eval
 # mode); computed with the op-by-op tape forward and per-array Adam that the
-# fused model step replaced
+# fused model step replaced, and recomputed when split.json gained the seed
+# (every other artifact hashed the same before and after)
 PINNED_TRAIN = {
-    ("none", "direct"): "8825e60176151141",
-    ("none", "downstream"): "ea3cc99c1d22df67",
-    ("hete", "direct"): "9ed5e28cd0533be1",
-    ("hete", "downstream"): "cc5035d9438943cf",
-    ("inner", "direct"): "f4d31a1a33c936e3",
-    ("inner", "downstream"): "f4d31a1a33c936e3",
-    ("cross", "direct"): "a3543fef266de313",
-    ("cross", "downstream"): "da06936413ef219b",
-    ("att", "direct"): "edc2f8ffa0f5cfbc",
-    ("att", "downstream"): "edc2f8ffa0f5cfbc",
+    ("none", "direct"): "6e4dbde08d6e3202",
+    ("none", "downstream"): "9493e229f7e18b9e",
+    ("hete", "direct"): "a8dfc44c09e315f1",
+    ("hete", "downstream"): "83e820258730d666",
+    ("inner", "direct"): "df84f177ec428908",
+    ("inner", "downstream"): "df84f177ec428908",
+    ("cross", "direct"): "f534624f7451f2ec",
+    ("cross", "downstream"): "7ce25007ce111490",
+    ("att", "direct"): "51cc46419b92115a",
+    ("att", "downstream"): "51cc46419b92115a",
 }
 
 
@@ -610,7 +611,9 @@ def test_bad_env_var_value_fails_naming_the_variable(dataset, tmp_path, capsys,
     lambda split: json.dumps({"train": split["train"]}),
     lambda split: json.dumps({"train": split["train"], "test": split["test"] + ["nope"]}),
     lambda split: json.dumps({"train": split["train"], "test": "C0"}),
-], ids=["not-json", "no-test", "unlabeled-id", "test-not-a-list"])
+    lambda split: json.dumps({**split, "seed": "5"}),
+    lambda split: json.dumps({**split, "seed": 1.5}),
+], ids=["not-json", "no-test", "unlabeled-id", "test-not-a-list", "seed-text", "seed-float"])
 def test_malformed_split_fails_naming_the_file(dataset, tmp_path, capsys, edit):
     run = tmp_path / "run"
     assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "1",

@@ -132,6 +132,38 @@ def test_matches_brute_force_on_random_graphs(rng):
                 assert got == want, (trial, pattern.pattern_id, injective)
 
 
+@pytest.mark.parametrize("pid", ["PCCP", "PCPCCP"])
+def test_packed_keys_agree_at_every_id_width(pid, monkeypatch):
+    # the dedup packs ids into int64 keys: at the hub graph's size a whole row
+    # fits one key, at 2**21 three ids do (a 6-role row's seven split inside
+    # the row), and at 2**62 one does
+    keep, calls = matcher._keep_first_multisets, []
+    monkeypatch.setattr(matcher, "_keep_first_multisets",
+                        lambda *args: calls.append(args) or keep(*args))
+    g = hub_graph()
+    enumerate_instances(g, bundled(pid), cap=2, cap_mode="truncate")
+    assert sum(keep(*args)[1].size for args in calls) > 0, "the hub graph truncates"
+    for leaves, anchor, cap, n in calls:
+        assert n == len(g)
+        rows, truncated = keep(leaves, anchor, cap, n)
+        for wide in (2**21, 2**62):
+            got_rows, got_truncated = keep(leaves, anchor, cap, wide)
+            assert np.array_equal(got_rows, rows) and np.array_equal(got_truncated, truncated)
+
+
+@pytest.mark.parametrize("n", [2**21, 2**62])
+def test_wide_packed_keys_match_brute_force(rng, monkeypatch, n):
+    # the dedup reads every id as n wide, whatever the graph's size
+    keep = matcher._keep_first_multisets
+    monkeypatch.setattr(matcher, "_keep_first_multisets",
+                        lambda leaves, anchor, cap, _: keep(leaves, anchor, cap, n))
+    for trial in range(3):
+        g = random_typed_graph(rng, n_companies=6, n_persons=5, n_items=3, edge_rate=0.25)
+        for pattern in bundled_patterns():  # PCPCCP has six roles
+            got = enumerate_instances(g, pattern, cap=10_000)
+            assert got == brute_force_instances(g, pattern), (trial, pattern.pattern_id)
+
+
 def test_enumeration_is_deterministic(rng):
     g = random_typed_graph(rng, 8, 6, 3, edge_rate=0.3)
     p = bundled_patterns()[1]

@@ -1,6 +1,7 @@
 """Generator tests: validation, planted recoverability, determinism, label stats."""
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -11,8 +12,9 @@ from rptdetect.errors import InfeasibleConfig
 from rptdetect.hetgraph import load_graph, load_labels, save_graph
 from rptdetect.matcher import enumerate_instances
 from rptdetect.patterns import bundled_patterns
-from rptdetect.synth import (GenConfig, _cdf, _draw, _power_weights, export, generate,
-                             save_ground_truth, scaled_config)
+from rptdetect.synth import (CommunityInfo, GenConfig, GroundTruth, _cdf, _draw, _json,
+                             _power_weights, export, generate, save_ground_truth,
+                             scaled_config)
 
 
 def anchored_multisets(graph, pattern):
@@ -148,6 +150,32 @@ def test_small_config_exports_pinned_bytes(tmp_path):
     save_ground_truth(truth, tmp_path / "communities.json")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == SMALL_DIGESTS
+
+
+ODD_IDS = ["c\u00e9", "p\u4e2d\U0001f600", 'q"x', "b\\s", "t\tn\nr\r\x00\x1f\x7f", ""]
+
+
+@pytest.mark.parametrize("truth", [
+    GroundTruth([], {}, {}),
+    GroundTruth([CommunityInfo("decoy_item", [], [], [])], {}, {}),
+    GroundTruth([CommunityInfo("evasion", ODD_IDS[:2], ODD_IDS[2:], ODD_IDS,
+                               [("PCCP", ODD_IDS[0], ()), ("PCCCP", ODD_IDS[3], tuple(ODD_IDS))])],
+                dict(zip(ODD_IDS, range(-3, 3))), {i: 1 for i in ODD_IDS}),
+], ids=["no-communities", "empty-lists", "odd-ids"])
+def test_communities_json_is_the_stdlib_indent_output(truth, tmp_path):
+    path = tmp_path / "communities.json"
+    save_ground_truth(truth, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[]], {"b": [{}]}],
+    {"z": 1, "a": [0, -5, 2**70], "m": {"y": [], "x": {"k": "v"}}},
+    {k: [k, {k: []}] for k in ODD_IDS},
+])
+def test_json_writer_nests_like_the_stdlib(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_label_coverage_and_empty_labels():
