@@ -4,8 +4,7 @@ Every operation appends one node to the tape; ``Tape.backward`` replays the
 nodes in reverse, accumulating gradients in a fixed sequential order so that
 identical inputs always produce bit-identical gradients.  Besides a few generic
 ops, the model's two attention levels are fused ops (one node each) with
-hand-written backward passes.  ``finite_diff_check`` is the independent oracle
-used to validate every op and every composite built on top.
+hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -32,17 +31,10 @@ class Tensor:
         self.tape = tape
         self.requires_grad = requires_grad
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _accumulate(self, g: np.ndarray) -> None:
         # the first gradient is kept as given and later ones make a new sum: no
         # array a backward pass hands out is ever written in place
         self.grad = g if self.grad is None else self.grad + g
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:
@@ -190,36 +182,18 @@ def elu(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy ``@`` semantics for 1-D/2-D operands."""
+    """Matrix product of two 2-D operands."""
     tape = _tape_of(a, b)
-    da, db = a.data.ndim, b.data.ndim
-    _check(da >= 1 and db >= 1, "matmul: operands must be 1-D or 2-D")
-    inner_a = a.data.shape[-1]
-    inner_b = b.data.shape[0]
-    _check(inner_a == inner_b, f"matmul: inner dims differ {a.data.shape} @ {b.data.shape}")
+    _check(a.data.ndim == 2 and b.data.ndim == 2, "matmul: operands must be 2-D")
+    _check(a.data.shape[1] == b.data.shape[0],
+           f"matmul: inner dims differ {a.data.shape} @ {b.data.shape}")
     out = Tensor(a.data @ b.data, tape, False)
 
     def backward(g):
-        if da == 2 and db == 2:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        elif da == 2 and db == 1:
-            if a.requires_grad:
-                a._accumulate(np.outer(g, b.data))
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        elif da == 1 and db == 2:
-            if a.requires_grad:
-                a._accumulate(b.data @ g)
-            if b.requires_grad:
-                b._accumulate(np.outer(a.data, g))
-        else:  # 1-D @ 1-D -> scalar
-            if a.requires_grad:
-                a._accumulate(g * b.data)
-            if b.requires_grad:
-                b._accumulate(g * a.data)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
     return tape._record(out, (a, b), backward)
 
@@ -408,39 +382,3 @@ def bce_with_logits_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     return tape._record(out, (logits,), backward)
 
-
-# --- gradient oracle ----------------------------------------------------------
-
-def finite_diff_check(build: Callable[[dict[str, np.ndarray]], tuple[Tape, Tensor]],
-                      params: dict[str, np.ndarray], eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central finite differences.
-
-    ``build`` must construct a fresh tape from plain parameter arrays,
-    register each entry of ``params`` on it, and return (tape, scalar loss).
-    The error for each parameter entry is |analytic - fd| / max(1, |analytic|).
-    """
-    assert eps > 0
-    base = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
-    tape, loss = build({k: v.copy() for k, v in base.items()})
-    grads = tape.backward(loss)
-    worst = 0.0
-    for name in sorted(base):
-        arr = base[name]
-        g = np.asarray(grads[name], dtype=np.float64)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            for sign in (+1.0, -1.0):
-                mod = {k: v.copy() for k, v in base.items()}
-                mod[name].reshape(-1)[i] = orig + sign * eps
-                _, out = build(mod)
-                if sign > 0:
-                    f_plus = float(out.data)
-                else:
-                    f_minus = float(out.data)
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]))
-            if err > worst:
-                worst = err
-    return worst

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -303,16 +304,22 @@ def cmd_eval(args) -> int:
         raise PipelineError(f"split {args.split}: seed {split['seed']!r} is not an integer")
     # the seed train wrote into the split stands in for the built-in default
     _resolve(args, {**TRAIN_SPEC, "seed": (int, split.get("seed", 0))})
+    config = _train_config(args)
     graph = load_graph(*_graph_paths(args))
     labels = _load_labels(args, graph)
     params = load_params(args.checkpoint)
-    config = replace(_train_config(args), proj_dim=params.meta["proj_dim"],
+    config = replace(config, proj_dim=params.meta["proj_dim"],
                      embed_dim=params.meta["embed_dim"], heads=params.meta["heads"])
     if args.split:
         train_ids, test_ids = split["train"], split["test"]
         unlabeled = [i for i in train_ids + test_ids if not isinstance(i, str) or i not in labels]
         if unlabeled:
             raise PipelineError(f"split {args.split}: {unlabeled[0]!r} is not a labeled company")
+        # a test id also in train, or one listed twice, would score a leaky split
+        repeated = [i for i, n in Counter(train_ids + test_ids).items() if n > 1]
+        if repeated:
+            raise PipelineError(f"split {args.split}: {repeated[0]!r} is listed more than once "
+                                f"across train and test")
     else:
         train_ids, test_ids = split_dataset(labels, config.psr, config.test_fraction,
                                             config.seed)

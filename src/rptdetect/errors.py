@@ -30,13 +30,7 @@ class PatternTypeUnknown(PipelineError):
 
 
 class InstanceCapExceeded(PipelineError):
-    def __init__(self, pattern_id, anchor_id, cap):
-        super().__init__(
-            f"pattern {pattern_id!r}: anchor {anchor_id!r} exceeds instance cap {cap}"
-        )
-        self.pattern_id = pattern_id
-        self.anchor_id = anchor_id
-        self.cap = cap
+    pass
 
 
 class MalformedMetapath(PipelineError):

@@ -195,7 +195,8 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
         kept, truncated = _keep_first_multisets(rows[:, canonical], rows[:, 0], cap,
                                                  len(graph))
         if truncated.size and cap_mode == CAP_ERROR:
-            raise InstanceCapExceeded(pattern.pattern_id, graph.ids[truncated[0]], cap)
+            raise InstanceCapExceeded(f"pattern {pattern.pattern_id!r}: anchor "
+                                      f"{graph.ids[truncated[0]]!r} exceeds instance cap {cap}")
         for anchor_node in truncated.tolist():
             log.warning("pattern %s: anchor %s truncated at cap %d",
                         pattern.pattern_id, graph.ids[anchor_node], cap)
@@ -250,12 +251,10 @@ class NeighborIndex:
 
 
 def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,
-                         injective: bool = False,
                          cap: int = DEFAULT_CAP,
                          cap_mode: str = CAP_ERROR) -> NeighborIndex:
     """Every pattern's instance rows, indexed by anchor over all company nodes."""
-    nodes = {p.pattern_id: enumerate_instances(graph, p, injective=injective,
-                                               cap=cap, cap_mode=cap_mode)
+    nodes = {p.pattern_id: enumerate_instances(graph, p, cap=cap, cap_mode=cap_mode)
              for p in patterns}
     return NeighborIndex(patterns, nodes, graph.company_nodes(), len(graph))
 

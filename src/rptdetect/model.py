@@ -23,7 +23,6 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -77,11 +76,7 @@ class ModelConfig:
 
 
 class FlatArrays(dict):
-    """Named float64 arrays that are views into one flat buffer, ``flat``.
-
-    Assigning to a name writes into its view; a new name or a new shape copies
-    everything into a fresh buffer.
-    """
+    """Named float64 arrays that are views into one flat buffer, ``flat``."""
 
     def __init__(self, arrays: dict[str, np.ndarray]):
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
@@ -90,13 +85,6 @@ class FlatArrays(dict):
         for k, a in arrays.items():
             super().__setitem__(k, self.flat[off:off + a.size].reshape(a.shape))
             off += a.size
-
-    def __setitem__(self, key: str, value) -> None:
-        value = np.asarray(value, dtype=np.float64)
-        if key in self and self[key].shape == value.shape:
-            self[key][...] = value
-        else:
-            self.__init__({**self, key: value})
 
 
 class ModelParams:
@@ -169,7 +157,7 @@ class ForwardResult:
 
     ``betas`` is [batch row, pattern column], zero where ``present`` is not
     set; ``inner`` holds per pattern (batch rows, segment offsets, instance
-    weights).  ``alpha`` and ``beta`` build dicts from them on first read.
+    weights).
     """
 
     batch: list[int]
@@ -183,19 +171,6 @@ class ForwardResult:
     present: np.ndarray
     pattern_ids: list[str]
     inner: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-    @cached_property
-    def alpha(self) -> dict[tuple[int, str], np.ndarray]:
-        return {(self.batch[r], pid): weights[a:b]
-                for pid, (positions, offsets, weights) in self.inner.items()
-                for r, a, b in zip(positions.tolist(), offsets[:-1].tolist(),
-                                   offsets[1:].tolist())}
-
-    @cached_property
-    def beta(self) -> dict[int, dict[str, float]]:
-        return {node: {pid: b for pid, b, on in zip(self.pattern_ids, row, on_row) if on}
-                for node, row, on_row in zip(self.batch, self.betas.tolist(),
-                                             self.present.tolist())}
 
 
 def _check_batch(graph: HetGraph, batch: list[int], company: str,

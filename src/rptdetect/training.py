@@ -47,18 +47,24 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.psr <= 1.0):
-            raise InfeasibleConfig(f"psr must be in (0, 1], got {self.psr}")
-        if self.batch_size < 1:
-            raise InfeasibleConfig(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("heads", "embed_dim", "proj_dim"):
-            if getattr(self, name) < 1:
-                raise InfeasibleConfig(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise InfeasibleConfig(f"epochs must be >= 0, got {self.epochs}")
-        if self.eval_mode not in ("downstream", "direct"):
-            raise InfeasibleConfig(
-                f"eval_mode must be 'downstream' or 'direct', got {self.eval_mode!r}")
+        # a NaN fails every comparison, so each range also rejects it
+        for name, ok, want in (
+                ("psr", 0.0 < self.psr <= 1.0, "in (0, 1]"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("heads", self.heads >= 1, ">= 1"),
+                ("embed_dim", self.embed_dim >= 1, ">= 1"),
+                ("proj_dim", self.proj_dim >= 1, ">= 1"),
+                ("epochs", self.epochs >= 0, ">= 0"),
+                ("eval_mode", self.eval_mode in ("downstream", "direct"),
+                 "'downstream' or 'direct'"),
+                ("learning_rate", 0.0 < self.learning_rate < math.inf, "finite and > 0"),
+                ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
+                ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+                ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+                ("adam_eps", 0.0 < self.adam_eps < math.inf, "finite and > 0"),
+                ("test_fraction", 0.0 <= self.test_fraction < 1.0, "in [0, 1)")):
+            if not ok:
+                raise InfeasibleConfig(f"{name} must be {want}, got {getattr(self, name)!r}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(proj_dim=self.proj_dim, embed_dim=self.embed_dim,

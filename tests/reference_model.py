@@ -15,7 +15,7 @@ import numpy as np
 from rptdetect.errors import MissingProjection, ShapeMismatch
 from rptdetect.hetgraph import HetGraph
 from rptdetect.matcher import NeighborIndex
-from rptdetect.model import ModelConfig, ModelParams, _check_batch
+from rptdetect.model import ForwardResult, ModelConfig, ModelParams, _check_batch
 from rptdetect.patterns import RptPattern
 
 
@@ -174,3 +174,13 @@ def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int
     loss = float(np.mean(losses)) if losses else None
     return SimpleNamespace(batch=batch, loss=loss, p=p_map, z=z_map, degenerate=degenerate,
                            alpha=alpha_rec, beta=beta_rec)
+
+
+def attention(res: ForwardResult) -> tuple[dict, dict]:
+    """``forward``'s weights keyed as ``forward_reference`` keys them: (alpha, beta)."""
+    alpha = {(res.batch[r], pid): weights[a:b]
+             for pid, (positions, offsets, weights) in res.inner.items()
+             for r, a, b in zip(positions.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())}
+    beta = {node: {pid: b for pid, b, on in zip(res.pattern_ids, row, on_row) if on}
+            for node, row, on_row in zip(res.batch, res.betas.tolist(), res.present.tolist())}
+    return alpha, beta

@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rptdetect.autodiff import finite_diff_check
 from rptdetect.cli import main as cli_main
 from rptdetect.hetgraph import labels_to_indices
 from rptdetect.matcher import (
@@ -35,6 +34,8 @@ from rptdetect.training import (
 )
 
 from conftest import brute_force_instances, random_typed_graph
+from gradcheck import finite_diff_check
+from reference_model import attention
 
 logging.disable(logging.WARNING)
 
@@ -139,10 +140,10 @@ def test_attention_weights_normalize_over_100_random_forwards():
     worst_alpha = worst_beta = 0.0
     for seed in range(100):
         params = init_params(graph.schema, pats, mc, seed=seed)
-        res = forward(graph, index, batch, params, mc)
-        for alpha in res.alpha.values():
+        alphas, betas_by_node = attention(forward(graph, index, batch, params, mc))
+        for alpha in alphas.values():
             worst_alpha = max(worst_alpha, abs(float(alpha.sum()) - 1.0))
-        for betas in res.beta.values():
+        for betas in betas_by_node.values():
             if betas:
                 worst_beta = max(worst_beta, abs(sum(betas.values()) - 1.0))
     assert worst_alpha < 1e-9, f"max |sum(alpha) - 1| = {worst_alpha}"

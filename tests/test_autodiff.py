@@ -11,6 +11,16 @@ import pytest
 from rptdetect import autodiff as ad
 from rptdetect.errors import NotScalarLoss, ShapeMismatch
 
+from gradcheck import finite_diff_check
+
+
+def total(x):
+    """Scalar sum of a tensor, recorded on its tape: the tests' loss reduction."""
+    def backward(g):
+        x._accumulate(np.full(x.data.shape, float(g)))
+
+    return x.tape._record(ad.Tensor(x.data.sum(), x.tape, False), (x,), backward)
+
 
 def test_leaky_relu_negative_slope():
     y, slope = ad._leaky_relu(np.array([-1.0, 0.5]), 0.2)
@@ -53,17 +63,17 @@ def test_softmax_extreme_logits_stay_finite():
 
 def test_backward_square_rule():
     tape = ad.Tape()
-    w = tape.parameter("w", [3.0])
-    loss = ad.matmul(w, w)
+    w = tape.parameter("w", [[3.0]])
+    loss = total(ad.matmul(w, w))
     grads = tape.backward(loss)
-    np.testing.assert_allclose(grads["w"], [6.0])
+    np.testing.assert_allclose(grads["w"], [[6.0]])
 
 
 def test_off_path_parameter_gets_zero_gradient():
     tape = ad.Tape()
-    w = tape.parameter("w", [3.0])
+    w = tape.parameter("w", [[3.0]])
     unused = tape.parameter("unused", np.ones((2, 2)))
-    grads = tape.backward(ad.matmul(w, w))
+    grads = tape.backward(total(ad.matmul(w, w)))
     np.testing.assert_array_equal(grads["unused"], np.zeros((2, 2)))
 
 
@@ -74,8 +84,8 @@ def test_accumulate_leaves_handed_out_gradients_untouched(rng):
     tape = ad.Tape()
     a = tape.parameter("a", rng.normal(size=(2, 3)))
     stacked = ad.vconcat([a, a])
-    grads = tape.backward(ad.matmul(ad.matmul(stacked, tape.constant(c3)),
-                                    tape.constant(c4)))
+    grads = tape.backward(total(ad.matmul(tape.constant(c4[None]),
+                                          ad.matmul(stacked, tape.constant(c3[:, None])))))
     upstream = np.outer(c4, c3)
     np.testing.assert_array_equal(stacked.grad, upstream)
     np.testing.assert_array_equal(grads["a"], upstream[:2] + upstream[2:])
@@ -94,6 +104,11 @@ def test_shape_mismatch_raised():
     b = tape.constant(np.ones((2, 3)))
     with pytest.raises(ShapeMismatch):
         ad.matmul(a, b)
+    # a 1-D operand is rejected even where the inner dims agree
+    with pytest.raises(ShapeMismatch):
+        ad.matmul(a, tape.constant(np.ones(3)))
+    with pytest.raises(ShapeMismatch):
+        ad.matmul(tape.constant(np.ones(2)), a)
     with pytest.raises(ShapeMismatch):
         ad.Tensor(np.ones((2, 2, 2)), tape, False)
 
@@ -115,9 +130,9 @@ def test_quadratic_fd_error_tiny():
     def build(params):
         tape = ad.Tape()
         w = tape.parameter("w", params["w"])
-        return tape, ad.matmul(w, w)
+        return tape, total(ad.matmul(w, ad.transpose(w)))
 
-    err = ad.finite_diff_check(build, {"w": np.array([1.5, -2.0, 0.7])})
+    err = finite_diff_check(build, {"w": np.array([[1.5, -2.0, 0.7]])})
     assert err < 1e-8
 
 
@@ -134,25 +149,26 @@ def test_leaky_relu_fd_away_from_kink(rng):
 
 
 def _fd(build, params, tol=1e-6):
-    err = ad.finite_diff_check(build, params)
+    err = finite_diff_check(build, params)
     assert err < tol, f"finite-difference error {err}"
 
 
 def test_matmul_variants_gradients(rng):
     A = rng.normal(size=(3, 4))
     B = rng.normal(size=(4, 2))
-    v = rng.normal(size=4)
+    v = rng.normal(size=(4, 1))
 
     def build(params):
-        # (A v) A B . (A v)(A B): every operand shape pair matmul supports
+        # (A v)' A B . (A v)' (A B): matrix, column and row operands, each
+        # parameter reaching the loss along several paths
         tape = ad.Tape()
         a = tape.parameter("A", params["A"])
         b = tape.parameter("B", params["B"])
         w = tape.parameter("v", params["v"])
-        mv = ad.matmul(a, w)                         # 2-D @ 1-D
-        prod = ad.matmul(a, b)                       # 2-D @ 2-D
-        left = ad.matmul(ad.matmul(mv, a), b)        # 1-D @ 2-D
-        return tape, ad.matmul(left, ad.matmul(mv, prod))  # 1-D @ 1-D
+        mv = ad.transpose(ad.matmul(a, w))           # (1, 3)
+        prod = ad.matmul(a, b)                       # (3, 2)
+        left = ad.matmul(ad.matmul(mv, a), b)        # (1, 2)
+        return tape, total(ad.matmul(left, ad.transpose(ad.matmul(mv, prod))))
 
     _fd(build, {"A": A, "B": B, "v": v})
 
@@ -167,8 +183,8 @@ def test_elementwise_and_shape_op_gradients(rng):
         K = tape.parameter("k", params["k"])
         stacked = ad.vconcat([ad.elu(X), K, X])               # (10, 3)
         t = ad.transpose(ad.elu(stacked))                     # (3, 10)
-        return tape, ad.matmul(ad.matmul(t, tape.constant(np.arange(10.0) - 4.5)),
-                               tape.constant([1.0, -2.0, 0.5]))
+        return tape, total(ad.matmul(ad.matmul(tape.constant([[1.0, -2.0, 0.5]]), t),
+                                     tape.constant(np.arange(10.0)[:, None] - 4.5)))
 
     _fd(build, {"x": x, "k": k})
 
@@ -235,8 +251,8 @@ def test_vconcat_and_transpose_gradients(rng):
         b = tape.parameter("b", params["b"])
         stacked = ad.vconcat([a, tape.constant(np.ones((1, 3))), b])  # (6, 3)
         wide = ad.transpose(stacked)
-        return tape, ad.matmul(ad.matmul(wide, tape.constant(np.arange(6.0))),
-                               tape.constant([1.0, -0.5, 2.0]))
+        return tape, total(ad.matmul(ad.matmul(tape.constant([[1.0, -0.5, 2.0]]), wide),
+                                     tape.constant(np.arange(6.0)[:, None])))
 
     _fd(build, {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(3, 3))})
     tape = ad.Tape()
@@ -314,8 +330,8 @@ def instance_loss(problem, uniform):
     m, _ = ad.instance_level(
         t["H"], problem["idx"], [t[f"h{k}"] for k in range(problem["heads"])],
         None if uniform else t["attn"], ad.transpose(t["W"]), t["b"], problem["offsets"])
-    return tape, ad.matmul(ad.matmul(m, tape.constant(problem["weights"])),
-                           tape.constant(problem["seg_weights"]))
+    return tape, total(ad.matmul(ad.matmul(tape.constant(problem["seg_weights"][None]), m),
+                                 tape.constant(problem["weights"][:, None])))
 
 
 def pattern_problem(rng, mask=None, d=4):

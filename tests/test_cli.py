@@ -49,9 +49,16 @@ def read(path):
         return fh.read()
 
 
-def error_lines(capsys):
-    return [line for line in capsys.readouterr().err.splitlines()
-            if line.startswith("error\t")]
+def only_error(capsys):
+    """The one ``error`` line a failed command printed, checked to be the only one."""
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error\t")]
+    assert len(errors) == 1, errors
+    return errors[0]
+
+
+def no_load(*args, **kwargs):
+    raise AssertionError("the dataset was read or indexed before the inputs were checked")
 
 
 def test_generate_writes_loadable_dataset(dataset):
@@ -126,11 +133,16 @@ def test_seeded_runs_reproduce_byte_identical_outputs(dense_dataset, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH, for subprocesses."""
+    src = os.path.dirname(os.path.dirname(rptdetect.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_outputs_do_not_depend_on_blas_thread_count(dense_dataset, tmp_path):
     """`rptdetect train` in fresh processes, BLAS pinned to one thread and not."""
-    src = os.path.dirname(os.path.dirname(rptdetect.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = package_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     outs = []
     for sub, threads in (("one", "1"), ("default", None)):
@@ -144,6 +156,31 @@ def test_outputs_do_not_depend_on_blas_thread_count(dense_dataset, tmp_path):
         outs.append(out)
     for name in ("checkpoint.json", "embeddings.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+# prints the top-level modules that importing the package and a small generate/
+# match/stats/train chain load from disk (Cython's in-memory runtime modules have no file)
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from rptdetect import cli
+data = sys.argv[1] + "/data"
+assert cli.main(["generate", "--out", data, "--seed", "3", "--companies", "40", "--persons", "30",
+                 "--items", "10", "--events", "3", "--communities", "4", "--decoys", "2"]) == 0
+for argv in (["match"], ["stats"], ["train", "--epochs", "1", "--dim", "4", "--proj-dim", "4"]):
+    assert cli.main(argv + ["--graph", data, "--out", sys.argv[1] + "/" + argv[0]]) == 0
+print(*{name.split(".")[0] for name in set(sys.modules) - before
+        if getattr(sys.modules[name], "__file__", None)})
+"""
+
+
+def test_only_numpy_and_the_standard_library_are_imported(tmp_path):
+    # numpy is the one declared dependency: a stray import of anything else
+    # installed here would pass locally and fail on a clean install
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)], env=package_env(),
+                          check=True, capture_output=True, text=True, timeout=300)
+    loaded = set(proc.stdout.splitlines()[-1].split())  # the commands' tables come first
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "rptdetect"}
 
 
 @pytest.mark.parametrize("mode", ["direct", "downstream"])
@@ -324,9 +361,7 @@ def test_sweep_timing_mode_rejects_bad_sizes_with_one_error_line(tmp_path, capsy
     monkeypatch.setenv("RPTDETECT_SIZES", "5k,10k")  # the manifest and a flag come first
     argv = ["sweep", "--mode", "timing", "--out", str(tmp_path / "run")]
     assert main(argv + [f.format(manifest=manifest) for f in flags]) == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1, errors
-    assert errors[0].startswith("error\t" + error.format(manifest=manifest)), errors
+    assert only_error(capsys).startswith("error\t" + error.format(manifest=manifest))
     assert not (tmp_path / "run").exists()
 
 
@@ -337,12 +372,10 @@ def test_embeddings_csv_quotes_ids_for_csv_reader():
 
 
 def test_sweep_timing_mode_rejects_one_class_train_split(capsys):
-    rc = main(["sweep", "--mode", "timing", "--sizes", "250", "--psr", "1.0",
-               "--epochs", "1", "--dim", "8", "--proj-dim", "4",
-               "--batch-size", "64", "--seed", "1", "--max-epochs", "5"])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1 and errors[0].startswith("error\tInsufficientSamples\t")
+    assert main(["sweep", "--mode", "timing", "--sizes", "250", "--psr", "1.0",
+                 "--epochs", "1", "--dim", "8", "--proj-dim", "4",
+                 "--batch-size", "64", "--seed", "1", "--max-epochs", "5"]) == 1
+    assert only_error(capsys).startswith("error\tInsufficientSamples\t")
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -357,10 +390,26 @@ def test_sweep_timing_mode_rejects_one_class_train_split(capsys):
 ])
 def test_out_of_range_config_fails_with_one_error_line(dataset, tmp_path, capsys,
                                                        command, flags):
-    rc = main([command, "--graph", str(dataset), "--out", str(tmp_path / "run")] + flags)
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1 and errors[0].startswith("error\tInfeasibleConfig\t"), errors
+    assert main([command, "--graph", str(dataset), "--out", str(tmp_path / "run")] + flags) == 1
+    assert only_error(capsys).startswith("error\tInfeasibleConfig\t")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--lr", "0"]),
+    ("train", ["--lr", "-1"]),
+    ("train", ["--lr", "nan"]),
+    ("train", ["--lr", "inf"]),
+    ("train", ["--weight-decay", "-1"]),
+    ("train", ["--weight-decay", "nan"]),
+    ("train", ["--test-fraction", "1.5"]),
+    ("eval", ["--checkpoint", "missing.json", "--lr", "nan"]),
+])
+def test_bad_training_float_knob_fails_before_any_load(tmp_path, capsys, command, flags):
+    # the graph directory does not exist, so any load would fail with another error
+    assert main([command, "--graph", str(tmp_path / "none"), "--out", str(tmp_path / "run")]
+                + flags) == 1
+    assert only_error(capsys).startswith("error\tInfeasibleConfig\t")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,10 +418,8 @@ def test_out_of_range_config_fails_with_one_error_line(dataset, tmp_path, capsys
     ["sweep", "--mode", "timing", "--sizes", "-50", "--epochs", "1"],
 ], ids=["decoys", "communities", "sweep-size"])
 def test_negative_community_count_fails_with_one_error_line(tmp_path, capsys, argv):
-    rc = main(argv + ["--out", str(tmp_path / "run")])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1 and errors[0].startswith("error\tInfeasibleConfig\t"), errors
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert only_error(capsys).startswith("error\tInfeasibleConfig\t")
     assert not (tmp_path / "run").exists()
 
 
@@ -383,10 +430,8 @@ def test_negative_community_count_fails_with_one_error_line(tmp_path, capsys, ar
     ["--exponent", "nan"],
 ], ids=["tx-density-nan", "tx-density-negative", "delta-nan", "exponent-nan"])
 def test_bad_float_knob_fails_with_one_error_line(tmp_path, capsys, flags):
-    rc = main(["generate", "--out", str(tmp_path / "run")] + flags)
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1 and errors[0].startswith("error\tInfeasibleConfig\t"), errors
+    assert main(["generate", "--out", str(tmp_path / "run")] + flags) == 1
+    assert only_error(capsys).startswith("error\tInfeasibleConfig\t")
     assert not (tmp_path / "run").exists()
 
 
@@ -396,11 +441,8 @@ def test_malformed_labels_row_fails_with_line_number(dataset, tmp_path, capsys, 
     assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
     lines = read(bad / "labels.csv").splitlines()
     (bad / "labels.csv").write_text("\n".join(lines[:3] + [row] + lines[3:]) + "\n")
-    rc = main(["ingest", "--graph", str(bad)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith("error\tDimensionMismatch\tlabels file line 4:")
+    assert main(["ingest", "--graph", str(bad)]) == 1
+    assert only_error(capsys).startswith("error\tDimensionMismatch\tlabels file line 4:")
 
 
 @pytest.mark.parametrize("command", ["ingest", "stats", "train"])
@@ -412,12 +454,9 @@ def test_label_id_listed_twice_fails_naming_both_lines(dataset, tmp_path, capsys
     (bad / "labels.csv").write_text("\n".join(lines + [f"{node_id},{1 - int(label)}"]) + "\n")
     capsys.readouterr()
     argv = [command, "--graph", str(bad)]
-    rc = main(argv + (["--out", str(tmp_path / "run")] if command == "train" else []))
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith(f"error\tDimensionMismatch\tlabels file lines 3 and "
-                                f"{len(lines) + 1}: id {node_id!r}"), errors
+    assert main(argv + (["--out", str(tmp_path / "run")] if command == "train" else [])) == 1
+    assert only_error(capsys).startswith(f"error\tDimensionMismatch\tlabels file lines 3 and "
+                                         f"{len(lines) + 1}: id {node_id!r}")
 
 
 @pytest.mark.parametrize("spec", [{}, {"dim": "four"}])
@@ -428,11 +467,9 @@ def test_schema_node_type_without_integer_dim_fails_naming_the_type(dataset, tmp
     schema = json.loads(read(bad / "schema.json"))
     schema["node_types"]["person"] = spec
     (bad / "schema.json").write_text(json.dumps(schema))
-    rc = main(["ingest", "--graph", str(bad)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith("error\tDimensionMismatch\t") and "'person'" in errors[0]
+    assert main(["ingest", "--graph", str(bad)]) == 1
+    line = only_error(capsys)
+    assert line.startswith("error\tDimensionMismatch\t") and "'person'" in line
 
 
 @pytest.mark.parametrize("edit", [
@@ -447,11 +484,9 @@ def test_malformed_schema_fails_naming_the_file(dataset, tmp_path, capsys, edit)
     bad = tmp_path / "bad"
     assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
     (bad / "schema.json").write_text(edit(json.loads(read(bad / "schema.json"))))
-    rc = main(["ingest", "--graph", str(bad)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith(f"error\tDimensionMismatch\tschema file {bad / 'schema.json'}:")
+    assert main(["ingest", "--graph", str(bad)]) == 1
+    assert only_error(capsys).startswith(
+        f"error\tDimensionMismatch\tschema file {bad / 'schema.json'}:")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
@@ -463,11 +498,8 @@ def test_non_finite_attribute_fails_with_line_number(dataset, tmp_path, capsys, 
     cells[2] = value
     lines[4] = ",".join(cells)
     (bad / "nodes.csv").write_text("\n".join(lines) + "\n")
-    rc = main(["ingest", "--graph", str(bad)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith("error\tDimensionMismatch\tnodes file line 5:")
+    assert main(["ingest", "--graph", str(bad)]) == 1
+    assert only_error(capsys).startswith("error\tDimensionMismatch\tnodes file line 5:")
 
 
 def test_short_edges_row_fails_with_line_number(dataset, tmp_path, capsys):
@@ -476,11 +508,8 @@ def test_short_edges_row_fails_with_line_number(dataset, tmp_path, capsys):
     lines = read(bad / "edges.csv").splitlines()
     lines[3] = ",".join(lines[3].split(",")[:2])
     (bad / "edges.csv").write_text("\n".join(lines) + "\n")
-    rc = main(["ingest", "--graph", str(bad)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith("error\tDimensionMismatch\tedges file line 4:")
+    assert main(["ingest", "--graph", str(bad)]) == 1
+    assert only_error(capsys).startswith("error\tDimensionMismatch\tedges file line 4:")
 
 
 @pytest.mark.parametrize("name", ["nodes.csv", "edges.csv", "labels.csv"])
@@ -491,11 +520,9 @@ def test_non_utf8_bytes_fail_naming_the_file_and_line(dataset, tmp_path, capsys,
     lines[2] = b"\xff\xfe" + lines[2]
     (bad / name).write_bytes(b"\n".join(lines))
     capsys.readouterr()
-    rc = main(["ingest", "--graph", str(bad)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith(f"error\tDimensionMismatch\t{bad / name} line 3: not UTF-8")
+    assert main(["ingest", "--graph", str(bad)]) == 1
+    assert only_error(capsys).startswith(
+        f"error\tDimensionMismatch\t{bad / name} line 3: not UTF-8")
 
 
 @pytest.mark.parametrize("content", [
@@ -507,11 +534,8 @@ def test_non_utf8_bytes_fail_naming_the_file_and_line(dataset, tmp_path, capsys,
 def test_malformed_pattern_file_fails_naming_the_file(dataset, tmp_path, capsys, content):
     patterns = tmp_path / "patterns.json"
     patterns.write_text(content)
-    rc = main(["match", "--graph", str(dataset), "--patterns", str(patterns)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith(f"error\tPatternTypeUnknown\tpattern file {patterns}:")
+    assert main(["match", "--graph", str(dataset), "--patterns", str(patterns)]) == 1
+    assert only_error(capsys).startswith(f"error\tPatternTypeUnknown\tpattern file {patterns}:")
 
 
 @pytest.mark.parametrize("command", ["stats", "train"])
@@ -522,12 +546,10 @@ def test_label_on_unknown_node_fails_with_one_error_line(dataset, tmp_path, caps
     with open(bad / "labels.csv", "a", encoding="utf-8") as fh:
         fh.write("C_unknown,1\n")
     flags = ["--epochs", "1"] if command == "train" else []
-    rc = main([command, "--graph", str(bad), "--out", str(tmp_path / "run")] + flags)
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith("error\tPipelineError\tinvalid labels: ")
-    assert "'C_unknown'" in errors[0]
+    assert main([command, "--graph", str(bad), "--out", str(tmp_path / "run")] + flags) == 1
+    line = only_error(capsys)
+    assert line.startswith("error\tPipelineError\tinvalid labels: ")
+    assert "'C_unknown'" in line
 
 
 @pytest.mark.parametrize("content", [
@@ -544,11 +566,8 @@ def test_eval_with_bad_checkpoint_fails_naming_the_file(dataset, tmp_path, capsy
                                                        content):
     checkpoint = tmp_path / "checkpoint.json"
     checkpoint.write_text(content)
-    rc = main(["eval", "--graph", str(dataset), "--checkpoint", str(checkpoint)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith(f"error\tDimensionMismatch\tcheckpoint {checkpoint}:")
+    assert main(["eval", "--graph", str(dataset), "--checkpoint", str(checkpoint)]) == 1
+    assert only_error(capsys).startswith(f"error\tDimensionMismatch\tcheckpoint {checkpoint}:")
 
 
 def test_train_on_separable_dataset_reaches_high_f1(tmp_path):
@@ -588,22 +607,16 @@ def test_manifest_supplies_defaults(dataset, tmp_path):
 def test_malformed_manifest_fails_naming_the_file(dataset, tmp_path, capsys, content):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(content)
-    rc = main(["train", "--graph", str(dataset), "--manifest", str(manifest),
-               "--out", str(tmp_path / "run")])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith(f"error\tPipelineError\tmanifest {manifest}:")
+    assert main(["train", "--graph", str(dataset), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert only_error(capsys).startswith(f"error\tPipelineError\tmanifest {manifest}:")
 
 
 def test_bad_env_var_value_fails_naming_the_variable(dataset, tmp_path, capsys,
                                                       monkeypatch):
     monkeypatch.setenv("RPTDETECT_EPOCHS", "two")
-    rc = main(["train", "--graph", str(dataset), "--out", str(tmp_path / "run")])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith("error\tPipelineError\tRPTDETECT_EPOCHS:")
+    assert main(["train", "--graph", str(dataset), "--out", str(tmp_path / "run")]) == 1
+    assert only_error(capsys).startswith("error\tPipelineError\tRPTDETECT_EPOCHS:")
 
 
 @pytest.mark.parametrize("edit", [
@@ -613,21 +626,22 @@ def test_bad_env_var_value_fails_naming_the_variable(dataset, tmp_path, capsys,
     lambda split: json.dumps({"train": split["train"], "test": "C0"}),
     lambda split: json.dumps({**split, "seed": "5"}),
     lambda split: json.dumps({**split, "seed": 1.5}),
-], ids=["not-json", "no-test", "unlabeled-id", "test-not-a-list", "seed-text", "seed-float"])
-def test_malformed_split_fails_naming_the_file(dataset, tmp_path, capsys, edit):
+    lambda split: json.dumps({**split, "train": split["train"] + split["test"][:1]}),
+    lambda split: json.dumps({**split, "test": split["test"] * 2}),
+], ids=["not-json", "no-test", "unlabeled-id", "test-not-a-list", "seed-text", "seed-float",
+        "test-id-in-train", "test-ids-twice"])
+def test_malformed_split_fails_naming_the_file(dataset, tmp_path, capsys, monkeypatch, edit):
     run = tmp_path / "run"
     assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "1",
                  "--dim", "8", "--proj-dim", "4", "--batch-size", "64",
                  "--test-fraction", "0.3"]) == 0
     split = run / "split.json"
     split.write_text(edit(json.loads(read(split))))
+    monkeypatch.setattr(cli, "build_neighbor_index", no_load)  # every split fault comes first
     capsys.readouterr()
-    rc = main(["eval", "--graph", str(dataset), "--checkpoint", str(run / "checkpoint.json"),
-               "--split", str(split)])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert errors[0].startswith(f"error\tPipelineError\tsplit {split}:")
+    assert main(["eval", "--graph", str(dataset), "--checkpoint", str(run / "checkpoint.json"),
+                 "--split", str(split)]) == 1
+    assert only_error(capsys).startswith(f"error\tPipelineError\tsplit {split}:")
 
 
 @pytest.mark.parametrize("bad", ["checkpoint", "split"])
@@ -637,18 +651,12 @@ def test_eval_checks_checkpoint_and_split_before_building_the_index(dataset, tmp
     assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "1",
                  "--dim", "8", "--proj-dim", "4", "--batch-size", "64"]) == 0
     (run / f"{bad}.json").write_text("not json")
-
-    def no_index(*args, **kwargs):
-        raise AssertionError("the neighbor index was built before the checks")
-
-    monkeypatch.setattr(cli, "build_neighbor_index", no_index)
+    monkeypatch.setattr(cli, "build_neighbor_index", no_load)
     capsys.readouterr()
-    rc = main(["eval", "--graph", str(dataset), "--checkpoint", str(run / "checkpoint.json"),
-               "--split", str(run / "split.json")])
-    assert rc == 1
-    errors = error_lines(capsys)
-    assert len(errors) == 1
-    assert f"\t{bad} {run / (bad + '.json')}: not JSON" in errors[0], errors
+    assert main(["eval", "--graph", str(dataset), "--checkpoint", str(run / "checkpoint.json"),
+                 "--split", str(run / "split.json")]) == 1
+    line = only_error(capsys)
+    assert f"\t{bad} {run / (bad + '.json')}: not JSON" in line
 
 
 def test_env_var_overrides_default(dataset, tmp_path, monkeypatch):
@@ -668,8 +676,7 @@ def test_unknown_flag_exits_nonzero(dataset):
 
 
 def test_runtime_error_prints_machine_readable_line(tmp_path, capsys):
-    rc = main(["ingest", "--graph", str(tmp_path / "missing")])
-    assert rc == 1
+    assert main(["ingest", "--graph", str(tmp_path / "missing")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error\t")
 
@@ -679,7 +686,6 @@ def test_missing_labels_for_train_fails_cleanly(dataset, tmp_path, capsys):
     rc = main(["export", "--graph", str(dataset), "--out", str(bare)])
     assert rc == 0
     os.remove(bare / "labels.csv")
-    rc = main(["train", "--graph", str(bare), "--out", str(tmp_path / "r"),
-               "--epochs", "1"])
-    assert rc == 1
+    assert main(["train", "--graph", str(bare), "--out", str(tmp_path / "r"),
+                 "--epochs", "1"]) == 1
     assert "error\tPipelineError" in capsys.readouterr().err

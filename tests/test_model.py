@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rptdetect import autodiff as ad
-from rptdetect.autodiff import finite_diff_check
 from rptdetect.errors import DuplicateBatchNode, EmptyBatch, MissingProjection
 from rptdetect.hetgraph import labels_to_indices
 from rptdetect.matcher import build_neighbor_index
@@ -15,7 +14,9 @@ from rptdetect.patterns import bundled_patterns
 from rptdetect.synth import GenConfig, generate
 
 from conftest import make_graph, small_schema
+from gradcheck import finite_diff_check
 from reference_model import (
+    attention,
     cross_rpt_attention,
     encode_instance,
     forward_reference,
@@ -68,12 +69,11 @@ def test_projection_missing_type_raises():
 
 def test_encode_selector_reproduces_anchor_projection():
     # H=1, conversion matrix selecting the anchor block, then the ELU
-    graph, _, index, params, _ = toy_setup(heads=1, n_patterns=1)
-    config = ModelConfig(proj_dim=4, embed_dim=4, heads=1)
+    graph, _, index, params, config = toy_setup(heads=1, embed_dim=4, n_patterns=1)
     pattern = index.patterns[0]
     selector = np.zeros((4, len(pattern.roles) * 4))
     selector[:, :4] = np.eye(4)
-    params.arrays["inst::PCCP::h0"] = selector
+    params.arrays["inst::PCCP::h0"][...] = selector
     h = project(graph, params)
     node = next(i for i in graph.company_nodes() if len(index.instances(i, "PCCP")))
     row = index.instances(node, "PCCP")[0]
@@ -138,8 +138,8 @@ def test_cross_attention_uniform_when_scores_tie(rng):
     summaries = {pid: f.copy() for pid in params.pattern_ids}
     # same summary + same attention vector per pattern -> equal scores
     for pid in params.pattern_ids:
-        params.arrays[f"attn_cross::{pid}"] = params.arrays[
-            f"attn_cross::{params.pattern_ids[0]}"].copy()
+        params.arrays[f"attn_cross::{pid}"][...] = params.arrays[
+            f"attn_cross::{params.pattern_ids[0]}"]
     _, beta = cross_rpt_attention(summaries, graph.x[0], params, config)
     np.testing.assert_allclose(list(beta.values()), [1 / 5] * 5, atol=1e-12)
 
@@ -180,8 +180,7 @@ def test_cross_attention_matches_direct_recomputation(rng):
 
 def test_forward_zero_params_give_log2_loss():
     graph, labels, index, params, config = toy_setup()
-    for k in params.arrays:
-        params.arrays[k] = np.zeros_like(params.arrays[k])
+    params.arrays.flat[:] = 0.0
     li = labels_to_indices(graph, labels)
     batch = sorted(li)[:8]
     res = forward(graph, index, batch, params, config, labels=li)
@@ -236,16 +235,17 @@ def test_forward_rejects_repeated_batch_node_before_tape_work(monkeypatch):
 def assert_forward_matches_reference(graph, index, batch, params, config, li):
     res = forward(graph, index, batch, params, config, labels=li)
     ref = forward_reference(graph, index, batch, params, config, labels=li)
+    alpha, beta = attention(res)
     assert res.loss == pytest.approx(ref.loss, abs=1e-9)
     for i in batch:
         assert res.p[i] == pytest.approx(ref.p[i], abs=1e-10)
         np.testing.assert_allclose(res.z[i], ref.z[i], atol=1e-9)
-        assert res.beta[i].keys() == ref.beta[i].keys()
-        for pid in res.beta[i]:
-            assert res.beta[i][pid] == pytest.approx(ref.beta[i][pid], abs=1e-10)
-    assert res.alpha.keys() == ref.alpha.keys()
-    for key in res.alpha:
-        np.testing.assert_allclose(res.alpha[key], ref.alpha[key], atol=1e-10)
+        assert beta[i].keys() == ref.beta[i].keys()
+        for pid in beta[i]:
+            assert beta[i][pid] == pytest.approx(ref.beta[i][pid], abs=1e-10)
+    assert alpha.keys() == ref.alpha.keys()
+    for key in alpha:
+        np.testing.assert_allclose(alpha[key], ref.alpha[key], atol=1e-10)
     assert res.degenerate == ref.degenerate
 
 
@@ -272,10 +272,10 @@ def test_forward_matches_reference_on_shuffled_mixed_batch(rng, ablation):
 def test_attention_weights_normalize():
     graph, labels, index, params, config = toy_setup(seed=3)
     li = labels_to_indices(graph, labels)
-    res = forward(graph, index, sorted(li), params, config)
-    for (i, pid), alpha in res.alpha.items():
+    alphas, betas_by_node = attention(forward(graph, index, sorted(li), params, config))
+    for (i, pid), alpha in alphas.items():
         assert abs(alpha.sum() - 1.0) < 1e-9
-    for i, betas in res.beta.items():
+    for i, betas in betas_by_node.items():
         if betas:
             assert abs(sum(betas.values()) - 1.0) < 1e-9
 
@@ -302,14 +302,15 @@ def test_zero_instance_node_uses_degenerate_path_and_renormalizes():
     some_inst = [i for i in sorted(li) if index.has_any(i)]
     assert no_inst and some_inst
     res = forward(graph, index, no_inst + some_inst, params, config)
+    _, beta = attention(res)
     for i in no_inst:
         assert i in res.degenerate
-        assert res.beta[i] == {}
+        assert beta[i] == {}
     for i in some_inst:
         assert i not in res.degenerate
         present = [pid for pid in index.pattern_ids if len(index.instances(i, pid))]
-        assert set(res.beta[i]) == set(present)
-        assert sum(res.beta[i].values()) == pytest.approx(1.0, abs=1e-9)
+        assert set(beta[i]) == set(present)
+        assert sum(beta[i].values()) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("flags,inner_uniform,cross_uniform", [
@@ -320,13 +321,13 @@ def test_zero_instance_node_uses_degenerate_path_and_renormalizes():
 def test_ablations_force_uniform_attention(flags, inner_uniform, cross_uniform):
     graph, labels, index, params, config = toy_setup(seed=4, ablation=flags)
     li = labels_to_indices(graph, labels)
-    res = forward(graph, index, sorted(li), params, config)
-    for (i, pid), alpha in res.alpha.items():
+    alphas, betas_by_node = attention(forward(graph, index, sorted(li), params, config))
+    for (i, pid), alpha in alphas.items():
         if inner_uniform:
             np.testing.assert_allclose(alpha, np.full(len(alpha), 1 / len(alpha)),
                                        atol=1e-12)
     saw_nonuniform_beta = False
-    for i, betas in res.beta.items():
+    for i, betas in betas_by_node.items():
         if len(betas) >= 2:
             values = np.array(list(betas.values()))
             if cross_uniform:
@@ -360,7 +361,7 @@ def test_forward_with_no_patterns_uses_fallback_for_everyone():
     batch = sorted(li)[:5]
     res = forward(graph, empty_index, batch, params, config, labels=li)
     assert res.degenerate == set(batch)
-    assert all(res.beta[i] == {} for i in batch)
+    assert all(attention(res)[1][i] == {} for i in batch)
     assert np.isfinite(res.loss)
 
 
@@ -389,25 +390,8 @@ def test_initial_loss_near_log2_across_seeds():
     assert abs(float(np.mean(losses)) - math.log(2.0)) < 0.15
 
 
-def test_gradients_match_finite_differences_small():
-    graph, labels, index, params, config = toy_setup(
-        seed=8, companies=10, communities=1, decoys=1, n_patterns=2,
-        heads=2, embed_dim=8, proj_dim=4)
-    li = labels_to_indices(graph, labels)
-    batch = sorted(li)[:6]
-
-    def build(arrays):
-        p2 = ModelParams({k: v.copy() for k, v in arrays.items()}, params.meta)
-        res = forward(graph, index, batch, p2, config, labels=li)
-        return res.tape, res.loss_tensor
-
-    err = finite_diff_check(build, params.arrays, eps=1e-5)
-    assert err < 1e-4
-
-
-@pytest.mark.parametrize("ablation", ALL_ABLATIONS[1:], ids=lambda a: a[0])
-def test_gradients_match_finite_differences_under_ablation(ablation):
-    # the full model is the test above
+def fd_error(ablation):
+    """Finite-difference error of a labeled forward over six nodes of a tiny graph."""
     graph, labels, index, params, config = toy_setup(
         seed=8, companies=10, communities=1, decoys=1, n_patterns=2,
         heads=2, embed_dim=8, proj_dim=4, ablation=ablation)
@@ -415,13 +399,21 @@ def test_gradients_match_finite_differences_under_ablation(ablation):
     batch = sorted(li)[:6]
     assert any(index.has_any(i) for i in batch)
 
-    def build(arrays):
-        p2 = ModelParams({k: v.copy() for k, v in arrays.items()}, params.meta)
-        res = forward(graph, index, batch, p2, config, labels=li)
+    def build(arrays):  # ModelParams copies the arrays into a fresh buffer
+        res = forward(graph, index, batch, ModelParams(arrays, params.meta), config, labels=li)
         return res.tape, res.loss_tensor
 
-    err = finite_diff_check(build, params.arrays, eps=1e-5)
-    assert err < 1e-4
+    return finite_diff_check(build, params.arrays, eps=1e-5)
+
+
+def test_gradients_match_finite_differences_small():
+    assert fd_error(()) < 1e-4
+
+
+@pytest.mark.parametrize("ablation", ALL_ABLATIONS[1:], ids=lambda a: a[0])
+def test_gradients_match_finite_differences_under_ablation(ablation):
+    # the full model is the test above
+    assert fd_error(ablation) < 1e-4
 
 
 def test_params_are_named_views_into_one_flat_buffer():
@@ -430,16 +422,6 @@ def test_params_are_named_views_into_one_flat_buffer():
     assert arrays.flat.size == sum(a.size for a in arrays.values())
     for a in arrays.values():
         assert np.shares_memory(a, arrays.flat)
-    arrays["cross_b"] = np.arange(8.0)           # same shape: written in place
-    np.testing.assert_array_equal(arrays["cross_b"], np.arange(8.0))
-    assert np.shares_memory(arrays["cross_b"], arrays.flat)
-    before = {k: a.copy() for k, a in arrays.items()}
-    arrays["readout_w"] = np.ones(3)             # new shape: the buffer is rebuilt
-    assert arrays["readout_w"].shape == (3,)
-    assert all(np.shares_memory(a, arrays.flat) for a in arrays.values())
-    for k in before:
-        if k != "readout_w":
-            np.testing.assert_array_equal(arrays[k], before[k])
 
 
 def test_checkpoint_round_trip_exact(tmp_path):

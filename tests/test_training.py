@@ -6,6 +6,7 @@ import pytest
 from rptdetect.errors import (
     DivergedLoss,
     EmptyTestSet,
+    InfeasibleConfig,
     InsufficientSamples,
     SingleClass,
 )
@@ -32,6 +33,7 @@ from rptdetect.training import (
 )
 
 from conftest import make_graph
+from reference_model import attention
 
 
 def balanced_labels(n=100):
@@ -91,6 +93,16 @@ def make_tiny_params():
     from rptdetect.model import ModelParams
     return ModelParams({"w": np.zeros(4), "v": np.ones((2, 2))},
                        {"patterns": {}, "company_type": "company"})
+
+
+@pytest.mark.parametrize("name,value", [(name, value) for name, values in {
+    "learning_rate": (0.0, -1.0, np.nan, np.inf), "weight_decay": (-1.0, np.nan, np.inf),
+    "adam_beta1": (1.0, -0.1), "adam_beta2": (1.0, np.nan), "adam_eps": (0.0, np.inf),
+    "test_fraction": (1.0, -0.1, np.nan)}.items() for value in values])
+def test_train_config_rejects_out_of_range_floats(name, value):
+    with pytest.raises(InfeasibleConfig, match=f"^{name} must be"):
+        TrainConfig(**{name: value})
+    TrainConfig(weight_decay=0.0, adam_beta1=0.0, adam_beta2=0.0, test_fraction=0.0)  # edges
 
 
 def test_adam_first_step_matches_hand_evaluation():
@@ -248,7 +260,7 @@ def test_trend_is_the_node_by_node_mean_of_beta(monkeypatch, n_patterns):
     def spy(*args, **kwargs):
         res = forward(*args, **kwargs)
         if kwargs.get("labels") is not None:
-            recorded.append(res.beta)
+            recorded.append(attention(res)[1])
         return res
 
     monkeypatch.setattr(training, "forward", spy)
