@@ -2,9 +2,9 @@
 
 Every operation appends one node to the tape; ``Tape.backward`` replays the
 nodes in reverse, accumulating gradients in a fixed sequential order so that
-identical inputs always produce bit-identical gradients.  Besides a few generic
-ops, the model's two attention levels are fused ops (one node each) with
-hand-written backward passes.
+identical inputs always produce bit-identical gradients, then drops them: one
+backward per tape.  Besides a few generic ops, the model's two attention levels
+are fused ops (one node each) with hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class Tensor:
 class Tape:
     """Ordered record of executed operations plus the parameter registry.
 
-    A tape is single-threaded; run independent tapes for concurrent batches.
+    One backward per tape: after it, a record or another backward raises
+    ``ValueError``.  A tape is single-threaded; run one tape per batch.
     """
 
     def __init__(self):
@@ -59,6 +60,8 @@ class Tape:
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...],
                 backward: Callable[[np.ndarray], None]) -> Tensor:
+        if self._nodes is None:
+            raise ValueError("this tape's backward pass has run; record on a new tape")
         if any(t.requires_grad for t in inputs):
             out.requires_grad = True
             self._nodes.append((out, inputs, backward))
@@ -71,22 +74,20 @@ class Tape:
         """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
+        if self._nodes is None:
+            raise ValueError("this tape's backward pass has already run")
         if loss.data.shape not in ((), (1,)):
             raise NotScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
-        for out, inputs, _ in self._nodes:
-            out.grad = None
-            for t in inputs:
-                t.grad = None
-        for p in self._params.values():
-            p.grad = None
+        # a tape runs one pass, so every gradient on it still starts out None
+        nodes, params, self._nodes, self._params = self._nodes, self._params, None, None
         loss.grad = np.ones_like(loss.data)
-        for out, inputs, backward in reversed(self._nodes):
+        for out, inputs, backward in reversed(nodes):
             if out.grad is None:
                 continue
             backward(out.grad)
         return {
             name: (np.array(p.grad) if p.grad is not None else np.zeros_like(p.data))
-            for name, p in self._params.items()
+            for name, p in params.items()
         }
 
 

@@ -76,7 +76,7 @@ class ModelConfig:
 
 
 class FlatArrays(dict):
-    """Named float64 arrays that are views into one flat buffer, ``flat``."""
+    """Named float64 views into one flat buffer, ``flat``, which Adam steps: keys are fixed."""
 
     def __init__(self, arrays: dict[str, np.ndarray]):
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
@@ -85,6 +85,16 @@ class FlatArrays(dict):
         for k, a in arrays.items():
             super().__setitem__(k, self.flat[off:off + a.size].reshape(a.shape))
             off += a.size
+
+    def __setitem__(self, name, value):
+        if name not in self or self[name] is not value:  # ``+=`` stores its own view back
+            self._fixed()
+
+    def _fixed(self, *args, **kwargs):
+        raise TypeError("parameter arrays are views into `flat`; write into one "
+                        "in place (arrays[name][...] = value)")
+
+    __delitem__ = update = setdefault = pop = popitem = clear = __ior__ = _fixed
 
 
 class ModelParams:
@@ -193,18 +203,19 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
     """Run the full pipeline for a batch of company nodes on one tape.
 
     With ``labels`` the mean binary cross-entropy over the batch is computed
-    and the tape kept for ``backward``; without labels only probabilities,
-    embeddings, and attention records are produced.  Instances come from the
-    index's CSR arrays; a batch may not repeat a node.  The tape holds the
-    projection, the query, one ``ad.instance_level`` node per pattern with
-    instances in the batch, one ``ad.pattern_level`` node and the loss.
+    and the tape kept for its one ``backward``.  Scoring (no labels) records
+    nothing: the parameters enter as constants.  Instances come from the
+    index's CSR arrays; a batch may not repeat a node.  A training tape holds
+    the projection, the query, one ``ad.instance_level`` node per pattern
+    with instances in the batch, one ``ad.pattern_level`` node and the loss.
     """
     batch = list(batch)
     company = params.company_type
     _check_batch(graph, batch, company, labels)
 
     tape = ad.Tape()
-    tp = {name: tape.parameter(name, arr) for name, arr in params.arrays.items()}
+    tp = {name: tape.constant(arr) if labels is None else tape.parameter(name, arr)
+          for name, arr in params.arrays.items()}
     n_batch = len(batch)
     anchors = np.array(batch, dtype=np.intp)
     patterns = {p.pattern_id: p for p in index.patterns}
@@ -272,8 +283,7 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
     logits, betas, z = ad.pattern_level(q, W_T, tp["cross_b"], columns, present,
                                         tp["readout_w"], tp["readout_b"], config.cross_uniform)
 
-    loss_tensor = None
-    loss = None
+    loss_tensor = loss = None
     if labels is not None:
         y = np.array([labels[i] for i in batch], dtype=np.float64)
         loss_tensor = ad.bce_with_logits_mean(logits, y)

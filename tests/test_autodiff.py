@@ -91,6 +91,18 @@ def test_accumulate_leaves_handed_out_gradients_untouched(rng):
     np.testing.assert_array_equal(grads["a"], upstream[:2] + upstream[2:])
 
 
+def test_tape_serves_one_backward():
+    tape = ad.Tape()
+    w = tape.parameter("w", [[3.0]])
+    loss = total(ad.matmul(w, w))
+    tape.backward(loss)
+    assert tape._nodes is None and tape._params is None
+    with pytest.raises(ValueError, match="already run"):
+        tape.backward(loss)
+    with pytest.raises(ValueError, match="new tape"):
+        ad.matmul(w, w)
+
+
 def test_backward_rejects_non_scalar_loss():
     tape = ad.Tape()
     w = tape.parameter("w", [1.0, 2.0])
@@ -136,15 +148,19 @@ def test_quadratic_fd_error_tiny():
     assert err < 1e-8
 
 
-def test_leaky_relu_fd_away_from_kink(rng):
-    # the instance-level attention scores pass a LeakyReLU; with both signs
-    # present and a margin far beyond 10 * eps, no perturbation crosses the kink
-    problem = instance_problem(rng)
+def assert_scores_clear_the_kink(problem):
+    """The instance-level attention scores pass a LeakyReLU; with both signs
+    present and a margin far beyond 10 * eps, no perturbation crosses the kink."""
     p = problem["params"]
     C = p["H"][problem["idx"].ravel()].reshape(len(problem["idx"]), -1)
     enc = C @ np.concatenate([p["h0"], p["h1"]]).T
     scores = np.where(enc >= 0, enc, np.expm1(np.minimum(enc, 0.0))) @ p["attn"]
     assert (scores > 0).any() and (scores < 0).any() and np.abs(scores).min() > 1e-3
+
+
+def test_leaky_relu_fd_away_from_kink(rng):
+    problem = instance_problem(rng)
+    assert_scores_clear_the_kink(problem)
     _fd(lambda p: instance_loss(dict(problem, params=p), uniform=False), problem["params"])
 
 
@@ -190,9 +206,12 @@ def test_elementwise_and_shape_op_gradients(rng):
 
 
 def test_segment_ops_gradients(rng):
-    # segment softmax and weighted sum inside the instance level, with
-    # segments of one, two and three instances
-    problem = instance_problem(rng)
+    # segment softmax and weighted sum inside the instance level, with two
+    # singleton segments, one of five instances and one of two; 18 role
+    # gathers from 6 rows, so the gather's gradient sums repeated rows
+    problem = instance_problem(rng, offsets=(0, 1, 2, 7, 9), n_rows=6)
+    assert len(np.unique(problem["idx"])) < problem["idx"].size
+    assert_scores_clear_the_kink(problem)
     _fd(lambda p: instance_loss(dict(problem, params=p), uniform=False), problem["params"])
 
 

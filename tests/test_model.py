@@ -232,6 +232,28 @@ def test_forward_rejects_repeated_batch_node_before_tape_work(monkeypatch):
                 run(graph, index, batch, params, config, labels=li)
 
 
+def test_scoring_forward_records_nothing(monkeypatch):
+    graph, labels, index, params, config = toy_setup()
+    li = labels_to_indices(graph, labels)
+    batch = sorted(li)[:8]
+    assert any(index.has_any(i) for i in batch)
+    tapes = []
+
+    class SpyTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(ad, "Tape", SpyTape)
+    res = forward(graph, index, batch, params, config)
+    assert res.tape is None and len(tapes) == 1
+    assert tapes[0]._nodes == [] and tapes[0]._params == {}
+    # constants take the same arithmetic as parameters
+    trained = forward(graph, index, batch, params, config, labels=li)
+    assert res.p == trained.p
+    assert all(res.z[i].tobytes() == trained.z[i].tobytes() for i in batch)
+
+
 def assert_forward_matches_reference(graph, index, batch, params, config, li):
     res = forward(graph, index, batch, params, config, labels=li)
     ref = forward_reference(graph, index, batch, params, config, labels=li)
@@ -422,6 +444,22 @@ def test_params_are_named_views_into_one_flat_buffer():
     assert arrays.flat.size == sum(a.size for a in arrays.values())
     for a in arrays.values():
         assert np.shares_memory(a, arrays.flat)
+
+
+def test_params_reject_replacing_a_view():
+    # an array put under a name would sit outside ``flat``, which Adam steps
+    _, _, _, params, _ = toy_setup(seed=9)
+    arrays = params.arrays
+    name = next(iter(arrays))
+    for change in (lambda: arrays.__setitem__(name, np.zeros_like(arrays[name])),
+                   lambda: arrays.update({name: np.zeros_like(arrays[name])}),
+                   lambda: arrays.__setitem__("new", None)):
+        with pytest.raises(TypeError, match=r"arrays\[name\]\[\.\.\.\] = value"):
+            change()
+    arrays[name][...] = 7.0
+    arrays[name] += 1.0  # in place, storing the same view back
+    assert np.shares_memory(arrays[name], arrays.flat)
+    assert (arrays.flat[:arrays[name].size] == 8.0).all()
 
 
 def test_checkpoint_round_trip_exact(tmp_path):

@@ -1,5 +1,7 @@
 """Training-loop tests: splits, Adam arithmetic, metrics, classifier, sweeps."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,32 @@ def test_training_batch_records_at_most_40_tape_nodes(batch_size):
     res = forward(graph, index, batch, params, mc, labels=li)
     assert len(batch) == batch_size and len(index.pattern_ids) == 5
     assert len(res.tape._nodes) <= 40
+
+
+def test_train_steps_and_scoring_leave_no_cyclic_garbage():
+    # a tape drops its record when its backward pass ends and scoring records
+    # nothing, so reference counting alone frees every batch's activations
+    graph, index, labels = bench_dataset()
+    config = TrainConfig()
+    mc = config.model_config()
+    params = init_params(graph.schema, index.patterns, mc, seed=0)
+    state = init_adam_state(params)
+    li = labels_to_indices(graph, labels)
+    batch = sorted(li)[:100]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            res = forward(graph, index, batch, params, mc, labels=li)
+            adam_step(params, res.tape.backward(res.loss_tensor), state, config)
+        for _ in range(3):
+            res = forward(graph, index, batch, params, mc)
+        del res
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n_patterns", [1, 5])
