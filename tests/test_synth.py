@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_synth
+
 from rptdetect.errors import InfeasibleConfig
 from rptdetect.hetgraph import load_graph, load_labels, save_graph
 from rptdetect.matcher import enumerate_instances
@@ -150,6 +152,106 @@ def test_small_config_exports_pinned_bytes(tmp_path):
     save_ground_truth(truth, tmp_path / "communities.json")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == SMALL_DIGESTS
+
+
+# Configs at the generator's edge cases: one item (the category draws stop at once),
+# no items, no background items (no item trading), no decoys, and a transaction
+# density the attempt limit cuts short on ten companies.
+EDGE_CASES = {
+    "one-item": GenConfig(companies=30, persons=30, items=1, events=3, communities=0,
+                          decoy_communities=0, category_density=2.0, feature_dim=3, seed=5),
+    "no-items": GenConfig(companies=20, persons=20, items=0, events=2, communities=0,
+                          decoy_communities=1, feature_dim=3, seed=9),
+    "no-background-items": GenConfig(companies=40, persons=40, items=5, events=4,
+                                     communities=4, decoy_communities=2, feature_dim=3, seed=6),
+    "no-decoys": GenConfig(companies=60, persons=50, items=12, events=5, communities=6,
+                           decoy_communities=0, feature_dim=3, seed=7),
+    "attempt-limit-binds": GenConfig(companies=10, persons=10, items=3, events=1,
+                                     communities=1, decoy_communities=0,
+                                     transaction_density=8.8, degree_exponent=1.5,
+                                     feature_dim=3, seed=8),
+}
+# sha256 of every file written for each edge case by the per-edge loop generator
+# (``tests/reference_synth.py``)
+EDGE_DIGESTS = {
+    'one-item': {
+        "communities.json": "454fa35fee12b0cf22b22f8d652588fc77d7344ac33b5254a304092676fe4ac5",
+        "edges.csv": "d03968029a448f64b809aa60e865de0aabf17acbd43f2e308ee89643ac00e3c5",
+        "graph.bin": "0f0771b212a892aec50ec8dbc3dadb8275f93d576e7ce84aa2fb755947c63b8e",
+        "labels.csv": "f530476bd923af1fa53cd83c855722a19987a08e624d4cc322b94f3da5aa0297",
+        "nodes.csv": "5a2c5eb1308f6465764d014a6f8502244102311fdffa33e183cbf389a6697b68",
+        "schema.json": "aac65904fad5f6ef73fd79dad88aa04520960c1b15a6dca160c67bd7b94a439f",
+    },
+    'no-items': {
+        "communities.json": "c737b076718b1e92d101ffebd164a85906b48887cec3b04d51f7bf96cb386c87",
+        "edges.csv": "af481089f0a237fc750c75d3b85d94799e9afbf3df773ba23486d79baae432d6",
+        "graph.bin": "2e434a206ec89079273fe959babd093d874ec9e122233ef46fa1bbf08d1f96cb",
+        "labels.csv": "b76a1fc98ab4515801fedabd516b8923aac0c2e24dea5ac473d76115c993728d",
+        "nodes.csv": "9359d046ed6a69b18bf3c128dbd52e281cefd17e95961e9c744c28db8e7d8e66",
+        "schema.json": "aac65904fad5f6ef73fd79dad88aa04520960c1b15a6dca160c67bd7b94a439f",
+    },
+    'no-background-items': {
+        "communities.json": "10dcda8a51514de861e783d6203c238882ea33820416784a36d48969d3cccfde",
+        "edges.csv": "fbe7bd5b1c2a424073a8b52d3186b16663826a6a3209dec19bdaa1f9a2d396e7",
+        "graph.bin": "a550b02d2c6d9a0107cd9f3abc4bae5cf45250dc9061474bce34a86e215c9986",
+        "labels.csv": "9376cdd8f631f05330beb2421fe182bd90f560d7ea5fcb119f8f670a645c01b0",
+        "nodes.csv": "0416e3b7aafab3093660a08b54dc3af17b9d7401a1136e5cac027a2061e19628",
+        "schema.json": "aac65904fad5f6ef73fd79dad88aa04520960c1b15a6dca160c67bd7b94a439f",
+    },
+    'no-decoys': {
+        "communities.json": "06a3128fc349f3dd19913f3f286bdc13bf27c85222da1fac681a3b8760cff172",
+        "edges.csv": "e2762246a8ae35c6db96907d37d17709a152e36508d295c2c44f9090a2b5414e",
+        "graph.bin": "f9e87299e7f016e1368c78e775e0eddfeb8646b99935fd909ce6b60329eab540",
+        "labels.csv": "60e41d616b03022e20042d75da41f6f2959bf929e8ad600b35992bbd0e2e1700",
+        "nodes.csv": "826393294ced3d75311424588f2a0bff8961b8c36d53b3748d6542686b8c97a2",
+        "schema.json": "aac65904fad5f6ef73fd79dad88aa04520960c1b15a6dca160c67bd7b94a439f",
+    },
+    'attempt-limit-binds': {
+        "communities.json": "efab000a5a23e44f013d5fca795e6944aa9c3fcee4b0f432e7eee6ecd30d9e5d",
+        "edges.csv": "83c16396fada81a25e173d8acdff95624b6126aa8c3a2be4a47c288063e47e3a",
+        "graph.bin": "d7bddb7ac78b8a74865b4c37b32b6609df4ad6a2f1e87a2a3e235f1a7237a1e5",
+        "labels.csv": "04b00cc4fdb183ab429b4cd0b087db4d41036108917302c7a3a13c1004196676",
+        "nodes.csv": "243133c08faac75c7d4118e0a4a080ea32616cb6a83f5b5ff3c56756cd4d50ac",
+        "schema.json": "aac65904fad5f6ef73fd79dad88aa04520960c1b15a6dca160c67bd7b94a439f",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_case_configs_export_pinned_bytes(name, tmp_path):
+    graph, labels, truth = generate(EDGE_CASES[name])
+    export(graph, labels, tmp_path)
+    save_ground_truth(truth, tmp_path / "communities.json")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == EDGE_DIGESTS[name]
+
+
+def test_attempt_limit_binds_before_every_transaction_is_placed():
+    config = EDGE_CASES["attempt-limit-binds"]
+    graph, _, _ = generate(config)
+    placed = np.count_nonzero(graph.edge_code == graph.edge_names.index("transaction"))
+    assert placed - 2 * config.communities < round(config.transaction_density * config.companies)
+
+
+def coded(graph):
+    return (graph.ids, graph.types, graph.src.tolist(), graph.dst.tolist(),
+            graph.edge_code.tolist(), [graph.type_features(t).tolist() for t in graph.type_names])
+
+
+@pytest.mark.parametrize("config", [
+    SMALL, *EDGE_CASES.values(),
+    GenConfig(companies=300, persons=260, items=40, events=30, communities=20,
+              decoy_communities=9, transaction_density=6.0, item_trade_rate=1.0,
+              event_degree=3.0, category_density=2.0, feature_dim=2, seed=3),
+    GenConfig(companies=120, persons=90, items=25, events=10, communities=10,
+              decoy_communities=5, invest_coverage=0.0, item_trade_rate=0.0,
+              feature_dim=2, seed=4),
+], ids=["small", *EDGE_CASES, "dense", "no-trade"])
+def test_generate_equals_the_per_edge_loop(config):
+    graph, labels, truth = generate(config)
+    ref_graph, ref_labels, ref_truth = reference_synth.generate(config)
+    assert coded(graph) == coded(ref_graph)
+    assert labels == ref_labels and truth == ref_truth
 
 
 ODD_IDS = ["c\u00e9", "p\u4e2d\U0001f600", 'q"x', "b\\s", "t\tn\nr\r\x00\x1f\x7f", ""]
