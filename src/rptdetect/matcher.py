@@ -289,25 +289,36 @@ class CenterSets(Mapping):
     def __len__(self) -> int:
         return len(self.centers)
 
-    def walk(self, centers: Sequence[int]):
-        """After each step, the ``centers``' sets of a walk that stops there, node-major:
-        bit ``j % 64`` of word ``j // 64`` in node ``v``'s row is set when ``v`` is in
-        the set of ``centers[j]``."""
-        graph, j = self.graph, np.arange(len(centers))
-        own = np.zeros((len(graph), -(-j.size // 64)), dtype=np.uint64)
-        own[np.array(centers, dtype=np.intp), j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
-        keep = ~own
+    def walk(self, centers: Sequence[int], rows: np.ndarray | None = None):
+        """After each step, the ``centers``' sets of a walk that stops there at the nodes
+        ``rows`` (default: every node), node-major: bit ``j % 64`` of word ``j // 64`` in
+        row ``i`` is set when ``rows[i]`` is in the set of ``centers[j]``.  The first step
+        pushes from the centers alone; the last pulls into the ``rows`` alone."""
+        graph, c = self.graph, np.array(centers, dtype=np.intp)
+        j = np.arange(c.size)
+        own = np.zeros((len(graph), -(-c.size // 64)), dtype=np.uint64)
+        own[c, j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
+        at = (lambda a: a) if rows is None else (lambda a: a.take(rows, axis=0))
+        keep = ~at(own)
         if self.ball:
-            keep[graph.type_code != graph.type_names.index(graph.schema.company_type)] = 0
+            keep[at(graph.type_code) != graph.type_names.index(graph.schema.company_type)] = 0
         seen = frontier = own
-        for csrs in self.steps:
-            for key in set(csrs) - self._plans.keys():
-                self._plans[key] = _hop_plan(graph, *key)
-            frontier = reduce(np.bitwise_or, (_hop(frontier, self._plans[key]) for key in csrs))
-            if self.ball:
-                frontier &= ~seen
-                seen |= frontier
-            yield (seen if self.ball else frontier) & keep
+        for step, csrs in enumerate(self.steps, 1):
+            last = step == len(self.steps)
+            into = rows if last else None
+            tag = () if into is None else (into.tobytes(),)  # a plan per CSR and row set
+            for key in {key + tag for key in csrs} - self._plans.keys() if step > 1 else ():
+                self._plans[key] = _hop_plan(graph, *key[:2], into)
+            frontier = (_push(graph, c, own.shape[1], csrs) if step == 1 else reduce(
+                np.bitwise_or, (_hop(frontier, self._plans[key + tag]) for key in csrs)))
+            if last:  # nothing walks on from here: only the rows are read
+                frontier = at(frontier) if step == 1 else frontier
+                yield ((at(seen) | frontier) if self.ball else frontier) & keep
+            else:
+                if self.ball:
+                    frontier &= ~seen
+                    seen |= frontier
+                yield at(seen if self.ball else frontier) & keep
 
 
 def count_members(sets: Sequence[CenterSets], centers: Sequence[int],
@@ -324,26 +335,40 @@ def count_members(sets: Sequence[CenterSets], centers: Sequence[int],
     for walk in [[k] for k, s in enumerate(sets) if not s.ball] + [balls] * bool(balls):
         walker = max((sets[k] for k in walk), key=lambda s: len(s.steps))
         for lo in range(0, len(centers), walker.width):
-            for radius, reached in enumerate(walker.walk(centers[lo:lo + walker.width]), 1):
-                held = np.bitwise_count(reached.take(rows, axis=0)).sum(axis=1, dtype=np.int64)
+            for radius, reached in enumerate(walker.walk(centers[lo:lo + walker.width], rows), 1):
+                held = np.bitwise_count(reached).sum(axis=1, dtype=np.int64)
                 for k in walk:
                     if len(sets[k].steps) == radius:
                         counts[k] += held
     return counts
 
 
-def _hop_plan(graph: HetGraph, etype: str | None, reverse: bool):
-    """What ``_hop`` gathers through the CSR, whatever the frontier's width.  In
+def _push(graph: HetGraph, centers: np.ndarray, words: int, csrs: list) -> np.ndarray:
+    """A walk's first step, from ``centers`` alone: the bit of ``centers[j]`` ORed into the
+    row of each node that pulls from it through one of the ``csrs`` (its reversed CSR)."""
+    out = np.zeros((len(graph), words), dtype=np.uint64)
+    for etype, reverse in csrs:
+        ptr, idx = graph.adjacency(etype, not reverse)
+        counts = ptr[centers + 1] - ptr[centers]
+        j = np.repeat(np.arange(centers.size), counts)
+        np.bitwise_or.at(out.reshape(-1), idx[_ranges(ptr[centers], counts)] * words + (j >> 6),
+                         np.uint64(1) << (j & 63).astype(np.uint64))
+    return out
+
+
+def _hop_plan(graph: HetGraph, etype: str | None, reverse: bool, rows: np.ndarray | None = None):
+    """What ``_hop`` gathers through the CSR into every node, or into ``rows`` alone.  In
     descending degree order the nodes with a p-th neighbor are a prefix, so each
     position below h, the degrees' h-index, is one gather of at least h rows; the at
     most h nodes with more neighbors end with one reduceat over their other ones.
-    ``inverse`` is each node's place in that order, ``size`` for none."""
+    ``inverse`` is each node's (or row's) place in that order, ``size`` for none."""
     ptr, idx = graph.adjacency(etype, reverse)
-    deg = np.diff(ptr)
+    start, end = (ptr[:-1], ptr[1:]) if rows is None else (ptr[rows], ptr[rows + 1])
+    deg = end - start
     order = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
     inverse = np.full(deg.size, order.size)
     inverse[order] = np.arange(order.size)
-    deg, start = deg[order], ptr[order]
+    deg, start = deg[order], start[order]
     h = int(np.count_nonzero(deg > np.arange(deg.size)))
     gathers = [idx[start[:count] + p]
                for p, count in enumerate(np.searchsorted(-deg, -np.arange(h)).tolist())]

@@ -45,25 +45,20 @@ class GenConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("p_rpt", "p_bg", "label_coverage", "invest_coverage", "item_trade_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise InfeasibleConfig(f"{name} must be in [0, 1], got {v}")
-        for name in ("transaction_density", "event_degree", "category_density"):
-            v = getattr(self, name)
-            if not (0.0 <= v < math.inf):
-                raise InfeasibleConfig(f"{name} must be finite and non-negative, got {v}")
-        if not math.isfinite(self.class_shift):
-            raise InfeasibleConfig(f"class_shift must be finite, got {self.class_shift}")
-        if self.p_rpt < self.p_bg:
-            raise InfeasibleConfig(
-                f"p_rpt ({self.p_rpt}) must be >= p_bg ({self.p_bg})")
-        for name in ("companies", "persons", "items", "events", "communities", "decoy_communities"):
-            if getattr(self, name) < 0:
-                raise InfeasibleConfig(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not (1.0 < self.degree_exponent < math.inf):
-            raise InfeasibleConfig(f"degree_exponent must be finite and exceed 1, "
-                                   f"got {self.degree_exponent}")
+        # a NaN fails every comparison, so each range also rejects it
+        probabilities = ("p_rpt", "p_bg", "label_coverage", "invest_coverage", "item_trade_rate")
+        rates = ("transaction_density", "event_degree", "category_density")
+        counts = ("seed", "persons", "items", "events", "communities", "decoy_communities")
+        for name, ok, want in (
+                *((k, 0.0 <= getattr(self, k) <= 1.0, "in [0, 1]") for k in probabilities),
+                *((k, 0.0 <= getattr(self, k) < math.inf, "finite and >= 0") for k in rates),
+                *((k, getattr(self, k) >= 0, ">= 0") for k in counts),
+                ("companies", self.companies >= 1, ">= 1"),
+                ("class_shift", math.isfinite(self.class_shift), "finite"),
+                ("p_rpt", self.p_rpt >= self.p_bg, f">= p_bg ({self.p_bg})"),
+                ("degree_exponent", 1.0 < self.degree_exponent < math.inf, "finite and > 1")):
+            if not ok:
+                raise InfeasibleConfig(f"{name} must be {want}, got {getattr(self, name)!r}")
         needed_c = 3 * self.communities + 2 * self.decoy_communities
         if needed_c > self.companies:
             raise InfeasibleConfig(
@@ -80,6 +75,12 @@ class GenConfig:
         if needed_i > self.items:
             raise InfeasibleConfig(
                 f"{needed_i} items needed for planted groups, have {self.items}")
+        # each background transaction takes an ordered company pair no edge holds yet
+        n_tx = round(self.transaction_density * self.companies)
+        free = self.companies * (self.companies - 1) - 2 * self.communities
+        if n_tx > free:
+            raise InfeasibleConfig(f"transaction_density asks for {n_tx} transactions, "
+                                   f"{free} company pairs are free")
 
 
 def default_schema(feature_dim: int = 8) -> Schema:
@@ -133,166 +134,135 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator, size=None):
 
 
 def generate(config: GenConfig) -> tuple[HetGraph, dict[str, int], GroundTruth]:
-    """Deterministic per seed; returns (graph, observed labels, ground truth)."""
+    """Deterministic per seed; returns (graph, observed labels, ground truth).
+
+    Nodes are indexed companies, persons, items, then events, each block in id order.
+    The edges are index arrays in the order of a loop that adds one edge at a time and
+    drops a repeat, and every draw comes from the seed's stream in that loop's order."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     schema = default_schema(config.feature_dim)
+    n_c, n_p, n_i, n_e = counts = config.companies, config.persons, config.items, config.events
+    P, I, E = n_c, n_c + n_p, n_c + n_p + n_i  # the first person, item and event
+    ids = [f"{t}{i:06d}" for t, k in zip("cpie", counts) for i in range(k)]
+    code = {r: k for k, r in enumerate(sorted(schema.edge_types))}
+    inv, tx, sell, buy = code["invest"], code["transaction"], code["sell"], code["buy"]
+    edges: list[tuple] = []  # (sources, targets, edge codes) per block, in order
 
-    c_ids = [f"c{i:06d}" for i in range(config.companies)]
-    p_ids = [f"p{i:06d}" for i in range(config.persons)]
-    i_ids = [f"i{i:06d}" for i in range(config.items)]
-    e_ids = [f"e{i:06d}" for i in range(config.events)]
-
-    edges: list[tuple[str, str, str]] = []
-    edge_seen: set[tuple[str, str, str]] = set()
-
-    def add_edge(src: str, dst: str, etype: str) -> None:
-        key = (src, dst, etype)
-        if key not in edge_seen:
-            edge_seen.add(key)
-            edges.append(key)
-
-    communities: list[CommunityInfo] = []
-    community_of: dict[str, int] = {}
-    c_next = p_next = i_next = 0
-
-    for k in range(config.communities):
-        ca, cb, cc = c_ids[c_next:c_next + 3]
-        pa, pb, pc = p_ids[p_next:p_next + 3]
-        ia = i_ids[i_next]
-        c_next += 3
-        p_next += 3
-        i_next += 1
-        add_edge(pa, ca, "invest")
-        add_edge(pb, ca, "invest")
-        add_edge(pb, cb, "invest")
-        add_edge(pc, cb, "invest")
-        add_edge(pc, cc, "invest")
-        add_edge(ca, cb, "transaction")
-        add_edge(cb, cc, "transaction")
-        add_edge(ca, ia, "sell")
-        add_edge(cb, ia, "buy")
-        info = CommunityInfo(
-            kind="evasion",
-            companies=[ca, cb, cc],
-            persons=[pa, pb, pc],
-            items=[ia],
-            instances=[
-                ("PCCP", ca, (pa, ca, cb, pb)),
-                ("PCCCP", ca, (pa, ca, cb, cc, pc)),
-                ("PCICP", ca, (pa, ca, ia, cb, pb)),
-                ("PCPCP", ca, (pa, ca, pb, cb, pc)),
-                ("PCPCCP", ca, (pa, ca, pb, cb, cc, pc)),
-            ],
-        )
-        for node in info.companies + info.persons + info.items:
-            community_of[node] = k
-        communities.append(info)
-
-    for k in range(config.decoy_communities):
-        idx = config.communities + k
-        if k % 2 == 0:  # shared-investor pair -> PCPCP only
-            b1, b2 = c_ids[c_next:c_next + 2]
-            q1, q2, q3 = p_ids[p_next:p_next + 3]
-            c_next += 2
-            p_next += 3
-            add_edge(q1, b1, "invest")
-            add_edge(q2, b1, "invest")
-            add_edge(q2, b2, "invest")
-            add_edge(q3, b2, "invest")
-            info = CommunityInfo("decoy_invest", [b1, b2], [q1, q2, q3], [])
-        else:  # shared-item pair -> PCICP only
-            b1, b2 = c_ids[c_next:c_next + 2]
-            q1, q2 = p_ids[p_next:p_next + 2]
-            j = i_ids[i_next]
-            c_next += 2
-            p_next += 2
-            i_next += 1
-            add_edge(q1, b1, "invest")
-            add_edge(q2, b2, "invest")
-            add_edge(b1, j, "sell")
-            add_edge(b2, j, "buy")
-            info = CommunityInfo("decoy_item", [b1, b2], [q1, q2], [j])
-        for node in info.companies + info.persons + info.items:
-            community_of[node] = idx
-        communities.append(info)
-
-    evasion_companies = {c for info in communities if info.kind == "evasion"
-                         for c in info.companies}
-    planted_companies = {c for info in communities for c in info.companies}
-    bg_companies = [c for c in c_ids if c not in planted_companies]
+    # evasion community k: companies and persons 3k..3k+2, item k; nine edges each
+    K, D = config.communities, config.decoy_communities
+    ca, pa, ia = 3 * np.arange(K), P + 3 * np.arange(K), I + np.arange(K)
+    cb, cc, pb, pc = ca + 1, ca + 2, pa + 1, pa + 2
+    edges.append((np.stack((pa, pb, pb, pc, pc, ca, cb, ca, cb), 1).ravel(),
+                  np.stack((ca, ca, cb, cb, cc, cb, cc, ia, ia), 1).ravel(),
+                  np.tile([inv] * 5 + [tx] * 2 + [sell, buy], K)))
+    # decoy k: two companies, then in turn three persons (shared investor) or two
+    # persons and an item (shared item); four edges each
+    odd, b1 = np.arange(D) % 2 == 1, 3 * K + 2 * np.arange(D)
+    n_q = np.where(odd, 2, 3)
+    q1, j = P + 3 * K + np.cumsum(n_q) - n_q, I + K + np.arange(D) // 2
+    q2, b2, shared = q1 + 1, b1 + 1, np.where(odd, j, b1 + 1)
+    edges.append((np.stack((q1, q2, np.where(odd, b1, q2), np.where(odd, b2, q2 + 1)), 1).ravel(),
+                  np.stack((b1, np.where(odd, b2, b1), shared, shared), 1).ravel(),
+                  np.stack(np.broadcast_arrays(inv, inv, np.where(odd, sell, inv),
+                                               np.where(odd, buy, inv)), 1).ravel()))
+    communities = []
+    for k in range(K):
+        (a, b, c), (p, q, r), i = ids[3 * k:3 * k + 3], ids[P + 3 * k:P + 3 * k + 3], ids[I + k]
+        communities.append(CommunityInfo("evasion", [a, b, c], [p, q, r], [i], [
+            ("PCCP", a, (p, a, b, q)), ("PCCCP", a, (p, a, b, c, r)),
+            ("PCICP", a, (p, a, i, b, q)), ("PCPCP", a, (p, a, q, b, r)),
+            ("PCPCCP", a, (p, a, q, b, c, r))]))
+    for o, c, q, i in zip(odd.tolist(), b1.tolist(), q1.tolist(), j.tolist()):
+        communities.append(CommunityInfo("decoy_item", ids[c:c + 2], ids[q:q + 2], [ids[i]]) if o
+                           else CommunityInfo("decoy_invest", ids[c:c + 2], ids[q:q + 3], []))
+    community_of = {node: k for k, info in enumerate(communities)
+                    for node in info.companies + info.persons + info.items}
 
     # one dedicated investor for a fraction of background companies
-    n_invested = int(config.invest_coverage * len(bg_companies))
-    invested = rng.choice(len(bg_companies), size=n_invested, replace=False)
-    for slot in sorted(invested.tolist()):
-        add_edge(p_ids[p_next], bg_companies[slot], "invest")
-        p_next += 1
+    planted_c, planted_p = 3 * K + 2 * D, 3 * K + int(n_q.sum())
+    n_bg = n_c - planted_c
+    invested = np.sort(rng.choice(n_bg, size=int(config.invest_coverage * n_bg), replace=False))
+    edges.append((P + planted_p + np.arange(invested.size), planted_c + invested,
+                  np.full(invested.size, inv)))
 
-    # heavy-tailed random transactions over all companies
-    weights = _cdf(_power_weights(config.companies, config.degree_exponent, rng))
-    n_tx = round(config.transaction_density * config.companies)
-    attempts = 0
-    placed = 0
-    while placed < n_tx and attempts < 20 * n_tx + 100:
-        attempts += 1
-        s, t = _draw(weights, rng, 2)
-        if s == t:
-            continue
-        key = (c_ids[s], c_ids[t], "transaction")
-        if key in edge_seen:
-            continue
-        add_edge(*key)
-        placed += 1
+    # heavy-tailed random transactions over all companies, two draws an attempt, drawn in
+    # chunks; the stream is rewound to the last attempt used.  n_c * n_c closes the keys
+    weights = _cdf(_power_weights(n_c, config.degree_exponent, rng))
+    n_tx = round(config.transaction_density * n_c)
+    limit, attempts, tx_keys = 20 * n_tx + 100, 0, np.zeros(0, dtype=np.intp)
+    while tx_keys.size < n_tx and attempts < limit:
+        need, state = n_tx - tx_keys.size, rng.bit_generator.state
+        present = np.sort(np.r_[ca * n_c + cb, cb * n_c + cc, tx_keys, n_c * n_c])
+        m = min(limit - attempts, need + need // 8 + 64, 1 << 16)
+        s, t = _draw(weights, rng, (m, 2)).T
+        key = s * n_c + t
+        order = np.argsort(key, kind="stable")
+        first = np.empty(m, dtype=bool)  # a key's first attempt in the chunk
+        first[order] = np.append(True, key[order][1:] != key[order][:-1])
+        hit = np.flatnonzero(first & (s != t) & (present[present.searchsorted(key)] != key))[:need]
+        used = hit[-1] + 1 if hit.size == need else m
+        rng.bit_generator.state = state
+        rng.random(2 * used)
+        attempts += used
+        tx_keys = np.append(tx_keys, key[hit])
+    edges.append((tx_keys // n_c, tx_keys % n_c, np.full(tx_keys.size, tx)))
 
-    # item trading for non-community companies over the background item pool
-    bg_items = i_ids[i_next:]
-    traders = [c for c in c_ids if c not in evasion_companies]
+    # item trading for non-community companies over the background item pool: each
+    # (trader, sell or buy) slot draws a coin, then an item when the coin comes up
+    bg_items = n_i - K - D // 2
     if bg_items:
-        item_w = _cdf(_power_weights(len(bg_items), config.degree_exponent, rng))
-        for c in traders:
-            for etype in ("sell", "buy"):
-                if rng.random() < config.item_trade_rate:
-                    j = int(_draw(item_w, rng))
-                    add_edge(c, bg_items[j], etype)
+        item_w = _cdf(_power_weights(bg_items, config.degree_exponent, rng))
+        slots, state = 2 * (n_c - 3 * K), rng.bit_generator.state
+        block = rng.random(2 * slots)  # the most a slot can take is two draws
+        up, pos = block < config.item_trade_rate, np.arange(2 * slots)
+        # a draw is an item when the one before it is a coin that came up: in a run of
+        # draws below the rate, the second, the fourth, ... are items
+        down = np.maximum.accumulate(np.where(up, -1, pos))  # the last draw not below
+        item = np.append(False, up[:-1] & ((pos[1:] - down[:-1]) % 2 == 0))
+        coins = np.flatnonzero(~item)[:slots]
+        rng.bit_generator.state = state
+        rng.random(coins[-1] + 1 + up[coins[-1]] if slots else 0)
+        traded = np.flatnonzero(up[coins])
+        edges.append((3 * K + traded // 2,
+                      I + K + D // 2 + item_w.searchsorted(block[coins[traded] + 1], side="right"),
+                      np.where(traded % 2 == 0, sell, buy)))
 
     # events and item categories are schema-conformant noise
-    for e in e_ids:
-        for _ in range(rng.poisson(config.event_degree)):
-            c = int(_draw(weights, rng))
-            add_edge(e, c_ids[c], "belong")
-    n_cat = round(config.category_density * config.items)
-    for _ in range(n_cat):
-        if config.items < 2:
-            break
-        a, b = rng.choice(config.items, size=2, replace=False)
-        add_edge(i_ids[a], i_ids[b], "category")
+    drawn = [_draw(weights, rng, rng.poisson(config.event_degree)) for _ in range(n_e)]
+    per_event = np.fromiter(map(len, drawn), np.intp, n_e)
+    edges.append((np.repeat(E + np.arange(n_e), per_event), np.concatenate([per_event[:0], *drawn]),
+                  np.full(per_event.sum(), code["belong"])))
+    if n_i >= 2:
+        a, b = np.reshape([rng.choice(n_i, size=2, replace=False)
+                           for _ in range(round(config.category_density * n_i))], (-1, 2)).T
+        edges.append((I + a, I + b, np.full(a.size, code["category"])))
 
     # labels first, then class-conditioned company features
-    true_labels: dict[str, int] = {}
-    for c in c_ids:
-        p = config.p_rpt if c in evasion_companies else config.p_bg
-        true_labels[c] = int(rng.random() < p)
+    y = rng.random(n_c) < np.where(np.arange(n_c) < 3 * K, config.p_rpt, config.p_bg)
+    true_labels = dict(zip(ids[:P], y.astype(int).tolist()))
     shift_dir = rng.normal(size=config.feature_dim)
     shift_dir /= np.linalg.norm(shift_dir)
 
     # one (n, dim) draw consumes the stream exactly as n draws of dim values
-    y = np.array([true_labels[c] for c in c_ids], dtype=np.float64)
-    x = rng.normal(size=(config.companies, config.feature_dim))
+    x = rng.normal(size=(n_c, config.feature_dim))
     x = x + (config.class_shift * y)[:, None] * shift_dir
-    ids = c_ids + p_ids + i_ids + e_ids
-    others = rng.normal(size=(len(ids) - len(c_ids), config.feature_dim))
-    types = [t for t, k in (("company", config.companies), ("person", config.persons),
-                            ("item", config.items), ("event", config.events)) for _ in range(k)]
+    others = rng.normal(size=(len(ids) - n_c, config.feature_dim))
 
-    n_observed = int(round(config.label_coverage * config.companies))
-    observed_idx = rng.choice(config.companies, size=n_observed, replace=False)
-    labels = {c_ids[i]: true_labels[c_ids[i]] for i in sorted(observed_idx.tolist())}
+    observed = rng.choice(n_c, size=int(round(config.label_coverage * n_c)), replace=False)
+    labels = {ids[i]: true_labels[ids[i]] for i in sorted(observed.tolist())}
 
-    graph = HetGraph.from_columns(schema, ids, types, np.concatenate((x, others)).ravel(),
-                                  np.full(len(ids), config.feature_dim), edges)
-    truth = GroundTruth(communities, community_of, true_labels)
-    return graph, labels, truth
+    # a repeated edge keeps its first place: one stable sort of the packed keys
+    src, dst, ecode = (np.concatenate(col).astype(np.intp) for col in zip(*edges))
+    key = (src * len(ids) + dst) * len(code) + ecode
+    order = np.argsort(key, kind="stable")
+    keep = np.sort(order[np.append(True, key[order][1:] != key[order][:-1])[:key.size]])
+    type_code = np.repeat([sorted(schema.node_types).index(t)
+                           for t in ("company", "person", "item", "event")], counts)
+    graph = HetGraph.__new__(HetGraph)._build(
+        schema, ids, dict(zip(ids, range(len(ids)))), type_code, src[keep], dst[keep],
+        ecode[keep], np.concatenate((x, others)).ravel(), None)
+    return graph, labels, GroundTruth(communities, community_of, true_labels)
 
 
 def export(graph: HetGraph, labels: dict[str, int], out_dir: str | os.PathLike) -> dict[str, str]:
@@ -304,25 +274,29 @@ def export(graph: HetGraph, labels: dict[str, int], out_dir: str | os.PathLike) 
 
 
 def save_ground_truth(truth: GroundTruth, path: str | os.PathLike) -> None:
-    # the JSON keys are the field names; each instance becomes an object
-    doc = {**vars(truth), "communities": [
-        {**vars(info), "instances": [{"pattern": pid, "anchor": anchor, "nodes": nodes}
-                                     for pid, anchor, nodes in info.instances]}
-        for info in truth.communities]}
-    Path(path).write_text(_json(doc) + "\n", encoding="utf-8", newline="\n")
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)``, where ``doc`` keys each field by
+    its name and each instance is an ``anchor``/``nodes``/``pattern`` object, joined from C
+    string escapes for the document's one shape: the stdlib's indent path is pure Python."""
+    q, n8, n10 = encode_basestring_ascii, "\n" + " " * 8, "\n" + " " * 10
 
+    def block(items: list[str], indent: int, ends: str = "[]") -> str:
+        inner, outer = "\n" + " " * (indent + 2), "\n" + " " * indent
+        return ends[0] + inner + ("," + inner).join(items) + outer + ends[1] if items else ends
 
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for strings, ints, lists and
-    dicts, from C string escapes and joins: the stdlib's indent path is pure Python."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return str(value)
-    inner, ends = indent + "  ", "{}" if isinstance(value, dict) else "[]"
-    items = ([f"{_json(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
-             if isinstance(value, dict) else [_json(v, inner) for v in value])
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+    def strs(values: list[str], indent: int) -> str:
+        return block(list(map(q, values)), indent)
+
+    maps = [block([f"{q(k)}: {v}" for k, v in sorted(d.items())], 2, "{}")
+            for d in (truth.community_of, truth.true_labels)]
+    communities = [block([f'"companies": {strs(info.companies, 6)}', '"instances": ' + block([
+        f'{{{n10}"anchor": {q(anchor)},{n10}"nodes": {strs(nodes, 10)},'
+        f'{n10}"pattern": {q(pid)}{n8}}}'
+        for pid, anchor, nodes in info.instances], 6),
+        f'"items": {strs(info.items, 6)}', f'"kind": {q(info.kind)}',
+        f'"persons": {strs(info.persons, 6)}'], 4, "{}") for info in truth.communities]
+    doc = block([f'"communities": {block(communities, 2)}', f'"community_of": {maps[0]}',
+                 f'"true_labels": {maps[1]}'], 0, "{}")
+    Path(path).write_text(doc + "\n", encoding="utf-8", newline="\n")
 
 
 def scaled_config(base: GenConfig, total_nodes: int) -> GenConfig:

@@ -55,6 +55,7 @@ class TrainConfig:
                 ("embed_dim", self.embed_dim >= 1, ">= 1"),
                 ("proj_dim", self.proj_dim >= 1, ">= 1"),
                 ("epochs", self.epochs >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0"),
                 ("eval_mode", self.eval_mode in ("downstream", "direct"),
                  "'downstream' or 'direct'"),
                 ("learning_rate", 0.0 < self.learning_rate < math.inf, "finite and > 0"),

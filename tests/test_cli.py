@@ -423,6 +423,45 @@ def test_negative_community_count_fails_with_one_error_line(tmp_path, capsys, ar
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["ablate", "--seed", "-1"],
+    ["sweep", "--seed", "-1"],
+    ["sweep", "--mode", "timing", "--sizes", "500", "--epochs", "1", "--seed", "-1"],
+], ids=["generate", "train", "ablate", "sweep-psr", "sweep-timing"])
+def test_negative_seed_fails_with_one_error_line_before_any_load(tmp_path, capsys, argv):
+    # the graph directory does not exist, so any load would fail with another error
+    graph = [] if argv[0] == "generate" else ["--graph", str(tmp_path / "none")]
+    assert main(argv + graph + ["--out", str(tmp_path / "run")]) == 1
+    assert only_error(capsys).startswith("error\tInfeasibleConfig\tseed must be")
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_split_seed_fails_with_one_error_line(dataset, tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "1",
+                 "--dim", "8", "--proj-dim", "4", "--batch-size", "64"]) == 0
+    split = run / "split.json"
+    split.write_text(json.dumps({**json.loads(read(split)), "seed": -1}))
+    monkeypatch.setattr(cli, "build_neighbor_index", no_load)
+    capsys.readouterr()
+    assert main(["eval", "--graph", str(dataset), "--checkpoint", str(run / "checkpoint.json"),
+                 "--split", str(split)]) == 1
+    assert only_error(capsys).startswith("error\tInfeasibleConfig\tseed must be")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--companies", "0", "--communities", "0", "--decoys", "0", "--persons", "0",
+     "--items", "0", "--events", "0"],
+    ["--companies", "1", "--communities", "0", "--decoys", "0"],
+], ids=["no-nodes", "one-company"])
+def test_degenerate_generate_config_fails_with_one_error_line(tmp_path, capsys, flags):
+    assert main(["generate", "--out", str(tmp_path / "run")] + flags) == 1
+    assert only_error(capsys).startswith("error\tInfeasibleConfig\t")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--tx-density", "nan"],
     ["--tx-density", "-1"],

@@ -205,6 +205,9 @@ def tally_cases(which):
     so their pairs count nowhere, or the wide graph."""
     if which == "wide":
         return [wide_graph()]
+    if which == "all-centers":  # the wide graph with every labeled row a center
+        g, y = wide_graph()
+        return [(g, dict.fromkeys(y, 1))]
     rng = np.random.default_rng(17)
     cases = []
     for g in criterion_3_graphs() if which == "criterion_3" else [hub_graph()]:
@@ -240,13 +243,14 @@ def assert_counts_equal_set_tally(g, y, every_company=False):
     assert got == want
 
 
-@pytest.mark.parametrize("which", ["criterion_3", "hub", "wide"])
+@pytest.mark.parametrize("which", ["criterion_3", "hub", "wide", "all-centers"])
 def test_counts_equal_a_set_tally_over_the_oracles(which):
     for g, y in tally_cases(which):
-        if which == "wide":
+        if which in ("wide", "all-centers"):  # a center with no neighbors at all
             centers = evader_centers(g, y)
             assert len(centers) > 64 and len(centers) % 64
             assert g.index["lone"] == len(g) - 1 and g.index["lone"] in centers
+            assert (which == "all-centers") == (centers == sorted(y))
         assert_counts_equal_set_tally(g, y)
 
 
@@ -257,11 +261,13 @@ def one_word_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("every_company", [False, True], ids=["evaders", "every-company"])
-@pytest.mark.parametrize("which", ["criterion_3", "hub", "wide"])
+@pytest.mark.parametrize("which", ["criterion_3", "hub", "wide", "all-centers"])
 def test_blocked_counts_equal_a_set_tally(one_word_blocks, which, every_company):
     for g, y in tally_cases(which):
         if which == "wide":  # a full block of 64 centers and a partial one
             assert 64 < len(evader_centers(g, y)) < 128
+        if which == "all-centers":  # two full blocks and a partial one
+            assert 128 < len(evader_centers(g, y)) < 192
         assert_counts_equal_set_tally(g, y, every_company)
 
 

@@ -14,7 +14,7 @@ from rptdetect.errors import InfeasibleConfig
 from rptdetect.hetgraph import load_graph, load_labels, save_graph
 from rptdetect.matcher import enumerate_instances
 from rptdetect.patterns import bundled_patterns
-from rptdetect.synth import (CommunityInfo, GenConfig, GroundTruth, _cdf, _draw, _json,
+from rptdetect.synth import (CommunityInfo, GenConfig, GroundTruth, _cdf, _draw,
                              _power_weights, export, generate, save_ground_truth,
                              scaled_config)
 
@@ -271,13 +271,31 @@ def test_communities_json_is_the_stdlib_indent_output(truth, tmp_path):
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-@pytest.mark.parametrize("value", [
-    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[]], {"b": [{}]}],
-    {"z": 1, "a": [0, -5, 2**70], "m": {"y": [], "x": {"k": "v"}}},
-    {k: [k, {k: []}] for k in ODD_IDS},
-])
-def test_json_writer_nests_like_the_stdlib(value):
-    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+def truth_doc(truth):
+    """The document ``communities.json`` holds, built field by field."""
+    return {
+        "communities": [{"kind": c.kind, "companies": c.companies, "persons": c.persons,
+                         "items": c.items,
+                         "instances": [{"pattern": pid, "anchor": anchor, "nodes": list(nodes)}
+                                       for pid, anchor, nodes in c.instances]}
+                        for c in truth.communities],
+        "community_of": truth.community_of, "true_labels": truth.true_labels}
+
+
+@pytest.mark.parametrize("truth", [
+    GroundTruth([], {}, {}),
+    GroundTruth([CommunityInfo("", [], [], [], [("", "", ())])], {"": 0}, {}),
+    GroundTruth([CommunityInfo("decoy_invest", ["a"], [], ["b"]),
+                 CommunityInfo("evasion", [], ["c", "d"], [], [("PCCP", "a", ("a",)), ("x", "y", ())])],
+                {"z": 2**70, "a": -5, "m": 0}, {"k": 1}),
+    GroundTruth([CommunityInfo(k, [k], [k, k], [], [(k, k, tuple(ODD_IDS))]) for k in ODD_IDS],
+                {k: i for i, k in enumerate(ODD_IDS)}, {k: -i for i, k in enumerate(ODD_IDS)}),
+], ids=["empty", "empty-strings", "mixed", "odd-everywhere"])
+def test_communities_json_equals_the_stdlib_dump_of_the_truth(truth, tmp_path):
+    path = tmp_path / "communities.json"
+    save_ground_truth(truth, path)
+    assert path.read_bytes() == (json.dumps(truth_doc(truth), indent=2, sort_keys=True)
+                                 + "\n").encode()
 
 
 def test_label_coverage_and_empty_labels():
@@ -333,6 +351,22 @@ def test_infeasible_configs_rejected():
         generate(GenConfig(label_coverage=1.5))
     with pytest.raises(InfeasibleConfig):
         GenConfig(companies=100, persons=5, communities=10).validate()
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"companies": 0, "persons": 0, "items": 0, "events": 0, "communities": 0,
+      "decoy_communities": 0}, "companies must be >= 1"),
+    ({"companies": 1, "communities": 0, "decoy_communities": 0}, "transaction_density"),
+    ({"transaction_density": 1e9}, "transaction_density"),
+    ({"transaction_density": 8.9}, "transaction_density"),
+], ids=["negative-seed", "no-nodes", "one-company", "huge-density", "one-pair-too-many"])
+def test_config_rejected_before_any_draw(changes, message):
+    # ten companies, one community: 10 * 9 ordered pairs less its 2 planted transactions
+    base = dict(companies=10, persons=5, items=3, events=1, communities=1, decoy_communities=0)
+    with pytest.raises(InfeasibleConfig, match=f"^{message}"):
+        GenConfig(**{**base, **changes}).validate()
+    GenConfig(**{**base, "transaction_density": 8.8}).validate()  # every free pair: accepted
 
 
 def test_scaled_config_preserves_shares():

@@ -107,6 +107,12 @@ def test_train_config_rejects_out_of_range_floats(name, value):
     TrainConfig(weight_decay=0.0, adam_beta1=0.0, adam_beta2=0.0, test_fraction=0.0)  # edges
 
 
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(InfeasibleConfig, match="^seed must be >= 0"):
+        TrainConfig(seed=-1)
+    TrainConfig(seed=0)
+
+
 def test_adam_first_step_matches_hand_evaluation():
     # g=1 everywhere: m_hat=1, v_hat=1 -> delta ~= -lr
     params = make_tiny_params()
