@@ -234,8 +234,8 @@ def generate(config: GenConfig) -> tuple[HetGraph, dict[str, int], GroundTruth]:
     edges.append((np.repeat(E + np.arange(n_e), per_event), np.concatenate([per_event[:0], *drawn]),
                   np.full(per_event.sum(), code["belong"])))
     if n_i >= 2:
-        a, b = np.reshape([rng.choice(n_i, size=2, replace=False)
-                           for _ in range(round(config.category_density * n_i))], (-1, 2)).T
+        a, b = np.array([rng.choice(n_i, size=2, replace=False) for _ in range(
+            round(config.category_density * n_i))], dtype=np.intp).reshape(-1, 2).T
         edges.append((I + a, I + b, np.full(a.size, code["category"])))
 
     # labels first, then class-conditioned company features
