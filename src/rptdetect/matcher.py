@@ -307,7 +307,7 @@ class CenterSets(Mapping):
             last = step == len(self.steps)
             into = rows if last else None
             tag = () if into is None else (into.tobytes(),)  # a plan per CSR and row set
-            for key in {key + tag for key in csrs} - self._plans.keys() if step > 1 else ():
+            for key in {k + tag for k in csrs} - self._plans.keys() if step > 1 else ():
                 self._plans[key] = _hop_plan(graph, *key[:2], into)
             frontier = (_push(graph, c, own.shape[1], csrs) if step == 1 else reduce(
                 np.bitwise_or, (_hop(frontier, self._plans[key + tag]) for key in csrs)))
