@@ -1,10 +1,11 @@
-"""Dense float64 tensors (at most 2-D) with tape-recorded reverse-mode gradients.
+"""Reverse mode for the model step, and the two fused attention levels.
 
-Every operation appends one node to the tape; ``Tape.backward`` replays the
-nodes in reverse, accumulating gradients in a fixed sequential order so that
-identical inputs always produce bit-identical gradients, then drops them: one
-backward per tape.  Besides a few generic ops, the model's two attention levels
-are fused ops (one node each) with hand-written backward passes.
+A labeled batch records one backward closure per stage on a ``Tape``, with a
+zeroed gradient laid out like the parameters' flat buffer.  ``Tape.backward``
+runs the closures once, last recorded first, and each adds into named views of
+that gradient in a fixed order, so identical inputs give bit-identical
+gradients.  The fused ops ``instance_level`` and ``pattern_level`` are
+plain-array forward passes that return their hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -14,97 +15,32 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotScalarLoss, ShapeMismatch
+from .errors import ShapeMismatch
 
-
-class Tensor:
-    """A float64 array (scalar, vector, or matrix) bound to one tape."""
-
-    __slots__ = ("data", "grad", "tape", "requires_grad")
-
-    def __init__(self, data, tape: "Tape", requires_grad: bool):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim > 2:
-            raise ShapeMismatch(f"tensors are at most 2-D, got shape {arr.shape}")
-        self.data = arr
-        self.grad: np.ndarray | None = None
-        self.tape = tape
-        self.requires_grad = requires_grad
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        # the first gradient is kept as given and later ones make a new sum: no
-        # array a backward pass hands out is ever written in place
-        self.grad = g if self.grad is None else self.grad + g
+# silences the warnings of a diverging step, which the loss and score checks report
+QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class Tape:
-    """Ordered record of executed operations plus the parameter registry.
+    """A labeled batch's backward stages in record order, and the gradient ``grad`` they
+    fill: zeroed views, by parameter name, into ``grad.flat``.  A stage is called as
+    ``stage(up)``, ``up`` holding each intermediate array's gradient by name."""
 
-    One backward per tape: after it, a record or another backward raises
-    ``ValueError``.  A tape is single-threaded; run one tape per batch.
-    """
+    def __init__(self, grad, stages: list[Callable[[dict], None]]):
+        self.grad = grad
+        self.stages = stages
 
-    def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], None]]] = []
-        self._params: dict[str, Tensor] = {}
-
-    def constant(self, data) -> Tensor:
-        return Tensor(data, self, requires_grad=False)
-
-    def parameter(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already registered")
-        t = Tensor(data, self, requires_grad=True)
-        self._params[name] = t
-        return t
-
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...],
-                backward: Callable[[np.ndarray], None]) -> Tensor:
-        if self._nodes is None:
-            raise ValueError("this tape's backward pass has run; record on a new tape")
-        if any(t.requires_grad for t in inputs):
-            out.requires_grad = True
-            self._nodes.append((out, inputs, backward))
-        return out
-
-    def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Gradient of a scalar loss w.r.t. every registered parameter.
-
-        Parameters not on the path to the loss get zero gradients.
-        """
-        if loss.tape is not self:
-            raise ValueError("loss does not belong to this tape")
-        if self._nodes is None:
-            raise ValueError("this tape's backward pass has already run")
-        if loss.data.shape not in ((), (1,)):
-            raise NotScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
-        # a tape runs one pass, so every gradient on it still starts out None
-        nodes, params, self._nodes, self._params = self._nodes, self._params, None, None
-        loss.grad = np.ones_like(loss.data)
-        for out, inputs, backward in reversed(nodes):
-            if out.grad is None:
-                continue
-            backward(out.grad)
-        return {
-            name: (np.array(p.grad) if p.grad is not None else np.zeros_like(p.data))
-            for name, p in params.items()
-        }
+    @QUIET
+    def backward(self) -> np.ndarray:
+        """Run the stages once, last recorded first, and drop them; returns ``grad.flat``."""
+        up: dict = {}
+        for stage in reversed(self.stages):
+            stage(up)
+        self.stages = []
+        return self.grad.flat
 
 
-def _tape_of(*tensors: Tensor) -> Tape:
-    tape = tensors[0].tape
-    for t in tensors[1:]:
-        if t.tape is not tape:
-            raise ValueError("operands belong to different tapes")
-    return tape
-
-
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ShapeMismatch(msg)
-
-
-# --- kernels (plain numpy, shared by the ops) ----------------------------------
+# --- kernels ------------------------------------------------------------------
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, saturation-safe on both tails."""
@@ -113,7 +49,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def _elu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def elu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ELU with alpha 1, and its derivative.
 
     expm1(x) >= x for x < 0 and expm1(0) = 0, so the max is x where x >= 0 and
@@ -169,79 +105,21 @@ def _gather_grad(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
     return np.bincount(cells, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
-# --- generic ops ---------------------------------------------------------------
-
-def elu(x: Tensor) -> Tensor:
-    tape = _tape_of(x)
-    y, dy = _elu(x.data)
-    out = Tensor(y, tape, False)
-
-    def backward(g):
-        x._accumulate(g * dy)
-
-    return tape._record(out, (x,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D operands."""
-    tape = _tape_of(a, b)
-    _check(a.data.ndim == 2 and b.data.ndim == 2, "matmul: operands must be 2-D")
-    _check(a.data.shape[1] == b.data.shape[0],
-           f"matmul: inner dims differ {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, tape, False)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return tape._record(out, (a, b), backward)
-
-
-def transpose(x: Tensor) -> Tensor:
-    tape = _tape_of(x)
-    _check(x.data.ndim == 2, "transpose: need 2-D")
-    out = Tensor(x.data.T.copy(), tape, False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.T)
-
-    return tape._record(out, (x,), backward)
-
-
-def vconcat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate matrices with equal column counts along axis 0."""
-    _check(len(parts) > 0, "vconcat: need at least one part")
-    tape = _tape_of(*parts)
-    _check(all(p.data.ndim == 2 for p in parts), "vconcat: parts must be 2-D")
-    d = parts[0].data.shape[1]
-    _check(all(p.data.shape[1] == d for p in parts), "vconcat: column counts differ")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0), tape, False)
-    heights = [p.data.shape[0] for p in parts]
-
-    def backward(g):
-        off = 0
-        for p, h in zip(parts, heights):
-            if p.requires_grad:
-                p._accumulate(g[off:off + h])
-            off += h
-
-    return tape._record(out, tuple(parts), backward)
-
-
 # --- fused two-level attention ---------------------------------------------------
 #
-# Each op below is one tape node.  Forward and backward take the products, sums
-# and elementwise steps of the equivalent chain of generic ops in that chain's
-# order, and every transposed weight is a contiguous copy as ``transpose`` makes
-# it (BLAS rounds a transposed view differently), so values and gradients are
-# bit-identical to the chain's.
+# Each op below is one stage of the model step.  Both passes take the products,
+# sums and elementwise steps of the op-by-op chain the model was first written
+# as, in its order, and every transposed weight is a contiguous ``.T.copy()``
+# (BLAS rounds a transposed view differently), so values and gradients stay
+# bit-identical to the chain's.  A backward pass adds each parameter's gradient
+# into the array given for it (a ``g_`` argument) and returns the gradients of
+# the op's other inputs.
 
-def instance_level(H: Tensor, idx: np.ndarray, heads: Sequence[Tensor], attn: Tensor | None,
-                   W_T: Tensor, b: Tensor, offsets: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """One pattern's instance level; returns (one output row per segment, instance weights).
+def instance_level(H: np.ndarray, idx: np.ndarray, heads: Sequence[np.ndarray],
+                   attn: np.ndarray | None, W_T: np.ndarray, b: np.ndarray,
+                   offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """One pattern's instance level; returns (one output row per segment, instance weights,
+    backward).
 
     Instance j concatenates the rows ``idx[j]`` of ``H`` (its roles, anchor
     first) and is encoded by the stacked per-head maps ``heads`` and an ELU.
@@ -249,52 +127,50 @@ def instance_level(H: Tensor, idx: np.ndarray, heads: Sequence[Tensor], attn: Te
     weights are a softmax within each segment of LeakyReLU(encoding @ attn), or
     uniform when ``attn`` is None.  A segment's summary f is the ELU of its
     weighted encoding sum, and its output row is ELU(f @ W_T + b).
+    ``backward(g, g_heads, g_attn, g_W_T, g_b)`` returns ``H``'s gradient.
     """
-    inputs = (H, *heads, W_T, b) + (() if attn is None else (attn,))
-    tape = _tape_of(*inputs)
     n_inst = idx.shape[0]
     sizes = offsets[1:] - offsets[:-1]
-    _check(idx.ndim == 2 and offsets[0] == 0 and offsets[-1] == n_inst and sizes.min() > 0,
-           "instance_level: offsets must cut the instance rows into non-empty segments")
-    C = H.data[idx.ravel()].reshape(n_inst, -1)
-    WhT = np.concatenate([h.data for h in heads]).T.copy()
-    enc, d_enc = _elu(C @ WhT)
+    if not (idx.ndim == 2 and offsets[0] == 0 and offsets[-1] == n_inst and sizes.min() > 0):
+        raise ShapeMismatch("instance_level: offsets must cut the instance rows into "
+                            "non-empty segments")
+    C = H[idx.ravel()].reshape(n_inst, -1)
+    WhT = np.concatenate(heads).T.copy()
+    enc, d_enc = elu(C @ WhT)
     if attn is None:
         alpha = (1.0 / sizes).repeat(sizes)
     else:
-        logits, d_logits = _leaky_relu(enc @ attn.data)
+        logits, d_logits = _leaky_relu(enc @ attn)
         alpha = _segment_softmax(logits, offsets)
-    f, d_f = _elu(np.add.reduceat(alpha[:, None] * enc, offsets[:-1], axis=0))
-    m, d_m = _elu(f @ W_T.data + b.data)
+    f, d_f = elu(np.add.reduceat(alpha[:, None] * enc, offsets[:-1], axis=0))
+    m, d_m = elu(f @ W_T + b)
 
-    def backward(g):
+    def backward(g, g_heads, g_attn, g_W_T, g_b):
         g = g * d_m
-        b._accumulate(g.sum(axis=0))
-        g_f = g @ W_T.data.T
-        W_T._accumulate(f.T @ g)
+        g_b += g.sum(axis=0)
+        g_f = g @ W_T.T
+        g_W_T += f.T @ g
         g = (g_f * d_f)[np.arange(len(sizes)).repeat(sizes)]
         g_enc = g * alpha[:, None]
         if attn is not None:
             g_logits = _segment_softmax_grad(alpha, (g * enc).sum(axis=1), offsets) * d_logits
-            g_enc = g_enc + g_logits[:, None] * attn.data
-            attn._accumulate(enc.T @ g_logits)
+            g_enc = g_enc + g_logits[:, None] * attn
+            g_attn += enc.T @ g_logits
         g_enc = g_enc * d_enc
         g_C = g_enc @ WhT.T
         g_W = (C.T @ g_enc).T
-        off = 0
-        for h in heads:
-            h._accumulate(g_W[off:off + len(h.data)])
-            off += len(h.data)
-        H._accumulate(_gather_grad(idx.ravel(), g_C.reshape(idx.size, -1), len(H.data)))
+        for g_h, g_W_h in zip(g_heads, np.split(g_W, len(heads))):
+            g_h += g_W_h
+        return _gather_grad(idx.ravel(), g_C.reshape(idx.size, -1), len(H))
 
-    return tape._record(Tensor(m, tape, False), inputs, backward), alpha
+    return m, alpha, backward
 
 
-def pattern_level(q: Tensor, W_T: Tensor, b: Tensor,
-                  columns: Sequence[tuple[int, Tensor, np.ndarray, Tensor]],
-                  mask: np.ndarray, w: Tensor, w0: Tensor,
-                  uniform: bool) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Pattern-level attention and readout for a batch; returns (logits, beta, z).
+def pattern_level(q: np.ndarray, W_T: np.ndarray, b: np.ndarray,
+                  columns: Sequence[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+                  mask: np.ndarray, w: np.ndarray, w0: np.ndarray,
+                  uniform: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:
+    """Pattern-level attention and readout for a batch; returns (logits, beta, z, backward).
 
     ``mask[r, c]`` is set when batch row r has instances of pattern column c;
     ``columns`` holds (c, m, rows, v) for every column with any: ``m`` is the
@@ -304,14 +180,14 @@ def pattern_level(q: Tensor, W_T: Tensor, b: Tensor,
     scores over the row's set columns, or uniform over them when ``uniform``.
     z_r = sum_c beta[r, c] m_r, except that a row with no set column takes
     ELU(q_r @ W_T + b).  The logits are z @ w + w0.
+    ``backward(g, g_W_T, g_b, g_vs, g_w, g_w0)`` returns ``q``'s gradient (None
+    where q does not reach the logits) and each column's ``m`` gradient.
     """
-    inputs = (q, W_T, b, w, w0) + tuple(t for _, m, _, v in columns for t in (m, v))
-    tape = _tape_of(*inputs)
-    n, d = q.data.shape
+    n, d = q.shape
     full = []
     for _, m, rows, _ in columns:
         full.append(np.zeros((n, d)))
-        full[-1][rows] = m.data
+        full[-1][rows] = m
     scale = 1.0 / math.sqrt(d)
     if uniform:
         beta = np.where(mask, 1.0, 0.0) / np.maximum(mask.sum(axis=1, keepdims=True), 1)
@@ -319,7 +195,7 @@ def pattern_level(q: Tensor, W_T: Tensor, b: Tensor,
         E = np.zeros(mask.shape)
         d_leaky = []
         for (c, _, _, v), mf in zip(columns, full):
-            s = q.data @ v.data[:d] + mf @ v.data[d:]
+            s = q @ v[:d] + mf @ v[d:]
             E[:, c], dl = _leaky_relu(s * scale)
             d_leaky.append(dl)
         beta = _masked_softmax_rows(E, mask)
@@ -330,19 +206,19 @@ def pattern_level(q: Tensor, W_T: Tensor, b: Tensor,
     degenerate = (~mask.any(axis=1)).astype(np.float64)[:, None]
     fallback = bool(degenerate.any()) or z is None
     if fallback:
-        fb, d_fb = _elu(q.data @ W_T.data + b.data)
+        fb, d_fb = elu(q @ W_T + b)
         z = fb * degenerate if z is None else z + fb * degenerate
 
-    def backward(g):
-        w0._accumulate(g.sum())
-        w._accumulate(z.T @ g)
-        g_z = g[:, None] * w.data
+    def backward(g, g_W_T, g_b, g_vs, g_w, g_w0):
+        g_w0 += g.sum()
+        g_w += z.T @ g
+        g_z = g[:, None] * w
         g_q = None
         if fallback:
             g_fb = g_z * degenerate * d_fb
-            b._accumulate(g_fb.sum(axis=0))
-            g_q = g_fb @ W_T.data.T
-            W_T._accumulate(q.data.T @ g_fb)
+            g_b += g_fb.sum(axis=0)
+            g_q = g_fb @ W_T.T
+            g_W_T += q.T @ g_fb
         g_full = [g_z * beta[:, c][:, None] for c, *_ in columns]
         if not uniform and columns:
             g_beta = np.zeros(mask.shape)
@@ -352,34 +228,10 @@ def pattern_level(q: Tensor, W_T: Tensor, b: Tensor,
             for k in reversed(range(len(columns))):
                 c, _, _, v = columns[k]
                 g_s = g_E[:, c] * d_leaky[k] * scale
-                g_full[k] = g_full[k] + g_s[:, None] * v.data[d:]
-                g_q_k = g_s[:, None] * v.data[:d]
+                g_full[k] = g_full[k] + g_s[:, None] * v[d:]
+                g_q_k = g_s[:, None] * v[:d]
                 g_q = g_q_k if g_q is None else g_q + g_q_k
-                v._accumulate(np.concatenate([q.data.T @ g_s, full[k].T @ g_s]))
-        for (_, m, rows, _), gm in zip(columns, g_full):
-            m._accumulate(gm[rows])
-        if g_q is not None:
-            q._accumulate(g_q)
+                g_vs[k] += np.concatenate([q.T @ g_s, full[k].T @ g_s])
+        return g_q, [gm[rows] for (_, _, rows, _), gm in zip(columns, g_full)]
 
-    return tape._record(Tensor(z @ w.data + w0.data, tape, False), inputs, backward), beta, z
-
-
-# --- loss ---------------------------------------------------------------------
-
-def bce_with_logits_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy from raw logits, stable for large |logit|."""
-    tape = _tape_of(logits)
-    _check(logits.data.ndim == 1, "bce_with_logits_mean: need 1-D logits")
-    y = np.asarray(targets, dtype=np.float64)
-    _check(y.shape == logits.data.shape, "bce_with_logits_mean: target shape must match")
-    t = logits.data
-    per = np.maximum(t, 0.0) - t * y + np.log1p(np.exp(-np.abs(t)))
-    out = Tensor(per.mean(), tape, False)
-    n = t.size
-
-    def backward(g):
-        if logits.requires_grad:
-            logits._accumulate(float(g) * (sigmoid(t) - y) / n)
-
-    return tape._record(out, (logits,), backward)
-
+    return z @ w + w0, beta, z, backward

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleConfig, PipelineError
+from .errors import DimensionMismatch, InfeasibleConfig, PipelineError
 from .hetgraph import (
     GRAPH_FILES,
     _quote,
@@ -325,6 +325,12 @@ def cmd_eval(args) -> int:
                                             config.seed)
     # the checkpoint and split are checked before the costly index build
     pats = _load_pattern_arg(args.patterns, graph.schema)
+    for key, value in (("company_type", graph.schema.company_type),
+                       ("node_dims", graph.schema.node_types),
+                       ("patterns", {p.pattern_id: len(p.roles) for p in pats})):
+        if params.meta[key] != value:
+            raise DimensionMismatch(f"checkpoint {args.checkpoint}: {key} {params.meta[key]!r} "
+                                    f"does not match {value!r} from the graph and patterns")
     index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode)
     metrics, _, _ = score_split(graph, index, labels, params, train_ids, test_ids, config)
     table = _metrics_text(metrics)

@@ -47,10 +47,6 @@ class ShapeMismatch(PipelineError):
     pass
 
 
-class NotScalarLoss(PipelineError):
-    pass
-
-
 # --- model -----------------------------------------------------------------
 
 class MissingProjection(PipelineError):

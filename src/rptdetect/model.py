@@ -11,9 +11,12 @@ Pipeline per company node i:
   5. a linear readout plus sigmoid turns the fused embedding into the
      evasion probability, trained with binary cross-entropy.
 
-``forward`` runs the whole pipeline for a batch on an autodiff tape, with
-two fused ops for stages 2-3 and 4-5.  The readable node-at-a-time reference
-that the tests check it against is ``tests/reference_model.py``.
+``forward`` runs the whole pipeline for a batch on plain arrays, with the
+fused ops ``autodiff.instance_level`` for stages 2-3 and
+``autodiff.pattern_level`` for 4-5.  A labeled batch also records its fixed
+model step on an ``autodiff.Tape``, whose one backward pass fills a flat
+gradient laid out like the parameters' buffer.  The readable node-at-a-time
+reference that the tests check it against is ``tests/reference_model.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -98,12 +102,9 @@ class FlatArrays(dict):
 
 
 class ModelParams:
-    """All learnable arrays, keyed by stable names, plus shape metadata.
-
-    Keys: ``proj::<type>``, ``inst::<pattern>::h<k>``, ``attn_inst::<pattern>``,
-    ``cross_w``, ``cross_b``, ``query``, ``attn_cross::<pattern>``,
-    ``readout_w``, ``readout_b``.  The arrays live in one flat buffer
-    (``arrays.flat``), in key order, so an optimizer step is whole-buffer work.
+    """All learnable arrays, keyed and shaped as ``param_shapes(meta)`` says, plus
+    ``meta``.  The arrays live in one flat buffer (``arrays.flat``), in key
+    order, so an optimizer step is whole-buffer work.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], meta: dict):
@@ -119,52 +120,50 @@ class ModelParams:
         return self.meta["company_type"]
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    s = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=shape)
+def param_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in buffer order, from a ``ModelParams.meta``."""
+    d_in, d, heads = meta["proj_dim"], meta["embed_dim"], meta["heads"]
+    shapes = {f"proj::{t}": (d_in, dim) for t, dim in meta["node_dims"].items()}
+    for pid, n_roles in meta["patterns"].items():
+        shapes.update({f"inst::{pid}::h{h}": (d // heads, n_roles * d_in) for h in range(heads)})
+        shapes[f"attn_inst::{pid}"] = (d,)
+    shapes.update(cross_w=(d, d), cross_b=(d,),
+                  query=(d, meta["node_dims"][meta["company_type"]]))
+    shapes.update({f"attn_cross::{pid}": (2 * d,) for pid in meta["patterns"]})
+    shapes.update(readout_w=(d,), readout_b=())
+    return shapes
 
 
 def init_params(schema: Schema, patterns: Sequence[RptPattern],
                 config: ModelConfig, seed: int) -> ModelParams:
-    """Scale-balanced random matrices, deterministic per seed; biases start at zero."""
-    rng = np.random.default_rng(seed)
-    d_in = config.proj_dim
-    d = config.embed_dim
-    arrays: dict[str, np.ndarray] = {}
-    for t in sorted(schema.node_types):
-        dim = schema.node_types[t]
-        arrays[f"proj::{t}"] = _glorot(rng, dim, d_in, (d_in, dim))
-    for p in patterns:
-        width = len(p.roles) * d_in
-        for h in range(config.heads):
-            arrays[f"inst::{p.pattern_id}::h{h}"] = _glorot(
-                rng, width, config.head_dim, (config.head_dim, width))
-        arrays[f"attn_inst::{p.pattern_id}"] = _glorot(rng, d, 1, (d,))
-    arrays["cross_w"] = _glorot(rng, d, d, (d, d))
-    arrays["cross_b"] = np.zeros(d)
-    company_dim = schema.node_types[schema.company_type]
-    arrays["query"] = _glorot(rng, company_dim, d, (d, company_dim))
-    for p in patterns:
-        arrays[f"attn_cross::{p.pattern_id}"] = _glorot(rng, 2 * d, 1, (2 * d,))
-    arrays["readout_w"] = _glorot(rng, d, 1, (d,))
-    arrays["readout_b"] = np.zeros(())
+    """Glorot-uniform weights, +-sqrt(6 / (in + out)) for shape (out, in) or (in,)
+    with out = 1, drawn in buffer order, deterministic per seed; biases start at zero."""
     meta = {
-        "proj_dim": d_in,
-        "embed_dim": d,
+        "proj_dim": config.proj_dim,
+        "embed_dim": config.embed_dim,
         "heads": config.heads,
         "company_type": schema.company_type,
         "node_dims": {t: schema.node_types[t] for t in sorted(schema.node_types)},
         "patterns": {p.pattern_id: len(p.roles) for p in patterns},
     }
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, shape in param_shapes(meta).items():
+        if name in ("cross_b", "readout_b"):
+            arrays[name] = np.zeros(shape)
+        else:
+            s = math.sqrt(6.0 / (sum(shape) + (len(shape) == 1)))
+            arrays[name] = rng.uniform(-s, s, size=shape)
     return ModelParams(arrays, meta)
 
 
-# --- batched tape path -----------------------------------------------------------
+# --- batched model step -----------------------------------------------------------
 
 @dataclass
 class ForwardResult:
     """One batch's outputs, keyed by node.
 
+    ``tape`` is the batch's ``ad.Tape`` when it was labeled, else None.
     ``betas`` is [batch row, pattern column], zero where ``present`` is not
     set; ``inner`` holds per pattern (batch rows, segment offsets, instance
     weights).
@@ -176,7 +175,6 @@ class ForwardResult:
     z: dict[int, np.ndarray]
     degenerate: set[int]
     tape: ad.Tape | None
-    loss_tensor: ad.Tensor | None
     betas: np.ndarray
     present: np.ndarray
     pattern_ids: list[str]
@@ -197,25 +195,22 @@ def _check_batch(graph: HetGraph, batch: list[int], company: str,
             raise ValueError(f"batch node {graph.ids[i]} has no label")
 
 
+@ad.QUIET
 def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
             params: ModelParams, config: ModelConfig,
             labels: dict[int, int] | None = None) -> ForwardResult:
-    """Run the full pipeline for a batch of company nodes on one tape.
+    """Run the full pipeline for a batch of company nodes on plain arrays.
 
-    With ``labels`` the mean binary cross-entropy over the batch is computed
-    and the tape kept for its one ``backward``.  Scoring (no labels) records
-    nothing: the parameters enter as constants.  Instances come from the
-    index's CSR arrays; a batch may not repeat a node.  A training tape holds
-    the projection, the query, one ``ad.instance_level`` node per pattern
-    with instances in the batch, one ``ad.pattern_level`` node and the loss.
+    With ``labels`` the mean binary cross-entropy over the batch is computed and
+    the step recorded on an ``ad.Tape`` for its one ``backward``; scoring (no
+    labels) builds none.  Instances come from the index's CSR arrays; a batch
+    may not repeat a node.
     """
     batch = list(batch)
     company = params.company_type
     _check_batch(graph, batch, company, labels)
 
-    tape = ad.Tape()
-    tp = {name: tape.constant(arr) if labels is None else tape.parameter(name, arr)
-          for name, arr in params.arrays.items()}
+    P = params.arrays
     n_batch = len(batch)
     anchors = np.array(batch, dtype=np.intp)
     patterns = {p.pattern_id: p for p in index.patterns}
@@ -245,27 +240,27 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
     codes = graph.type_code[needed]
     needed = needed[np.argsort(codes, kind="stable")]
     type_ends = np.cumsum(np.bincount(codes, minlength=len(graph.type_names))).tolist()
-    H_parts = []
+    projected = []
     for t, lo, hi in zip(graph.type_names, [0] + type_ends, type_ends):
         if lo == hi:
             continue
-        if f"proj::{t}" not in params.arrays:
+        if f"proj::{t}" not in P:
             raise MissingProjection(f"no projection matrix for node type {t!r}")
-        X = tape.constant(graph.type_features(t)[graph.row_in_type[needed[lo:hi]]])
-        H_parts.append(ad.matmul(X, ad.transpose(tp[f"proj::{t}"])))
+        projected.append((f"proj::{t}", graph.type_features(t)[graph.row_in_type[needed[lo:hi]]],
+                          lo, hi))
     # a trailing all-zero row, read by the zeroed role columns
     zero_row = len(needed)
-    H_parts.append(tape.constant(np.zeros((1, config.proj_dim))))
-    H = ad.vconcat(H_parts)
+    H = np.concatenate([X @ P[name].T.copy() for name, X, _, _ in projected]
+                       + [np.zeros((1, config.proj_dim))])
     row_of = np.empty(len(graph), dtype=np.intp)
     row_of[needed] = np.arange(len(needed))
 
-    Xb = tape.constant(graph.type_features(company)[graph.row_in_type[anchors]])
-    q = ad.elu(ad.matmul(Xb, ad.transpose(tp["query"])))
-    W_T = ad.transpose(tp["cross_w"])
+    Xb = graph.type_features(company)[graph.row_in_type[anchors]]
+    q, d_q = ad.elu(Xb @ P["query"].T.copy())
+    W_T = P["cross_w"].T.copy()
 
     present = np.zeros((n_batch, len(pattern_ids)), dtype=bool)
-    columns = []
+    columns, levels = [], []
     inner: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for c, pid in enumerate(pattern_ids):
         if pid not in plan:
@@ -273,29 +268,63 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
         nodes, zeroed, positions, offsets = plan[pid]
         idx = row_of[nodes]
         idx[:, zeroed] = zero_row
-        m, alpha = ad.instance_level(
-            H, idx, [tp[f"inst::{pid}::h{h}"] for h in range(config.heads)],
-            None if config.inner_uniform else tp[f"attn_inst::{pid}"],
-            W_T, tp["cross_b"], offsets)
+        m, alpha, back = ad.instance_level(
+            H, idx, [P[f"inst::{pid}::h{h}"] for h in range(config.heads)],
+            None if config.inner_uniform else P[f"attn_inst::{pid}"],
+            W_T, P["cross_b"], offsets)
         present[positions, c] = True
-        columns.append((c, m, positions, tp[f"attn_cross::{pid}"]))
+        columns.append((c, m, positions, P[f"attn_cross::{pid}"]))
+        levels.append((pid, back))
         inner[pid] = (positions, offsets, alpha)
-    logits, betas, z = ad.pattern_level(q, W_T, tp["cross_b"], columns, present,
-                                        tp["readout_w"], tp["readout_b"], config.cross_uniform)
+    logits, betas, z, back = ad.pattern_level(q, W_T, P["cross_b"], columns, present,
+                                              P["readout_w"], P["readout_b"],
+                                              config.cross_uniform)
+    p = ad.sigmoid(logits)
 
-    loss_tensor = loss = None
+    tape = loss = None
     if labels is not None:
         y = np.array([labels[i] for i in batch], dtype=np.float64)
-        loss_tensor = ad.bce_with_logits_mean(logits, y)
-        loss = float(loss_tensor.data)
+        loss = float((np.maximum(logits, 0.0) - logits * y
+                      + np.log1p(np.exp(-np.abs(logits)))).mean())
+        tape = _record_step(params, config, projected, Xb, d_q, levels, back,
+                            (p - y) / n_batch)
 
     return ForwardResult(
         batch, loss,
-        p=dict(zip(batch, ad.sigmoid(logits.data).tolist())),
+        p=dict(zip(batch, p.tolist())),
         z=dict(zip(batch, z.copy())),
         degenerate={i for i, on in zip(batch, present.any(axis=1).tolist()) if not on},
-        tape=tape if labels is not None else None, loss_tensor=loss_tensor,
-        betas=betas, present=present, pattern_ids=pattern_ids, inner=inner)
+        tape=tape, betas=betas, present=present, pattern_ids=pattern_ids, inner=inner)
+
+
+def _record_step(params: ModelParams, config: ModelConfig, projected, Xb, d_q, levels,
+                 pattern_back, g_logits) -> ad.Tape:
+    """A labeled batch's tape: the projection per node type read, the query, each
+    present pattern's instance level, the pattern level and the loss, in that order."""
+    grad = FlatArrays({k: np.zeros(a.shape) for k, a in params.arrays.items()})
+
+    def projection(name, X, lo, hi, up):
+        grad[name] += (X.T @ up["H"][lo:hi]).T
+
+    def query(up):
+        if up["q"] is not None:
+            grad["query"] += (Xb.T @ (up["q"] * d_q)).T
+
+    def instance(pid, back, up):  # after pattern(), the last pattern first
+        g_H = back(up.pop(pid), [grad[f"inst::{pid}::h{h}"] for h in range(config.heads)],
+                   grad[f"attn_inst::{pid}"], grad["cross_w"].T, grad["cross_b"])
+        up["H"] = g_H if "H" not in up else up["H"] + g_H
+
+    def pattern(up):
+        up["q"], g_ms = pattern_back(up.pop("logits"), grad["cross_w"].T, grad["cross_b"],
+                                     [grad[f"attn_cross::{pid}"] for pid, _ in levels],
+                                     grad["readout_w"], grad["readout_b"])
+        up.update((pid, g_m) for (pid, _), g_m in zip(levels, g_ms))
+
+    # with no instance level, no gradient reaches the projections
+    return ad.Tape(grad, ([partial(projection, *part) for part in projected] if levels else [])
+                   + [query, *(partial(instance, *level) for level in levels), pattern,
+                      lambda up: up.update(logits=g_logits)])
 
 
 # --- checkpoints -----------------------------------------------------------------
@@ -318,7 +347,8 @@ def save_params(params: ModelParams, path: str | os.PathLike) -> None:
 
 
 def load_params(path: str | os.PathLike) -> ModelParams:
-    """Read a ``save_params`` file; a file that is not one raises ``DimensionMismatch``."""
+    """Read a ``save_params`` file; a file that is not one, or whose array shapes
+    differ from what its ``meta`` implies, raises ``DimensionMismatch``."""
     doc = read_json(path, "checkpoint", DimensionMismatch)
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
@@ -331,8 +361,15 @@ def load_params(path: str | os.PathLike) -> ModelParams:
     try:
         for name, shape, flat in doc["arrays"]:
             arrays[name] = np.array(flat, dtype=np.float64).reshape(shape)
-    except (TypeError, ValueError) as exc:
+        shapes = param_shapes(doc["meta"])
+    except (TypeError, ValueError, LookupError, AttributeError, ArithmeticError) as exc:
         raise DimensionMismatch(
             f"checkpoint {path}: 'arrays' must hold [name, shape, values] entries "
-            f"whose values fill the shape ({exc})") from exc
+            f"whose values fill the shape, and 'meta' the model's dimensions ({exc})") from exc
+    got = {name: list(a.shape) for name, a in arrays.items()}
+    want = {name: list(shape) for name, shape in shapes.items()}
+    if got != want:
+        name = next(n for n in [*want, *got] if got.get(n) != want.get(n))
+        raise DimensionMismatch(f"checkpoint {path}: array {name!r} has shape {got.get(name)}, "
+                                f"but its meta implies {want.get(name)}")
     return ModelParams(arrays, doc["meta"])

@@ -164,16 +164,16 @@ def init_adam_state(params: ModelParams) -> AdamState:
                      v=np.zeros_like(params.arrays.flat))
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
+def adam_step(params: ModelParams, flat_grad: np.ndarray,
               state: AdamState, config: TrainConfig) -> ModelParams:
-    """Bias-corrected Adam with additive L2 weight decay folded into gradients."""
+    """Bias-corrected Adam with additive L2 weight decay folded into ``flat_grad``,
+    a gradient laid out like ``params.arrays.flat`` (as ``Tape.backward`` returns it)."""
     state.t += 1
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     w = params.arrays.flat
-    g = np.concatenate([np.ravel(grads[name]) for name in params.arrays])
-    g = g + config.weight_decay * w
+    g = flat_grad + config.weight_decay * w
     state.m = b1 * state.m + (1.0 - b1) * g
     state.v = b2 * state.v + (1.0 - b2) * g * g
     m_hat = state.m / c1
@@ -302,8 +302,7 @@ def _run_epoch(graph: HetGraph, index: NeighborIndex, train_idx: list[int],
         res = forward(graph, index, batch, params, mc, labels=labels_idx)
         if not math.isfinite(res.loss):
             raise DivergedLoss(f"loss became {res.loss} during training")
-        grads = res.tape.backward(res.loss_tensor)
-        adam_step(params, grads, state, config)
+        adam_step(params, res.tape.backward(), state, config)
         total += res.loss * len(batch)
         count += len(batch)
         betas.append(res.betas)
@@ -361,7 +360,9 @@ def score_split(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
 
     Shared by ``train`` and ``rptdetect eval``.  Returns (metrics, embeddings,
     probabilities), the last two keyed by node id in train-then-test order.
-    Warns once when most scored nodes have no pattern instance at all.
+    Warns once when most scored nodes have no pattern instance at all; a
+    non-finite embedding or probability (diverged parameters) raises
+    ``DivergedLoss``.
     """
     mc = config.model_config()
     nodes = [graph.index[i] for i in train_ids + test_ids]
@@ -370,6 +371,10 @@ def score_split(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
     degenerate = 0
     for start in range(0, len(nodes), config.batch_size):
         res = forward(graph, index, nodes[start:start + config.batch_size], params, mc)
+        if not (np.isfinite(list(res.p.values())).all()
+                and np.isfinite(list(res.z.values())).all()):
+            raise DivergedLoss("scoring gave a non-finite embedding or probability: "
+                               "the parameters diverged")
         z.update((graph.ids[i], v) for i, v in res.z.items())
         p.update((graph.ids[i], v) for i, v in res.p.items())
         degenerate += len(res.degenerate)

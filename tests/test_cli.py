@@ -8,6 +8,7 @@ import logging
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,19 +16,31 @@ import pytest
 import rptdetect
 from rptdetect import cli
 from rptdetect.cli import main
+from rptdetect.patterns import bundled_patterns
 
 from conftest import assert_same_graph, load_both
+
+
+DATASET_FLAGS = ["--seed", "7", "--companies", "90", "--persons", "80", "--items", "25",
+                 "--events", "6", "--communities", "9", "--decoys", "4",
+                 "--label-coverage", "1.0", "--feature-dim", "4"]
 
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    rc = main(["generate", "--out", str(out), "--seed", "7",
-               "--companies", "90", "--persons", "80", "--items", "25",
-               "--events", "6", "--communities", "9", "--decoys", "4",
-               "--label-coverage", "1.0", "--feature-dim", "4"])
+    rc = main(["generate", "--out", str(out), *DATASET_FLAGS])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def checkpoint_run(dataset, tmp_path_factory):
+    """A two-epoch training run on ``dataset``, for its checkpoint.json."""
+    run = tmp_path_factory.mktemp("checkpoint_run")
+    assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "2",
+                 "--dim", "8", "--proj-dim", "4", "--batch-size", "64"]) == 0
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +72,24 @@ def only_error(capsys):
 
 def no_load(*args, **kwargs):
     raise AssertionError("the dataset was read or indexed before the inputs were checked")
+
+
+def only_stderr_line(capsys):
+    """All a failed command wrote to stderr, checked to be one ``error`` line: no
+    traceback, no numpy warning."""
+    err = capsys.readouterr().err
+    assert err.startswith("error\t") and err.count("\n") == 1, err
+    return err[:-1]
+
+
+def edited_checkpoint(run, tmp_path, edit):
+    """A copy of ``run``'s checkpoint with ``edit`` applied to each array entry."""
+    doc = json.loads(read(run / "checkpoint.json"))
+    for entry in doc["arrays"]:
+        edit(entry)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def test_generate_writes_loadable_dataset(dataset):
@@ -181,6 +212,13 @@ def test_only_numpy_and_the_standard_library_are_imported(tmp_path):
                           check=True, capture_output=True, text=True, timeout=300)
     loaded = set(proc.stdout.splitlines()[-1].split())  # the commands' tables come first
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "rptdetect"}
+
+
+def test_src_stays_within_its_line_cap():
+    # the package's line budget, counted as `wc -l` counts: newline characters
+    src = Path(__file__).resolve().parents[1] / "src" / "rptdetect"
+    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    assert 0 < lines <= 3337, f"src/rptdetect/*.py has {lines} lines, over the cap of 3,337"
 
 
 @pytest.mark.parametrize("mode", ["direct", "downstream"])
@@ -696,6 +734,66 @@ def test_eval_checks_checkpoint_and_split_before_building_the_index(dataset, tmp
                  "--split", str(run / "split.json")]) == 1
     line = only_error(capsys)
     assert f"\t{bad} {run / (bad + '.json')}: not JSON" in line
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_with_a_checkpoint_array_in_the_wrong_shape_fails_naming_the_file(
+        dataset, checkpoint_run, tmp_path, capsys):
+    def reshape(entry):
+        if entry[0] == "readout_w":
+            assert entry[1] == [8]
+            entry[1] = [2, 4]  # the same eight values under another shape
+
+    checkpoint = edited_checkpoint(checkpoint_run, tmp_path, reshape)
+    capsys.readouterr()
+    assert main(["eval", "--graph", str(dataset), "--checkpoint", str(checkpoint)]) == 1
+    assert only_stderr_line(capsys) == (
+        f"error\tDimensionMismatch\tcheckpoint {checkpoint}: array 'readout_w' has shape "
+        f"[2, 4], but its meta implies [8]")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("change", ["feature-dim", "pattern-ids", "pattern-roles"])
+def test_eval_checks_the_checkpoint_against_the_graph_and_patterns(
+        dataset, checkpoint_run, tmp_path, capsys, monkeypatch, change):
+    graph, pattern_flags = dataset, []
+    if change == "feature-dim":
+        graph = tmp_path / "dim8"
+        assert main(["generate", "--out", str(graph), *DATASET_FLAGS, "--feature-dim", "8"]) == 0
+    else:
+        specs = [{"id": p.pattern_id, "roles": p.roles, "edges": p.edges, "anchor": p.anchor}
+                 for p in bundled_patterns()]
+        if change == "pattern-ids":
+            specs = specs[:4]
+        else:  # the checkpoint's PCCP has four roles
+            specs[0] = {"id": "PCCP", "roles": [["p1", "person"], ["c1", "company"]],
+                        "edges": [["p1", "c1", "invest"]], "anchor": "c1"}
+        pattern_flags = ["--patterns", str(tmp_path / "patterns.json")]
+        (tmp_path / "patterns.json").write_text(json.dumps({"patterns": specs}))
+    monkeypatch.setattr(cli, "build_neighbor_index", no_load)
+    capsys.readouterr()
+    checkpoint = checkpoint_run / "checkpoint.json"
+    assert main(["eval", "--graph", str(graph), "--checkpoint", str(checkpoint),
+                 *pattern_flags]) == 1
+    assert only_stderr_line(capsys).startswith(
+        f"error\tDimensionMismatch\tcheckpoint {checkpoint}: ")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_diverged_last_step_fails_with_one_error_line(dataset, checkpoint_run, tmp_path,
+                                                        capsys):
+    # one batch per epoch: the loss before the one step is finite, and the
+    # step leaves weights near 1e300, so only scoring overflows
+    run = tmp_path / "run"
+    assert main(["train", "--graph", str(dataset), "--out", str(run), "--epochs", "1",
+                 "--lr", "1e300", "--dim", "8", "--proj-dim", "4"]) == 1
+    assert only_stderr_line(capsys).startswith("error\tDivergedLoss\tscoring gave a non-finite")
+    assert not (run / "embeddings.csv").exists()
+    # scoring a checkpoint with such weights fails the same way
+    checkpoint = edited_checkpoint(checkpoint_run, tmp_path,
+                                   lambda entry: entry.__setitem__(2, [v * 1e300 for v in entry[2]]))
+    assert main(["eval", "--graph", str(dataset), "--checkpoint", str(checkpoint)]) == 1
+    assert only_stderr_line(capsys).startswith("error\tDivergedLoss\tscoring gave a non-finite")
 
 
 def test_env_var_overrides_default(dataset, tmp_path, monkeypatch):

@@ -203,14 +203,15 @@ def test_forward_loss_matches_recomputation_from_probabilities():
 def test_forward_confident_predictions_drive_loss_to_zero():
     graph, labels, index, params, config = toy_setup()
     li = labels_to_indices(graph, labels)
-    batch = sorted(li)[:6]
-    # steer the readout bias to match each label's sign via a huge bias is not
-    # possible per-node; instead check the loss formula directly at p -> y
-    logits = np.array([80.0 if li[i] else -80.0 for i in batch])
-    tape = ad.Tape()
-    loss = ad.bce_with_logits_mean(tape.constant(logits),
-                                   np.array([li[i] for i in batch], float))
-    assert float(loss.data) < 1e-12
+    batch = sorted(li)[:8]
+    # a zero readout makes every logit zero: the loss is log 2 exactly
+    params.arrays["readout_w"][...] = 0.0
+    assert forward(graph, index, batch, params, config, labels=li).loss == math.log(2.0)
+    # a readout bias of 80 is a confident, correct prediction for every positive
+    params.arrays["readout_b"][...] = 80.0
+    positives = [i for i in batch if li[i] == 1]
+    assert positives
+    assert forward(graph, index, positives, params, config, labels=li).loss < 1e-12
 
 
 def test_forward_empty_batch_raises():
@@ -232,24 +233,18 @@ def test_forward_rejects_repeated_batch_node_before_tape_work(monkeypatch):
                 run(graph, index, batch, params, config, labels=li)
 
 
-def test_scoring_forward_records_nothing(monkeypatch):
+def test_scoring_forward_builds_no_tape(monkeypatch):
     graph, labels, index, params, config = toy_setup()
     li = labels_to_indices(graph, labels)
     batch = sorted(li)[:8]
     assert any(index.has_any(i) for i in batch)
-    tapes = []
-
-    class SpyTape(ad.Tape):
-        def __init__(self):
-            super().__init__()
-            tapes.append(self)
-
-    monkeypatch.setattr(ad, "Tape", SpyTape)
-    res = forward(graph, index, batch, params, config)
-    assert res.tape is None and len(tapes) == 1
-    assert tapes[0]._nodes == [] and tapes[0]._params == {}
-    # constants take the same arithmetic as parameters
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "Tape", None)  # building a tape would raise TypeError
+        res = forward(graph, index, batch, params, config)
+    assert res.tape is None and res.loss is None
+    # scoring takes the same arithmetic as a labeled step
     trained = forward(graph, index, batch, params, config, labels=li)
+    assert isinstance(trained.tape, ad.Tape)
     assert res.p == trained.p
     assert all(res.z[i].tobytes() == trained.z[i].tobytes() for i in batch)
 
@@ -412,20 +407,30 @@ def test_initial_loss_near_log2_across_seeds():
     assert abs(float(np.mean(losses)) - math.log(2.0)) < 0.15
 
 
-def fd_error(ablation):
-    """Finite-difference error of a labeled forward over six nodes of a tiny graph."""
+def fd_error(ablation, prefix=""):
+    """Finite-difference error of a labeled step over six nodes of a tiny graph, on the
+    parameters whose names start with ``prefix`` (all of them by default)."""
     graph, labels, index, params, config = toy_setup(
         seed=8, companies=10, communities=1, decoys=1, n_patterns=2,
         heads=2, embed_dim=8, proj_dim=4, ablation=ablation)
     li = labels_to_indices(graph, labels)
     batch = sorted(li)[:6]
-    assert any(index.has_any(i) for i in batch)
+    res = forward(graph, index, batch, params, config, labels=li)
+    # both patterns meet on one node and one node has none, so cross_w and
+    # cross_b take both instance levels' gradients and the fallback's
+    assert res.present.all(axis=1).any() and res.degenerate
+    names = [k for k in params.arrays if k.startswith(prefix)]
+    res.tape.backward()
+    assert any(res.tape.grad[k].any() for k in names)
 
     def build(arrays):  # ModelParams copies the arrays into a fresh buffer
-        res = forward(graph, index, batch, ModelParams(arrays, params.meta), config, labels=li)
-        return res.tape, res.loss_tensor
+        res = forward(graph, index, batch, ModelParams({**params.arrays, **arrays}, params.meta),
+                      config, labels=li)
+        flat = res.tape.backward()
+        return res.loss, (flat if not prefix else
+                          np.concatenate([res.tape.grad[k].ravel() for k in names]))
 
-    return finite_diff_check(build, params.arrays, eps=1e-5)
+    return finite_diff_check(build, {k: params.arrays[k] for k in names}, eps=1e-5)
 
 
 def test_gradients_match_finite_differences_small():
@@ -436,6 +441,30 @@ def test_gradients_match_finite_differences_small():
 def test_gradients_match_finite_differences_under_ablation(ablation):
     # the full model is the test above
     assert fd_error(ablation) < 1e-4
+
+
+@pytest.mark.parametrize("ablation", ALL_ABLATIONS, ids=lambda a: a[0] if a else "full")
+@pytest.mark.parametrize("prefix", ["proj::", "query", "readout_", "cross_"])
+def test_parameter_family_gradients_match_finite_differences(prefix, ablation):
+    # the projections, the query, the readout behind the loss and the cross
+    # transform, each family alone at the strength of a single op's check
+    assert fd_error(ablation, prefix) < 1e-8
+
+
+@pytest.mark.parametrize("ablation", ALL_ABLATIONS, ids=lambda a: a[0] if a else "full")
+def test_parameters_off_the_loss_path_get_zero_gradient(ablation):
+    graph, labels, index, params, config = toy_setup(
+        seed=8, companies=10, communities=1, decoys=1, n_patterns=2,
+        heads=2, embed_dim=8, proj_dim=4, ablation=ablation)
+    li = labels_to_indices(graph, labels)
+    res = forward(graph, index, sorted(li)[:6], params, config, labels=li)
+    res.tape.backward()
+    # no role of the two patterns is an item or an event
+    off = {"proj::item", "proj::event"} | ({"proj::person"} if config.company_only else set())
+    for flag, prefix in ((config.inner_uniform, "attn_inst::"),
+                         (config.cross_uniform, "attn_cross::")):
+        off |= {k for k in params.arrays if flag and k.startswith(prefix)}
+    assert {k for k, g in res.tape.grad.items() if not g.any()} == off
 
 
 def test_params_are_named_views_into_one_flat_buffer():
