@@ -63,10 +63,6 @@ class ModelConfig:
                 raise ValueError(f"unknown ablation flag {a!r}")
 
     @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
-
-    @property
     def inner_uniform(self) -> bool:
         return "inner" in self.ablation or "att" in self.ablation
 

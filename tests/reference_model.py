@@ -20,7 +20,7 @@ from rptdetect.patterns import RptPattern
 
 
 def _elu(x):
-    """Feature transform of stages 2-4 (``ad.elu`` on the tape)."""
+    """Feature transform of stages 2-4 (``ad.elu`` in the model step)."""
     return np.where(x >= 0, x, np.expm1(np.minimum(x, 0.0)))
 
 

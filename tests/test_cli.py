@@ -790,8 +790,10 @@ def test_a_diverged_last_step_fails_with_one_error_line(dataset, checkpoint_run,
     assert only_stderr_line(capsys).startswith("error\tDivergedLoss\tscoring gave a non-finite")
     assert not (run / "embeddings.csv").exists()
     # scoring a checkpoint with such weights fails the same way
-    checkpoint = edited_checkpoint(checkpoint_run, tmp_path,
-                                   lambda entry: entry.__setitem__(2, [v * 1e300 for v in entry[2]]))
+    def scale(entry):
+        entry[2] = [v * 1e300 for v in entry[2]]
+
+    checkpoint = edited_checkpoint(checkpoint_run, tmp_path, scale)
     assert main(["eval", "--graph", str(dataset), "--checkpoint", str(checkpoint)]) == 1
     assert only_stderr_line(capsys).startswith("error\tDivergedLoss\tscoring gave a non-finite")
 

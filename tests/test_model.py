@@ -87,18 +87,17 @@ def test_encode_input_width_is_roles_times_proj_dim():
     for p in index.patterns:
         for head in range(config.heads):
             assert params.arrays[f"inst::{p.pattern_id}::h{head}"].shape == (
-                config.head_dim, len(p.roles) * config.proj_dim)
+                config.embed_dim // config.heads, len(p.roles) * config.proj_dim)
 
 
 def test_encode_output_dim_scales_with_heads():
-    _, _, _, params, config = toy_setup(heads=8, embed_dim=32)
-    assert config.head_dim == 4
     graph, _, index, params, config = toy_setup(heads=8, embed_dim=32)
+    assert params.arrays["inst::PCCP::h0"].shape[0] == 4
     node = next(i for i in graph.company_nodes() if len(index.instances(i, "PCCP")))
     row = index.instances(node, "PCCP")[0]
     h = project(graph, params)
     enc = encode_instance(row, h, params, index.patterns[0], config)
-    assert enc.shape == (8 * config.head_dim,)
+    assert enc.shape == (8 * 4,)
 
 
 def test_inner_attention_single_instance():
