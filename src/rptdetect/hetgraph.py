@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -354,14 +354,19 @@ def _read_records(path: str | os.PathLike,
             gc.enable()
 
 
-def _key(files: Sequence[bytes]) -> bytes:
-    parts = (part for f in files for part in (len(f).to_bytes(8, "little"), f))
-    return hashlib.sha256(b"".join(parts)).digest()
+def _key(files: Iterable[bytes]) -> bytes:
+    """sha256 over the files' bytes, each prefixed by its length, hashed one at a time."""
+    key = hashlib.sha256()
+    for f in files:
+        key.update(len(f).to_bytes(8, "little"))
+        key.update(f)
+        del f
+    return key.digest()
 
 
-def _sidecar_bytes(graph: HetGraph, files: Sequence[bytes]) -> bytes:
-    """The ``graph.bin`` of the graph saved as the schema, nodes and edges bytes ``files``:
-    MAGIC, their ``_key``, the sha256 of the rest, the header's length, the header (JSON:
+def _sidecar_bytes(graph: HetGraph, key: bytes) -> bytes:
+    """The ``graph.bin`` of the graph saved as files whose ``_key`` is ``key``: MAGIC, the key,
+    the sha256 of the rest, the header's length, the header (JSON:
     the edge count and the ids), ``type_code``, ``src``, ``dst`` and ``edge_code`` as
     ``<i8``, then the attribute values in node order as ``<f8`` up to the end."""
     widths = np.array([graph.schema.node_types[t] for t in graph.type_names])[graph.type_code]
@@ -372,7 +377,7 @@ def _sidecar_bytes(graph: HetGraph, files: Sequence[bytes]) -> bytes:
                         separators=(",", ":")).encode("ascii")
     codes = np.concatenate([graph.type_code, graph.src, graph.dst, graph.edge_code]).astype("<i8")
     rest = len(header).to_bytes(8, "little") + header + codes.tobytes() + values.tobytes()
-    return MAGIC + _key(files) + hashlib.sha256(rest).digest() + rest
+    return MAGIC + key + hashlib.sha256(rest).digest() + rest
 
 
 def _load_sidecar(path: str, schema: Schema, files: Sequence[bytes]) -> HetGraph | None:
@@ -450,6 +455,11 @@ def _quote(field: str) -> str:
     return '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
 
 
+def _quote_all(fields: Sequence[str]) -> Sequence[str]:
+    """``_quote`` of each field, after one search over all of them: most need none."""
+    return list(map(_quote, fields)) if _NEEDS_QUOTES.search("".join(fields)) else fields
+
+
 def tsv(header: Sequence, rows) -> str:
     """A tab-separated table: the header's fields, then each row's, one line each."""
     return "".join("\t".join(map(str, row)) + "\n" for row in chain([header], rows))
@@ -469,21 +479,29 @@ def save_graph(graph: HetGraph, out_dir: str | os.PathLike) -> dict[str, str]:
             for name, et in schema.edge_types.items()
         },
     }
-    ids = list(map(_quote, graph.ids))
-    types = list(map(_quote, graph.type_names))
-    attrs = [[",".join(map(repr, row)) for row in graph.type_features(t).tolist()]
-             for t in graph.type_names]
-    nodes = "id,type,attrs\n" + "".join([
-        f"{i},{types[c]},{attrs[c][r]}\n" for i, c, r in
-        zip(ids, graph.type_code.tolist(), graph.row_in_type.tolist())])
-    etypes = list(map(_quote, graph.edge_names))
-    edges = "source,target,type\n" + "".join([
-        f"{ids[s]},{ids[t]},{etypes[r]}\n" for s, t, r in
-        zip(graph.src.tolist(), graph.dst.tolist(), graph.edge_code.tolist())])
-    files = [text.encode("utf-8")
-             for text in (json.dumps(raw, indent=2, sort_keys=True) + "\n", nodes, edges)]
-    for path, data in zip(paths.values(), files + [_sidecar_bytes(graph, files)]):
-        Path(path).write_bytes(data)
+    ids, types, etypes = map(_quote_all, (graph.ids, graph.type_names, graph.edge_names))
+
+    def nodes() -> str:
+        attrs = [[",".join(map(repr, row)) for row in graph.type_features(t).tolist()]
+                 for t in graph.type_names]
+        return "".join(chain(["id,type,attrs\n"], [
+            f"{i},{types[c]},{attrs[c][r]}\n" for i, c, r in
+            zip(ids, graph.type_code.tolist(), graph.row_in_type.tolist())]))
+
+    def edges() -> str:
+        return "".join(chain(["source,target,type\n"], [
+            f"{ids[s]},{ids[t]},{etypes[r]}\n" for s, t, r in
+            zip(graph.src.tolist(), graph.dst.tolist(), graph.edge_code.tolist())]))
+
+    def written():  # each file's bytes, dropped before the next file's text is built
+        for path, text in zip(paths.values(), (
+                lambda: json.dumps(raw, indent=2, sort_keys=True) + "\n", nodes, edges)):
+            data = text().encode("utf-8")
+            Path(path).write_bytes(data)
+            yield data
+            del data
+
+    Path(paths["sidecar"]).write_bytes(_sidecar_bytes(graph, _key(written())))
     return paths
 
 
@@ -510,4 +528,5 @@ def load_labels(path: str | os.PathLike) -> dict[str, int]:
 
 def save_labels(labels: dict[str, int], path: str | os.PathLike) -> None:
     Path(path).write_text("id,label\n" + "".join(
-        [f"{_quote(k)},{int(v)}\n" for k, v in labels.items()]), encoding="utf-8", newline="")
+        [f"{k},{int(v)}\n" for k, v in zip(_quote_all(list(labels)), labels.values())]),
+        encoding="utf-8", newline="")

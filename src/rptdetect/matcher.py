@@ -28,10 +28,11 @@ log = logging.getLogger(__name__)
 CAP_ERROR = "error"
 CAP_TRUNCATE = "truncate"
 DEFAULT_CAP = 64
-# partial rows a chunk of anchors is sized to hold at any level of the join:
-# a new chunk starts where the anchors' summed row bound passes a multiple of it
-ROW_BUDGET = 1 << 18
-# bytes a baseline walk's node-major bit matrix may take: it sets the centers per block
+# rows a join chunk holds at any level, plus at most its last anchor's row bound: a new
+# chunk starts where the anchors' summed row bound passes a multiple of it
+ROW_BUDGET = 1 << 16
+# bytes a baseline walk's block holds in its live node-major bit matrices, at most six:
+# own/seen, keep, the frontier, a hop's accumulator, its gathers and its result
 WALK_BUDGET = 1 << 22
 
 
@@ -94,6 +95,21 @@ def _rank(cols: list[np.ndarray], bits: int) -> tuple[np.ndarray, int]:
     return key, int(key.max()).bit_length()
 
 
+def _multiset_groups(leaves: np.ndarray, anchor: np.ndarray, cap: int, n: int):
+    """The group step of ``_keep_first_multisets``: each leaf's (anchor, multiset) group,
+    whether it is its group's first leaf in walk order, and whether the walk keeps it."""
+    m, bits = len(leaves), max(1, (n - 1).bit_length())
+    group, leaf = _rank([anchor, *np.sort(leaves, axis=1).T], bits)[0], np.arange(m)
+    lead = np.full(m, m)
+    np.minimum.at(lead, group, leaf)
+    first = lead[group] == leaf
+    # distinct multisets the walk has met at each leaf, counted per anchor
+    seen = np.cumsum(first)
+    starts = np.flatnonzero(np.r_[True, anchor[1:] != anchor[:-1]])
+    seen -= np.repeat((seen - first)[starts], np.diff(np.r_[starts, m]))
+    return group, first, seen <= cap
+
+
 def _keep_first_multisets(leaves: np.ndarray, anchor: np.ndarray, cap: int,
                           n: int) -> tuple[np.ndarray, np.ndarray]:
     """What a depth-first walk keeps of its leaves, and the anchors it cut short.
@@ -107,46 +123,23 @@ def _keep_first_multisets(leaves: np.ndarray, anchor: np.ndarray, cap: int,
     m, bits = len(leaves), max(1, (n - 1).bit_length())
     if not m:
         return leaves, anchor
-    # one group per (anchor, multiset); the group's first leaf in walk order is its least index
-    group, leaf = _rank([anchor, *np.sort(leaves, axis=1).T], bits)[0], np.arange(m)
-    lead = np.full(m, m)
-    np.minimum.at(lead, group, leaf)
-    first = lead[group] == leaf
-    # distinct multisets the walk has met at each leaf, counted per anchor
-    seen = np.cumsum(first)
-    starts = np.flatnonzero(np.r_[True, anchor[1:] != anchor[:-1]])
-    seen -= np.repeat((seen - first)[starts], np.diff(np.r_[starts, m]))
-    kept = seen <= cap
+    group, _, kept = _multiset_groups(leaves, anchor, cap, n)
     # each kept group's leaf with the least place in (anchor, row) order is its smallest row
     idx = np.flatnonzero(kept)
     place = _rank([anchor[idx], *leaves[idx].T], bits)[0]
-    lead[:] = m
+    lead, leaf = np.full(m, m), np.arange(m)
     np.minimum.at(lead, group[idx], place)
     leaf[place] = idx  # now the kept leaf at each place
     return leaves[leaf[np.sort(lead[lead < m])]], distinct(anchor[~kept])
 
 
-def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
-                        injective: bool = False,
-                        cap: int = DEFAULT_CAP,
-                        cap_mode: str = CAP_ERROR) -> np.ndarray:
-    """Every occurrence of the pattern, deduplicated and deterministically ordered.
-
-    Returns one ``np.intp`` row per instance (shape ``[n_inst, n_roles]``,
-    columns in canonical role order), rows sorted by the anchor column and
-    then by the whole row.  Two matches with the same anchor node and the same
-    node multiset count as one instance (role-permutation symmetry).  ``cap``
-    bounds distinct instances per anchor node; hitting it raises
-    ``InstanceCapExceeded`` unless ``cap_mode="truncate"``, which logs a
-    warning and keeps the first ``cap`` a depth-first walk over the roles in
-    ``_bfs_role_order``, candidates ascending, meets.
-    """
-    validate_pattern(pattern, graph.schema)
-    if cap_mode not in (CAP_ERROR, CAP_TRUNCATE):
-        raise ValueError(f"cap_mode must be 'error' or 'truncate', got {cap_mode!r}")
-    if cap < 1:
-        raise InfeasibleConfig(f"cap must be >= 1, got {cap}")
-
+def _join(graph: HetGraph, pattern: RptPattern, injective: bool,
+          anchors: Sequence[int] | None, exists: bool = False):
+    """Per chunk of the pattern's candidate anchors (ascending; only ``anchors`` when
+    given), the join's leaves in canonical role order and their anchor column, grouped
+    by ascending anchor and in depth-first walk order within one.  With ``exists``,
+    each level keeps only the distinct rows on the anchor and the columns a later
+    level reads: the last keeps one row per anchor that has any match."""
     order = _bfs_role_order(pattern)
     pos = {r: k for k, r in enumerate(order)}
     # the edges each role must satisfy against itself and earlier roles, by position
@@ -161,9 +154,17 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
         levels.append((gen[1] if gen[0] == k else gen[0], graph.adjacency(gen[2], gen[0] == k),
                        [e for e in checks[k] if e != gen]))
     masks = [_base_candidates(graph, pattern, r, injective) for r in order]
-    anchors = np.flatnonzero(masks[0])
+    if anchors is not None:
+        masks[0] &= np.bincount(np.asarray(anchors, dtype=np.intp), minlength=len(graph)) > 0
+    candidates = np.flatnonzero(masks[0])
     for _, _, etype in checks[0]:  # self-loops on the anchor
-        anchors = anchors[graph.has_edges(anchors, anchors, etype)]
+        candidates = candidates[graph.has_edges(candidates, candidates, etype)]
+    # a partial row's extensions depend only on its anchor and the columns later levels
+    # read (their generating roles and other edges' ends), or in injective mode on all
+    reads = [{b} | {x for s, t, _ in others for x in (s, t)} for b, _, others in levels]
+    need = [range(k + 1) if injective else sorted({0}.union(*reads[k:]) & set(range(k + 1)))
+            for k in range(1, len(order))]
+    bits = max(1, (len(graph) - 1).bit_length())
 
     # rows per anchor at every level are at most its matches of the tree of
     # generating edges, with no role filter and a role without candidates
@@ -173,12 +174,10 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
         b, (ptr, idx), _ = levels[k - 1]
         total = np.concatenate(([0.0], np.cumsum(bound[k][idx])))
         bound[b] *= np.maximum(total[ptr[1:]] - total[ptr[:-1]], 1.0)
-    cost = bound[0][anchors]
-    chunks = np.split(anchors, np.flatnonzero(np.diff((np.cumsum(cost) - cost) // ROW_BUDGET)) + 1)
-
+    cost = bound[0][candidates]
     canonical = [pos[r] for r in pattern.role_names]
-    out = []
-    for chunk in chunks:
+    for chunk in np.split(candidates,
+                          np.flatnonzero(np.diff((np.cumsum(cost) - cost) // ROW_BUDGET)) + 1):
         rows = chunk[:, None]
         for k, (b, (ptr, idx), others) in enumerate(levels, start=1):
             start = ptr[rows[:, b]]
@@ -192,16 +191,85 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
             if injective:
                 keep &= (rows[parent] != cand[:, None]).all(axis=1)
             rows = np.column_stack((rows[parent[keep]], cand[keep]))
-        kept, truncated = _keep_first_multisets(rows[:, canonical], rows[:, 0], cap,
-                                                 len(graph))
-        if truncated.size and cap_mode == CAP_ERROR:
-            raise InstanceCapExceeded(f"pattern {pattern.pattern_id!r}: anchor "
-                                      f"{graph.ids[truncated[0]]!r} exceeds instance cap {cap}")
-        for anchor_node in truncated.tolist():
-            log.warning("pattern %s: anchor %s truncated at cap %d",
-                        pattern.pattern_id, graph.ids[anchor_node], cap)
+            if exists and len(rows):  # one row per distinct key on the needed columns
+                key = _rank([rows[:, c] for c in need[k - 1]], bits)[0]
+                one = np.empty(int(key.max()) + 1, dtype=np.intp)
+                one[key] = np.arange(len(rows))
+                rows = rows[one]
+        yield rows[:, canonical], rows[:, 0]
+
+
+def _check(graph: HetGraph, pattern: RptPattern, cap: int, cap_mode: str) -> None:
+    validate_pattern(pattern, graph.schema)
+    if cap_mode not in (CAP_ERROR, CAP_TRUNCATE):
+        raise ValueError(f"cap_mode must be 'error' or 'truncate', got {cap_mode!r}")
+    if cap < 1:
+        raise InfeasibleConfig(f"cap must be >= 1, got {cap}")
+
+
+def _cut(graph: HetGraph, pattern: RptPattern, truncated: np.ndarray, cap: int,
+         cap_mode: str) -> None:
+    """Raise for the first anchor the cap cut short (``error``), or warn for each."""
+    if truncated.size and cap_mode == CAP_ERROR:
+        raise InstanceCapExceeded(f"pattern {pattern.pattern_id!r}: anchor "
+                                  f"{graph.ids[truncated[0]]!r} exceeds instance cap {cap}")
+    for anchor_node in truncated.tolist():
+        log.warning("pattern %s: anchor %s truncated at cap %d",
+                    pattern.pattern_id, graph.ids[anchor_node], cap)
+
+
+def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
+                        injective: bool = False,
+                        cap: int = DEFAULT_CAP,
+                        cap_mode: str = CAP_ERROR,
+                        anchors: Sequence[int] | None = None) -> np.ndarray:
+    """Every occurrence of the pattern, deduplicated and deterministically ordered.
+
+    Returns one ``np.intp`` row per instance (shape ``[n_inst, n_roles]``,
+    columns in canonical role order), rows sorted by the anchor column and
+    then by the whole row.  Two matches with the same anchor node and the same
+    node multiset count as one instance (role-permutation symmetry).  ``cap``
+    bounds distinct instances per anchor node; hitting it raises
+    ``InstanceCapExceeded`` unless ``cap_mode="truncate"``, which logs a
+    warning and keeps the first ``cap`` a depth-first walk over the roles in
+    ``_bfs_role_order``, candidates ascending, meets.  With ``anchors``, only
+    their rows: the same as without, since the cap cuts each anchor on its own.
+    """
+    _check(graph, pattern, cap, cap_mode)
+    out = []
+    for leaves, anchor in _join(graph, pattern, injective, anchors):
+        kept, truncated = _keep_first_multisets(leaves, anchor, cap, len(graph))
+        _cut(graph, pattern, truncated, cap, cap_mode)
         out.append(kept)
     return np.concatenate(out).astype(np.intp, copy=False)
+
+
+def count_instances(graph: HetGraph, pattern: RptPattern, *, injective: bool = False,
+                    cap: int = DEFAULT_CAP, cap_mode: str = CAP_ERROR) -> tuple[int, int]:
+    """``enumerate_instances``' row count and distinct anchors, with its warnings and
+    errors, from the group step alone: no representative row is built."""
+    _check(graph, pattern, cap, cap_mode)
+    instances = anchored = 0
+    for leaves, anchor in _join(graph, pattern, injective, None):
+        if len(leaves):
+            _, first, kept = _multiset_groups(leaves, anchor, cap, len(graph))
+            _cut(graph, pattern, distinct(anchor[~kept]), cap, cap_mode)
+            instances += int(np.count_nonzero(first & kept))
+            anchored += 1 + int(np.count_nonzero(anchor[1:] != anchor[:-1]))
+    return instances, anchored
+
+
+def anchoring_nodes(graph: HetGraph, patterns: Sequence[RptPattern], nodes: Sequence[int], *,
+                    injective: bool = False) -> np.ndarray:
+    """Per node of the graph, whether it is one of ``nodes`` and anchors an instance of any
+    of the patterns.  Each pattern is joined, with no cap, from the nodes left unmarked."""
+    given = np.bincount(np.asarray(nodes, dtype=np.intp), minlength=len(graph)) > 0
+    rest = given.copy()
+    for p in patterns:
+        validate_pattern(p, graph.schema)
+        for _, found in _join(graph, p, injective, np.flatnonzero(rest), exists=True):
+            rest[found] = False
+    return given & ~rest
 
 
 class NeighborIndex:
@@ -252,11 +320,15 @@ class NeighborIndex:
 
 def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,
                          cap: int = DEFAULT_CAP,
-                         cap_mode: str = CAP_ERROR) -> NeighborIndex:
-    """Every pattern's instance rows, indexed by anchor over all company nodes."""
-    nodes = {p.pattern_id: enumerate_instances(graph, p, cap=cap, cap_mode=cap_mode)
+                         cap_mode: str = CAP_ERROR,
+                         anchors: Sequence[int] | None = None) -> NeighborIndex:
+    """Every pattern's instance rows, indexed by anchor over all company nodes, or over
+    the ``anchors`` alone, whose rows are then the same as in the whole index."""
+    nodes = {p.pattern_id: enumerate_instances(graph, p, cap=cap, cap_mode=cap_mode,
+                                               anchors=anchors)
              for p in patterns}
-    return NeighborIndex(patterns, nodes, graph.company_nodes(), len(graph))
+    return NeighborIndex(patterns, nodes, graph.company_nodes() if anchors is None else anchors,
+                         len(graph))
 
 
 class CenterSets(Mapping):
@@ -270,8 +342,8 @@ class CenterSets(Mapping):
         self.graph, self.steps, self.ball = graph, steps, ball
         self.centers = list(dict.fromkeys(centers))
         self._pos = dict(zip(self.centers, range(len(self.centers))))
-        # 64 centers per uint64 word of a node's row within WALK_BUDGET bytes
-        self.width = 64 * max(1, WALK_BUDGET // max(8 * len(graph), 1))
+        # 64 centers per uint64 word of a node's row; six such matrices fit WALK_BUDGET bytes
+        self.width = 64 * max(1, WALK_BUDGET // max(6 * 8 * len(graph), 1))
         self._plans, self._last = {}, (-1, None)
 
     def __getitem__(self, center: int) -> frozenset[int]:

@@ -74,12 +74,15 @@ def evader_centers(graph: HetGraph, labels: dict[int, int]) -> list[int]:
 def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
                         metapaths: dict[int | str, CenterSets],
                         k_orders: dict[int, CenterSets],
-                        labels: dict[int, int]) -> EvasionStats:
+                        labels: dict[int, int],
+                        anchored: np.ndarray | None = None) -> EvasionStats:
     """Build the per-definition probability table and the pairwise ratio table.
 
-    ``labels`` is keyed by node index.  Every metapath and k-order map must
-    hold a set for each of the ``evader_centers``; a missing center raises
-    ``KeyError``.  Raises ``NoLabeledPairs`` when there is no labeled evader.
+    ``labels`` is keyed by node index.  The index must cover the ``evader_centers``,
+    and every metapath and k-order map must hold a set for each; a missing center
+    raises ``KeyError``.  ``anchored`` marks the nodes that anchor any instance (by
+    default, those the index holds rows at).  Raises ``NoLabeledPairs`` when there
+    is no labeled evader.
     """
     centers = evader_centers(graph, labels)
     n = len(graph)
@@ -109,8 +112,9 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
     rows += [row(name, kind, c) for (name, kind, _), c in zip(walked, counts)]
 
     # labeled companies that anchor no instance of any pattern
-    anchored = sum(np.diff(ptr) for ptr in index.anchor_ptr.values())
-    rows.append(row(BACKGROUND_NAME, KIND_REFERENCE, (is_company & (anchored == 0))[labeled]))
+    if anchored is None:
+        anchored = sum((np.diff(ptr) for ptr in index.anchor_ptr.values()), np.zeros(n)) > 0
+    rows.append(row(BACKGROUND_NAME, KIND_REFERENCE, (is_company & ~anchored)[labeled]))
 
     baselines = [r for r in rows if r.kind in (KIND_METAPATH, KIND_KORDER, KIND_REFERENCE)]
     ratios: list[tuple[str, str, float | None]] = []

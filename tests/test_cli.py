@@ -1,6 +1,7 @@
 """End-to-end CLI tests over a small synthetic dataset."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -16,9 +17,17 @@ import pytest
 import rptdetect
 from rptdetect import cli
 from rptdetect.cli import main
-from rptdetect.patterns import bundled_patterns
+from rptdetect.hetgraph import labels_to_indices, load_graph, load_labels, save_graph, save_labels
+from rptdetect.matcher import (
+    build_neighbor_index,
+    enumerate_instances,
+    k_order_neighbors,
+    metapath_neighbors,
+)
+from rptdetect.patterns import BUNDLED_METAPATHS, bundled_patterns
+from rptdetect.stats import evader_centers, evasion_ratio_stats, ratio_table_text, stats_table_text
 
-from conftest import assert_same_graph, load_both
+from conftest import assert_same_graph, load_both, make_graph, tax_schema
 
 
 DATASET_FLAGS = ["--seed", "7", "--companies", "90", "--persons", "80", "--items", "25",
@@ -828,3 +837,110 @@ def test_missing_labels_for_train_fails_cleanly(dataset, tmp_path, capsys):
     assert main(["train", "--graph", str(bare), "--out", str(tmp_path / "r"),
                  "--epochs", "1"]) == 1
     assert "error\tPipelineError" in capsys.readouterr().err
+
+
+EMPTY_PATTERN_FILES = {
+    "no-patterns": {"patterns": []},
+    "person-anchor": {"patterns": [{"id": "PP", "roles": [["p1", "person"], ["c1", "company"]],
+                                    "edges": [["p1", "c1", "invest"]], "anchor": "p1"}]},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "stats", "match"])
+@pytest.mark.parametrize("content", sorted(EMPTY_PATTERN_FILES))
+def test_an_empty_usable_pattern_set_fails_before_any_index_build(
+        dataset, tmp_path, capsys, monkeypatch, command, content):
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text(json.dumps(EMPTY_PATTERN_FILES[content]))
+    for name in ("build_neighbor_index", "count_instances", "anchoring_nodes"):
+        monkeypatch.setattr(cli, name, no_load, raising=False)
+    flags = ["--epochs", "1"] if command == "train" else []
+    assert main([command, "--graph", str(dataset), "--out", str(tmp_path / "run"),
+                 "--patterns", str(patterns), *flags]) == 1
+    assert only_error(capsys).startswith(
+        f"error\tInfeasibleConfig\tno usable pattern in {patterns}: ")
+
+
+def hub_dataset(directory):
+    """A dataset whose one company over a PCCP cap of 5 (``hub``: 12 instances) is labeled
+    but no evader; the one evader (``e``) anchors a single PCCP instance."""
+    nodes = [("hub", "company"), ("ph", "person"), ("e", "company"), ("pe", "person")]
+    edges = [("ph", "hub", "invest"), ("pe", "e", "invest"), ("e", "c0", "transaction")]
+    for i in range(12):
+        nodes += [(f"c{i}", "company"), (f"p{i}", "person")]
+        edges += [(f"p{i}", f"c{i}", "invest"), ("hub", f"c{i}", "transaction")]
+    save_graph(make_graph(tax_schema(), nodes, edges), directory)
+    save_labels({"e": 1, "hub": 0, **{f"c{i}": i % 2 for i in range(6)}},
+                directory / "labels.csv")
+    return directory
+
+
+def test_stats_fails_on_a_cap_only_a_non_evader_exceeds(tmp_path, capsys, caplog):
+    # the RPT rows come from the evader centers alone, so only a pass over every
+    # company sees the hub: stats fails as match does, naming the same anchor
+    data = hub_dataset(tmp_path / "data")
+    message = "error\tInstanceCapExceeded\tpattern 'PCCP': anchor 'hub' exceeds instance cap 5"
+    for command in ("match", "stats"):
+        capsys.readouterr()
+        assert main([command, "--graph", str(data), "--cap", "5", "--cap-mode", "error"]) == 1
+        assert only_error(capsys) == message
+    # under truncate, only match, which counts every company's rows, warns about the hub
+    for command, warned in (("match", {"PCCP", "PCPCCP"}), ("stats", set())):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="rptdetect.matcher"):
+            assert main([command, "--graph", str(data), "--cap", "5",
+                         "--cap-mode", "truncate"]) == 0
+        assert {r.args[0] for r in caplog.records if r.args[1] == "hub"} == warned
+
+
+@pytest.mark.parametrize("korder", ["1", "5"])
+@pytest.mark.parametrize("which", ["dataset", "dense_dataset", "hub"])
+def test_stats_tables_equal_a_build_over_every_company(request, tmp_path, which, korder):
+    data = hub_dataset(tmp_path / "data") if which == "hub" else request.getfixturevalue(which)
+    out = tmp_path / "out"
+    assert main(["stats", "--graph", str(data), "--out", str(out), "--cap", "5",
+                 "--korder-max", korder]) == 0
+    graph = load_graph(*(data / name for name in ("schema.json", "nodes.csv", "edges.csv")))
+    labels = labels_to_indices(graph, load_labels(data / "labels.csv"))
+    centers = evader_centers(graph, labels)
+    index = build_neighbor_index(graph, bundled_patterns(), cap=5, cap_mode="truncate")
+    stats = evasion_ratio_stats(
+        graph, index, {name: metapath_neighbors(graph, path, centers)
+                       for name, path in BUNDLED_METAPATHS.items()},
+        {k: k_order_neighbors(graph, k, centers) for k in range(1, int(korder) + 1)}, labels)
+    assert read(out / "stats.tsv") == stats_table_text(stats)
+    assert read(out / "ratios.tsv") == ratio_table_text(stats)
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_match_counts_equal_the_enumerated_rows(dataset, tmp_path, injective):
+    flags = ["--injective"] if injective else []
+    assert main(["match", "--graph", str(dataset), "--out", str(tmp_path), "--cap", "3",
+                 "--cap-mode", "truncate", *flags]) == 0
+    graph = load_graph(*(dataset / name for name in ("schema.json", "nodes.csv", "edges.csv")))
+    want = ["pattern\tinstances\tanchors"]
+    for p in bundled_patterns():
+        rows = enumerate_instances(graph, p, injective=injective, cap=3, cap_mode="truncate")
+        anchors = rows[:, p.role_names.index(p.anchor)]
+        want.append(f"{p.pattern_id}\t{len(rows)}\t{len(set(anchors.tolist()))}")
+    assert read(tmp_path / "instances.tsv").splitlines() == want
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generate_pauses_garbage_collection_and_leaves_it_as_found(tmp_path, monkeypatch,
+                                                                   enabled):
+    during, export = [], cli.export_dataset
+    monkeypatch.setattr(cli, "export_dataset",
+                        lambda *a: during.append(gc.isenabled()) or export(*a))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(["generate", "--out", str(tmp_path / "a"), *DATASET_FLAGS]) == 0
+        assert gc.isenabled() == enabled
+        monkeypatch.setattr(cli, "save_ground_truth", no_load)
+        with pytest.raises(AssertionError):
+            main(["generate", "--out", str(tmp_path / "b"), *DATASET_FLAGS])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]

@@ -19,6 +19,7 @@ from rptdetect.matcher import (
 from rptdetect.patterns import RptPattern, bundled_patterns
 
 from conftest import (
+    InstanceRows,
     brute_force_instances,
     brute_force_k_order,
     brute_force_metapath,
@@ -326,6 +327,98 @@ def test_chunked_hub_graph_matches_pinned_digests(pid, budget, caplog, monkeypat
     for injective, cap in itertools.product((False, True), (1, 2, 64)):
         got = truncation_digest([hub_graph()], bundled(pid), injective, cap, caplog)
         assert got == PINNED_HUB[pid, injective, cap], (injective, cap)
+
+
+def outcome(fn, *args, **kwargs):
+    """What a matcher call gives: its result, or the message of the cap error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except InstanceCapExceeded as exc:
+        return str(exc)
+
+
+def enumerated_counts(g, pattern, **kwargs):
+    """``count_instances``' oracle: the row count and distinct anchors of the enumeration."""
+    rows = enumerate_instances(g, pattern, **kwargs)
+    return len(rows), len(set(anchor_column(rows, pattern).tolist()))
+
+
+@pytest.mark.parametrize("injective", [False, True])
+@pytest.mark.parametrize("cap_mode", ["truncate", "error"])
+def test_count_pass_equals_the_enumerations_counts(injective, cap_mode, caplog):
+    errors = 0
+    for g in criterion_3_graphs() + (hub_graph(),):
+        for pattern, cap in itertools.product(bundled_patterns(), (1, 2, 5, 64)):
+            kwargs = dict(injective=injective, cap=cap, cap_mode=cap_mode)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="rptdetect.matcher"):
+                want = outcome(enumerated_counts, g, pattern, **kwargs)
+                warned = [r.getMessage() for r in caplog.records]
+                caplog.clear()
+                got = outcome(matcher.count_instances, g, pattern, **kwargs)
+            assert got == want, (pattern.pattern_id, cap)
+            assert [r.getMessage() for r in caplog.records] == warned
+            errors += isinstance(got, str)
+    assert errors > 0 if cap_mode == "error" else errors == 0
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_existence_pass_equals_the_brute_force_anchor_set(injective):
+    rng = np.random.default_rng(21)
+    for g in criterion_3_graphs():
+        companies = np.array(g.company_nodes())
+        some = companies[rng.random(companies.size) < 0.5]
+        # per pattern, whether the brute-force matcher finds each node anchoring it
+        want = {p.pattern_id: np.isin(np.arange(len(g)), anchor_column(
+            np.asarray(brute_force_instances(g, p, injective)), p)) for p in bundled_patterns()}
+        for patterns in [[p] for p in bundled_patterns()] + [bundled_patterns()]:
+            anchoring = np.logical_or.reduce([want[p.pattern_id] for p in patterns])
+            for nodes in (companies, some, []):
+                got = matcher.anchoring_nodes(g, patterns, nodes, injective=injective)
+                given = np.isin(np.arange(len(g)), nodes)
+                assert got.dtype == bool and np.array_equal(got, anchoring & given), nodes
+
+
+@pytest.mark.parametrize("cap", [1, 2, 64])
+def test_an_anchor_subset_gets_the_whole_index_rows_at_those_anchors(cap, caplog):
+    rng = np.random.default_rng(cap)
+    for g in criterion_3_graphs()[:20] + (hub_graph(),):
+        full = build_neighbor_index(g, bundled_patterns(), cap=cap, cap_mode="truncate")
+        companies = np.array(g.company_nodes())
+        subset = companies[rng.random(companies.size) < 0.4].tolist()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="rptdetect.matcher"):
+            part = build_neighbor_index(g, bundled_patterns(), cap=cap, cap_mode="truncate",
+                                        anchors=subset)
+        assert part.companies == tuple(subset)
+        for pid in full.pattern_ids:
+            for i in range(len(g)):
+                want = full.instances(i, pid) if i in subset else full.nodes[pid][:0]
+                assert part.instances(i, pid) == want.view(InstanceRows), (pid, i)
+        # the warnings name the subset's truncated anchors alone
+        named = {r.args[1] for r in caplog.records}
+        assert named <= {g.ids[i] for i in subset}
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_a_tiny_row_budget_changes_no_row_count_or_error(budget, monkeypatch):
+    g, patterns = hub_graph(), bundled_patterns()
+    runs = []
+    for chunked in (False, True):
+        if chunked:
+            monkeypatch.setattr(matcher, "ROW_BUDGET", budget)
+        got = []
+        for pattern, injective, cap in itertools.product(patterns, (False, True), (2, 64)):
+            for mode in ("truncate", "error"):
+                kwargs = dict(injective=injective, cap=cap, cap_mode=mode)
+                got.append(outcome(enumerate_instances, g, pattern, **kwargs))
+                got.append(outcome(matcher.count_instances, g, pattern, **kwargs))
+            got.append(matcher.anchoring_nodes(g, [pattern], g.company_nodes(),
+                                               injective=injective).tolist())
+        runs.append(got)
+    assert sum(isinstance(x, str) for x in runs[0]) > 0, "some run hits the cap"
+    for a, b in zip(*runs):
+        assert (a == b.view(InstanceRows) if isinstance(a, np.ndarray) else a == b)
 
 
 def test_neighbor_index_groups_by_anchor_and_includes_self():
