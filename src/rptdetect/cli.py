@@ -34,8 +34,8 @@ from .hetgraph import (
     validate_labels,
 )
 # enumerate_instances is not called here, but the benchmark's tracer wraps it under this name
-from .matcher import (CAP_ERROR, anchoring_nodes, build_neighbor_index,  # noqa: F401
-                      count_instances, enumerate_instances, k_order_neighbors, metapath_neighbors)
+from .matcher import (CAP_ERROR, build_neighbor_index, count_instances,  # noqa: F401
+                      enumerate_instances, k_order_neighbors, metapath_neighbors)
 from .model import load_params, save_params
 from .patterns import (
     BUNDLED_METAPATHS,
@@ -264,13 +264,12 @@ def cmd_stats(args) -> int:
     # the RPT rows and the baselines are read only around the evader centers
     index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode,
                                  anchors=centers)
-    anchored = anchoring_nodes(graph, pats, list(labels))
     mp = {name: metapath_neighbors(graph, path, centers)
           for name, path in BUNDLED_METAPATHS.items()
           if all(t in graph.schema.node_types for t in path[0::2])
           and all(e in graph.schema.edge_types for e in path[1::2])}
     ko = {k: k_order_neighbors(graph, k, centers) for k in range(1, args.korder_max + 1)}
-    stats = evasion_ratio_stats(graph, index, mp, ko, labels, anchored)
+    stats = evasion_ratio_stats(graph, index, mp, ko, labels)
     table = stats_table_text(stats)
     print(table, end="")
     _write_outputs(args.out, {"stats.tsv": table, "ratios.tsv": ratio_table_text(stats)})

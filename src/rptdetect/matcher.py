@@ -137,9 +137,9 @@ def _join(graph: HetGraph, pattern: RptPattern, injective: bool,
           anchors: Sequence[int] | None, exists: bool = False):
     """Per chunk of the pattern's candidate anchors (ascending; only ``anchors`` when
     given), the join's leaves in canonical role order and their anchor column, grouped
-    by ascending anchor and in depth-first walk order within one.  With ``exists``,
-    each level keeps only the distinct rows on the anchor and the columns a later
-    level reads: the last keeps one row per anchor that has any match."""
+    by ascending anchor and in depth-first walk order within one.  With ``exists`` (not
+    injective), each level keeps only the distinct rows on the anchor and the columns a
+    later level reads: the last keeps one row per anchor that has any match."""
     order = _bfs_role_order(pattern)
     pos = {r: k for k, r in enumerate(order)}
     # the edges each role must satisfy against itself and earlier roles, by position
@@ -160,10 +160,9 @@ def _join(graph: HetGraph, pattern: RptPattern, injective: bool,
     for _, _, etype in checks[0]:  # self-loops on the anchor
         candidates = candidates[graph.has_edges(candidates, candidates, etype)]
     # a partial row's extensions depend only on its anchor and the columns later levels
-    # read (their generating roles and other edges' ends), or in injective mode on all
+    # read: their generating roles and other edges' ends
     reads = [{b} | {x for s, t, _ in others for x in (s, t)} for b, _, others in levels]
-    need = [range(k + 1) if injective else sorted({0}.union(*reads[k:]) & set(range(k + 1)))
-            for k in range(1, len(order))]
+    need = [sorted({0}.union(*reads[k:]) & set(range(k + 1))) for k in range(1, len(order))]
     bits = max(1, (len(graph) - 1).bit_length())
 
     # rows per anchor at every level are at most its matches of the tree of
@@ -259,15 +258,15 @@ def count_instances(graph: HetGraph, pattern: RptPattern, *, injective: bool = F
     return instances, anchored
 
 
-def anchoring_nodes(graph: HetGraph, patterns: Sequence[RptPattern], nodes: Sequence[int], *,
-                    injective: bool = False) -> np.ndarray:
+def anchoring_nodes(graph: HetGraph, patterns: Sequence[RptPattern],
+                    nodes: Sequence[int]) -> np.ndarray:
     """Per node of the graph, whether it is one of ``nodes`` and anchors an instance of any
     of the patterns.  Each pattern is joined, with no cap, from the nodes left unmarked."""
     given = np.bincount(np.asarray(nodes, dtype=np.intp), minlength=len(graph)) > 0
     rest = given.copy()
     for p in patterns:
         validate_pattern(p, graph.schema)
-        for _, found in _join(graph, p, injective, np.flatnonzero(rest), exists=True):
+        for _, found in _join(graph, p, False, np.flatnonzero(rest), exists=True):
             rest[found] = False
     return given & ~rest
 

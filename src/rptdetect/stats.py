@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoLabeledPairs
 from .hetgraph import HetGraph, distinct, tsv
-from .matcher import CenterSets, NeighborIndex, count_members
+from .matcher import CenterSets, NeighborIndex, anchoring_nodes, count_members
 
 KIND_RPT = "rpt"
 KIND_RPT_AGGREGATE = "rpt_aggregate"
@@ -74,21 +74,22 @@ def evader_centers(graph: HetGraph, labels: dict[int, int]) -> list[int]:
 def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
                         metapaths: dict[int | str, CenterSets],
                         k_orders: dict[int, CenterSets],
-                        labels: dict[int, int],
-                        anchored: np.ndarray | None = None) -> EvasionStats:
+                        labels: dict[int, int]) -> EvasionStats:
     """Build the per-definition probability table and the pairwise ratio table.
 
     ``labels`` is keyed by node index.  The index must cover the ``evader_centers``,
     and every metapath and k-order map must hold a set for each; a missing center
-    raises ``KeyError``.  ``anchored`` marks the nodes that anchor any instance (by
-    default, those the index holds rows at).  Raises ``NoLabeledPairs`` when there
-    is no labeled evader.
+    raises ``KeyError``.  The background row's mark of the labeled companies that anchor
+    any instance comes from the existence pass, not from the index.  Raises
+    ``NoLabeledPairs`` when there is no labeled evader.
     """
     centers = evader_centers(graph, labels)
     n = len(graph)
     labeled = np.array(sorted(labels), dtype=np.intp)
     y = np.zeros(n, dtype=np.int64)
     y[labeled] = [labels[i] for i in labeled.tolist()]
+    # before any walk caches its hop plans: the nodes that anchor an instance of any pattern
+    anchored = anchoring_nodes(graph, index.patterns, labeled)
 
     def row(name: str, kind: str, counts: np.ndarray) -> StatsRow:
         """A definition's row from how many centers' sets hold each labeled node."""
@@ -112,8 +113,6 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
     rows += [row(name, kind, c) for (name, kind, _), c in zip(walked, counts)]
 
     # labeled companies that anchor no instance of any pattern
-    if anchored is None:
-        anchored = sum((np.diff(ptr) for ptr in index.anchor_ptr.values()), np.zeros(n)) > 0
     rows.append(row(BACKGROUND_NAME, KIND_REFERENCE, (is_company & ~anchored)[labeled]))
 
     baselines = [r for r in rows if r.kind in (KIND_METAPATH, KIND_KORDER, KIND_REFERENCE)]

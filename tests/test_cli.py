@@ -19,6 +19,7 @@ from rptdetect import cli
 from rptdetect.cli import main
 from rptdetect.hetgraph import labels_to_indices, load_graph, load_labels, save_graph, save_labels
 from rptdetect.matcher import (
+    anchoring_nodes,
     build_neighbor_index,
     enumerate_instances,
     k_order_neighbors,
@@ -852,8 +853,9 @@ def test_an_empty_usable_pattern_set_fails_before_any_index_build(
         dataset, tmp_path, capsys, monkeypatch, command, content):
     patterns = tmp_path / "patterns.json"
     patterns.write_text(json.dumps(EMPTY_PATTERN_FILES[content]))
-    for name in ("build_neighbor_index", "count_instances", "anchoring_nodes"):
-        monkeypatch.setattr(cli, name, no_load, raising=False)
+    for name in ("build_neighbor_index", "count_instances"):
+        monkeypatch.setattr(cli, name, no_load)
+    monkeypatch.setattr(rptdetect.stats, "anchoring_nodes", no_load)
     flags = ["--epochs", "1"] if command == "train" else []
     assert main([command, "--graph", str(dataset), "--out", str(tmp_path / "run"),
                  "--patterns", str(patterns), *flags]) == 1
@@ -910,6 +912,11 @@ def test_stats_tables_equal_a_build_over_every_company(request, tmp_path, which,
         {k: k_order_neighbors(graph, k, centers) for k in range(1, int(korder) + 1)}, labels)
     assert read(out / "stats.tsv") == stats_table_text(stats)
     assert read(out / "ratios.tsv") == ratio_table_text(stats)
+    # the background's existence mark is where the whole index holds rows
+    labeled = sorted(labels)
+    rows_at = sum(np.diff(ptr) for ptr in index.anchor_ptr.values()) > 0
+    assert np.array_equal(anchoring_nodes(graph, index.patterns, labeled), np.isin(
+        np.arange(len(graph)), labeled) & rows_at)
 
 
 @pytest.mark.parametrize("injective", [False, True])

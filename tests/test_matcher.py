@@ -362,19 +362,18 @@ def test_count_pass_equals_the_enumerations_counts(injective, cap_mode, caplog):
     assert errors > 0 if cap_mode == "error" else errors == 0
 
 
-@pytest.mark.parametrize("injective", [False, True])
-def test_existence_pass_equals_the_brute_force_anchor_set(injective):
+def test_existence_pass_equals_the_brute_force_anchor_set():
     rng = np.random.default_rng(21)
     for g in criterion_3_graphs():
         companies = np.array(g.company_nodes())
         some = companies[rng.random(companies.size) < 0.5]
         # per pattern, whether the brute-force matcher finds each node anchoring it
         want = {p.pattern_id: np.isin(np.arange(len(g)), anchor_column(
-            np.asarray(brute_force_instances(g, p, injective)), p)) for p in bundled_patterns()}
+            np.asarray(brute_force_instances(g, p)), p)) for p in bundled_patterns()}
         for patterns in [[p] for p in bundled_patterns()] + [bundled_patterns()]:
             anchoring = np.logical_or.reduce([want[p.pattern_id] for p in patterns])
             for nodes in (companies, some, []):
-                got = matcher.anchoring_nodes(g, patterns, nodes, injective=injective)
+                got = matcher.anchoring_nodes(g, patterns, nodes)
                 given = np.isin(np.arange(len(g)), nodes)
                 assert got.dtype == bool and np.array_equal(got, anchoring & given), nodes
 
@@ -413,8 +412,7 @@ def test_a_tiny_row_budget_changes_no_row_count_or_error(budget, monkeypatch):
                 kwargs = dict(injective=injective, cap=cap, cap_mode=mode)
                 got.append(outcome(enumerate_instances, g, pattern, **kwargs))
                 got.append(outcome(matcher.count_instances, g, pattern, **kwargs))
-            got.append(matcher.anchoring_nodes(g, [pattern], g.company_nodes(),
-                                               injective=injective).tolist())
+        got += [matcher.anchoring_nodes(g, [p], g.company_nodes()).tolist() for p in patterns]
         runs.append(got)
     assert sum(isinstance(x, str) for x in runs[0]) > 0, "some run hits the cap"
     for a, b in zip(*runs):
