@@ -15,7 +15,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -228,13 +228,6 @@ class HetGraph:
                     np.bincount(self.dst[self.edge_code == k], minlength=n))
                 for k, r in enumerate(self.edge_names)}
 
-    @cached_property
-    def x(self) -> tuple[np.ndarray, ...]:
-        """Each node's attribute vector: a view of its row in ``type_features``."""
-        rows = [self._features[t] for t in self.type_names]
-        return tuple(rows[c][r] for c, r in zip(self.type_code.tolist(),
-                                                 self.row_in_type.tolist()))
-
     def type_features(self, node_type: str) -> np.ndarray:
         """Attributes of every node of the type as one matrix, rows by ``row_in_type``."""
         return self._features[node_type]
@@ -291,28 +284,25 @@ def labels_to_indices(graph: HetGraph, labels: dict[str, int]) -> dict[int, int]
 # edges.csv   : header "source,target,type"
 # labels.csv  : header "id,label"
 # graph.bin   : the arrays of the other three, written beside them by ``save_graph``
-#               and keyed by their bytes (layout in ``_sidecar_bytes``)
+#               and keyed by their bytes (layout in ``_write_sidecar``)
 
 GRAPH_FILES = ("schema.json", "nodes.csv", "edges.csv")
 SIDECAR = "graph.bin"
 MAGIC = b"rptdetect graph.bin 1\n"
+BLOCK = 256  # rows the writers render per write; the sidecar key reads BLOCK << 8 bytes at once
 
 
-def read_json(path: str | os.PathLike, what: str, error: type[Exception],
-              data: bytes | None = None):
-    """The JSON in the file, or in ``data``, its bytes when already read, decoded as a
-    file opened in text mode is; text that is not JSON raises ``error`` naming ``what``."""
+def read_json(path: str | os.PathLike, what: str, error: type[Exception]):
+    """The JSON in the file, read in text mode; text that is not JSON raises ``error``."""
     try:
-        return json.loads(io.StringIO((Path(path).read_bytes() if data is None else data)
-                                      .decode("utf-8"), newline=None).read())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise error(f"{what} {path}: not JSON ({exc})") from exc
 
 
-def load_schema(path: str | os.PathLike, data: bytes | None = None) -> Schema:
-    """Read ``schema.json``, or parse its bytes when already read; a file that is not a
-    schema raises ``DimensionMismatch`` naming it."""
-    raw = read_json(path, "schema file", DimensionMismatch, data)
+def load_schema(path: str | os.PathLike) -> Schema:
+    """Read ``schema.json``; a file that is not a schema raises ``DimensionMismatch`` naming it."""
+    raw = read_json(path, "schema file", DimensionMismatch)
     for key in ("node_types", "edge_types"):
         if not isinstance(raw, dict) or not isinstance(raw.get(key), dict):
             raise DimensionMismatch(f"schema file {path}: needs a {key!r} object")
@@ -333,12 +323,10 @@ def load_schema(path: str | os.PathLike, data: bytes | None = None) -> Schema:
     return Schema(node_types, edge_types, raw.get("company_type", "company"))
 
 
-def _read_records(path: str | os.PathLike,
-                  data: bytes | None = None) -> tuple[list[str] | None, list[list[str]]]:
-    """A CSV file's (or its bytes' when already read) header, then its records, blank ones
-    (``[]``) too: record k is on line k + 2.  Bytes that are not UTF-8 raise
-    ``DimensionMismatch`` naming the file and line."""
-    data = Path(path).read_bytes() if data is None else data
+def _read_records(path: str | os.PathLike) -> tuple[list[str] | None, list[list[str]]]:
+    """A CSV file's header, then its records, blank ones (``[]``) too: record k is on
+    line k + 2.  Bytes that are not UTF-8 raise ``DimensionMismatch`` naming the file and line."""
+    data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -354,38 +342,59 @@ def _read_records(path: str | os.PathLike,
             gc.enable()
 
 
-def _key(files: Iterable[bytes]) -> bytes:
-    """sha256 over the files' bytes, each prefixed by its length, hashed one at a time."""
-    key = hashlib.sha256()
-    for f in files:
-        key.update(len(f).to_bytes(8, "little"))
-        key.update(f)
-        del f
+def _key(paths: Iterable[str | os.PathLike]) -> bytes:
+    """sha256 over the files' bytes, each prefixed by its length, read in fixed-size blocks."""
+    key, buffer = hashlib.sha256(), bytearray(BLOCK << 8)
+    view = memoryview(buffer)
+    for path in paths:
+        with open(path, "rb", buffering=0) as f:
+            key.update(os.fstat(f.fileno()).st_size.to_bytes(8, "little"))
+            while size := f.readinto(buffer):
+                key.update(view[:size])
     return key.digest()
 
 
-def _sidecar_bytes(graph: HetGraph, key: bytes) -> bytes:
-    """The ``graph.bin`` of the graph saved as files whose ``_key`` is ``key``: MAGIC, the key,
-    the sha256 of the rest, the header's length, the header (JSON:
-    the edge count and the ids), ``type_code``, ``src``, ``dst`` and ``edge_code`` as
-    ``<i8``, then the attribute values in node order as ``<f8`` up to the end."""
-    widths = np.array([graph.schema.node_types[t] for t in graph.type_names])[graph.type_code]
-    starts, values = np.cumsum(widths) - widths, np.empty(widths.sum(), "<f8")
-    for k, rows in enumerate(map(graph.type_features, graph.type_names)):
-        values[starts[graph.type_code == k, None] + np.arange(rows.shape[1])] = rows
-    header = json.dumps({"edges": len(graph.src), "ids": graph.ids},
-                        separators=(",", ":")).encode("ascii")
-    codes = np.concatenate([graph.type_code, graph.src, graph.dst, graph.edge_code]).astype("<i8")
-    rest = len(header).to_bytes(8, "little") + header + codes.tobytes() + values.tobytes()
-    return MAGIC + key + hashlib.sha256(rest).digest() + rest
+def _write_sidecar(graph: HetGraph, path: str, key: bytes) -> None:
+    """Write the ``graph.bin`` of the graph saved as files whose ``_key`` is ``key``: MAGIC, the
+    key, the sha256 of the rest, the header's length, the header (JSON: the edge count and the
+    ids), ``type_code``, ``src``, ``dst`` and ``edge_code`` as ``<i8``, then the attribute values
+    in node order as ``<f8`` up to the end.  The rest is written and hashed part by part, the
+    values ``BLOCK`` nodes at a time, and its sha256 goes in last."""
+    features = [graph.type_features(t) for t in graph.type_names]
+    dims = np.array([x.shape[1] for x in features])
+
+    def values():
+        for a in range(0, len(graph), BLOCK):
+            code, row = graph.type_code[a:a + BLOCK], graph.row_in_type[a:a + BLOCK]
+            widths = dims[code]
+            starts, out = np.cumsum(widths) - widths, np.empty(widths.sum(), "<f8")
+            for k, x in enumerate(features):
+                out[starts[code == k, None] + np.arange(x.shape[1])] = x[row[code == k]]
+            yield out
+
+    # json.dumps({"edges": m, "ids": ids}, separators=(",", ":")), BLOCK ids a part
+    header = [b'{"edges":%d,"ids":[' % len(graph.src)] + [
+        (b"," if a else b"") + json.dumps(graph.ids[a:a + BLOCK], separators=(",", ":"))[1:-1]
+        .encode("ascii") for a in range(0, len(graph), BLOCK)] + [b"]}"]
+    codes = (np.ascontiguousarray(a, "<i8")
+             for a in (graph.type_code, graph.src, graph.dst, graph.edge_code))
+    rest = hashlib.sha256()
+    with open(path, "wb") as f:
+        f.write(MAGIC + key + bytes(32))
+        for part in chain([sum(map(len, header)).to_bytes(8, "little")], header, codes, values()):
+            f.write(part)
+            rest.update(part)
+        f.seek(len(MAGIC) + len(key))
+        f.write(rest.digest())
 
 
-def _load_sidecar(path: str, schema: Schema, files: Sequence[bytes]) -> HetGraph | None:
-    """The graph ``save_graph`` wrote whole to ``path`` with exactly ``files``; else None."""
+def _load_sidecar(path: str, schema: Schema, files: Sequence[str | os.PathLike]) -> HetGraph | None:
+    """The graph ``save_graph`` wrote whole to ``path`` beside exactly ``files``; else None."""
     start = len(MAGIC) + 72
     try:
         data = Path(path).read_bytes()
-        if data[:start - 8] != MAGIC + _key(files) + hashlib.sha256(data[start - 8:]).digest():
+        rest = memoryview(data)[start - 8:]
+        if data[:start - 8] != MAGIC + _key(files) + hashlib.sha256(rest).digest():
             return None
         end = start + int.from_bytes(data[start - 8:start], "little")
         header = json.loads(data[start:end])
@@ -408,13 +417,12 @@ def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
     """Load and validate; any violation rejects the whole load.  A ``graph.bin`` written
     with exactly these files stands in for the CSV parse, after the same checks."""
     sidecar = os.path.join(os.path.dirname(nodes_file), SIDECAR)
-    files = ([Path(p).read_bytes() for p in (schema_file, nodes_file, edges_file)]
-             if os.path.isfile(sidecar) else [None] * 3)
-    schema = load_schema(schema_file, files[0])
-    graph = None if files[0] is None else _load_sidecar(sidecar, schema, files)
+    schema = load_schema(schema_file)
+    graph = (_load_sidecar(sidecar, schema, (schema_file, nodes_file, edges_file))
+             if os.path.isfile(sidecar) else None)
     if graph is not None:
         return graph
-    header, records = _read_records(nodes_file, files[1])
+    header, records = _read_records(nodes_file)
     if header is None or header[:2] != ["id", "type"]:
         raise DimensionMismatch(f"nodes file {nodes_file}: missing 'id,type,...' header")
     widths = np.fromiter(map(len, records), np.intp, len(records))
@@ -434,7 +442,7 @@ def load_graph(schema_file: str | os.PathLike, nodes_file: str | os.PathLike,
                 raise DimensionMismatch(f"nodes file line {line_no}: {exc}") from exc
             if not all(map(math.isfinite, row)):
                 raise DimensionMismatch(f"nodes file line {line_no}: non-finite attribute")
-    header, records = _read_records(edges_file, files[2])
+    header, records = _read_records(edges_file)
     if header != ["source", "target", "type"]:
         raise DimensionMismatch(f"edges file {edges_file}: missing 'source,target,type' header")
     columns = np.fromiter(map(len, records), np.intp, len(records))
@@ -466,42 +474,36 @@ def tsv(header: Sequence, rows) -> str:
 
 
 def save_graph(graph: HetGraph, out_dir: str | os.PathLike) -> dict[str, str]:
-    """Write schema/nodes/edges files, then their ``graph.bin``; output is byte-deterministic."""
+    """Write schema/nodes/edges files, ``BLOCK`` rows per write, then their ``graph.bin``; no
+    file is ever whole in memory, and the output is byte-deterministic."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, name) for key, name in
              zip(("schema", "nodes", "edges", "sidecar"), GRAPH_FILES + (SIDECAR,))}
-    schema = graph.schema
-    raw = {
-        "company_type": schema.company_type,
-        "node_types": {name: {"dim": dim} for name, dim in schema.node_types.items()},
-        "edge_types": {
-            name: {"source": et.source, "target": et.target, "directed": et.directed}
-            for name, et in schema.edge_types.items()
-        },
-    }
+    raw = {"company_type": graph.schema.company_type,
+           "node_types": {name: {"dim": dim} for name, dim in graph.schema.node_types.items()},
+           "edge_types": {name: asdict(et) for name, et in graph.schema.edge_types.items()}}
     ids, types, etypes = map(_quote_all, (graph.ids, graph.type_names, graph.edge_names))
+    features = [graph.type_features(t) for t in graph.type_names]
 
-    def nodes() -> str:
-        attrs = [[",".join(map(repr, row)) for row in graph.type_features(t).tolist()]
-                 for t in graph.type_names]
-        return "".join(chain(["id,type,attrs\n"], [
-            f"{i},{types[c]},{attrs[c][r]}\n" for i, c, r in
-            zip(ids, graph.type_code.tolist(), graph.row_in_type.tolist())]))
+    def nodes():  # a block's attribute rows come in node order from one list per type
+        yield "id,type,attrs\n"
+        for a in range(0, len(ids), BLOCK):
+            code, row = graph.type_code[a:a + BLOCK], graph.row_in_type[a:a + BLOCK]
+            rows = [iter(x[row[code == k]].tolist()) for k, x in enumerate(features)]
+            yield "".join([f"{i},{types[c]},{','.join(map(repr, next(rows[c])))}\n"
+                           for i, c in zip(ids[a:a + BLOCK], code.tolist())])
 
-    def edges() -> str:
-        return "".join(chain(["source,target,type\n"], [
-            f"{ids[s]},{ids[t]},{etypes[r]}\n" for s, t, r in
-            zip(graph.src.tolist(), graph.dst.tolist(), graph.edge_code.tolist())]))
+    def edges():
+        yield "source,target,type\n"
+        for a in range(0, len(graph.src), BLOCK):
+            yield "".join([f"{ids[s]},{ids[t]},{etypes[r]}\n" for s, t, r in zip(
+                *(col[a:a + BLOCK].tolist() for col in (graph.src, graph.dst, graph.edge_code)))])
 
-    def written():  # each file's bytes, dropped before the next file's text is built
-        for path, text in zip(paths.values(), (
-                lambda: json.dumps(raw, indent=2, sort_keys=True) + "\n", nodes, edges)):
-            data = text().encode("utf-8")
-            Path(path).write_bytes(data)
-            yield data
-            del data
-
-    Path(paths["sidecar"]).write_bytes(_sidecar_bytes(graph, _key(written())))
+    for path, blocks in zip(paths.values(), (
+            [json.dumps(raw, indent=2, sort_keys=True) + "\n"], nodes(), edges())):
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.writelines(blocks)
+    _write_sidecar(graph, paths["sidecar"], _key([paths[k] for k in ("schema", "nodes", "edges")]))
     return paths
 
 

@@ -44,18 +44,6 @@ class EvasionStats:
     rows: list[StatsRow]
     ratios: list[tuple[str, str, float | None]]
 
-    def row(self, name: str) -> StatsRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def ratio(self, rpt_name: str, baseline_name: str) -> float | None:
-        for a, b, v in self.ratios:
-            if (a, b) == (rpt_name, baseline_name):
-                return v
-        raise KeyError((rpt_name, baseline_name))
-
 
 def evader_centers(graph: HetGraph, labels: dict[int, int]) -> list[int]:
     """The labeled evading companies, ascending: the centers of every pair.

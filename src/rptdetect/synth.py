@@ -14,11 +14,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from . import hetgraph
 from .errors import InfeasibleConfig
 from .hetgraph import EdgeType, HetGraph, Schema, save_graph, save_labels
 
@@ -276,7 +278,8 @@ def export(graph: HetGraph, labels: dict[str, int], out_dir: str | os.PathLike) 
 def save_ground_truth(truth: GroundTruth, path: str | os.PathLike) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True)``, where ``doc`` keys each field by
     its name and each instance is an ``anchor``/``nodes``/``pattern`` object, joined from C
-    string escapes for the document's one shape: the stdlib's indent path is pure Python."""
+    string escapes for the document's one shape (the stdlib's indent path is pure Python)
+    and written one community, or ``BLOCK`` map entries, at a time."""
     q, n8, n10 = encode_basestring_ascii, "\n" + " " * 8, "\n" + " " * 10
 
     def block(items: list[str], indent: int, ends: str = "[]") -> str:
@@ -286,17 +289,27 @@ def save_ground_truth(truth: GroundTruth, path: str | os.PathLike) -> None:
     def strs(values: list[str], indent: int) -> str:
         return block(list(map(q, values)), indent)
 
-    maps = [block([f"{q(k)}: {v}" for k, v in sorted(d.items())], 2, "{}")
-            for d in (truth.community_of, truth.true_labels)]
-    communities = [block([f'"companies": {strs(info.companies, 6)}', '"instances": ' + block([
+    communities = (block([f'"companies": {strs(info.companies, 6)}', '"instances": ' + block([
         f'{{{n10}"anchor": {q(anchor)},{n10}"nodes": {strs(nodes, 10)},'
         f'{n10}"pattern": {q(pid)}{n8}}}'
         for pid, anchor, nodes in info.instances], 6),
         f'"items": {strs(info.items, 6)}', f'"kind": {q(info.kind)}',
-        f'"persons": {strs(info.persons, 6)}'], 4, "{}") for info in truth.communities]
-    doc = block([f'"communities": {block(communities, 2)}', f'"community_of": {maps[0]}',
-                 f'"true_labels": {maps[1]}'], 0, "{}")
-    Path(path).write_text(doc + "\n", encoding="utf-8", newline="\n")
+        f'"persons": {strs(info.persons, 6)}'], 4, "{}") for info in truth.communities)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        def stream(items: Iterator[str], size: int, ends: str) -> None:
+            """``block(list(items), 2, ends)``, written ``size`` items at a time."""
+            head = ends[0] + "\n    "
+            while chunk := list(islice(items, size)):
+                f.write(head + ",\n    ".join(chunk))
+                head = ",\n    "
+            f.write(ends if head[0] == ends[0] else "\n  " + ends[1])
+
+        f.write('{\n  "communities": ')
+        stream(communities, 1, "[]")
+        for name, d in (("community_of", truth.community_of), ("true_labels", truth.true_labels)):
+            f.write(f',\n  "{name}": ')
+            stream((f"{q(k)}: {d[k]}" for k in sorted(d)), hetgraph.BLOCK, "{}")
+        f.write("\n}\n")
 
 
 def scaled_config(base: GenConfig, total_nodes: int) -> GenConfig:

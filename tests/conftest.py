@@ -48,6 +48,21 @@ def make_graph(schema: Schema, nodes, edges) -> HetGraph:
                                  np.array([a.size for a in attrs], dtype=np.intp), edges)
 
 
+def node_x(graph: HetGraph, i: int) -> np.ndarray:
+    """Node i's attribute vector: a view of its row in ``type_features``."""
+    return graph.type_features(graph.types[i])[graph.row_in_type[i]]
+
+
+def stats_row(stats, name: str):
+    """The ``EvasionStats`` row of the named neighbor definition."""
+    return next(r for r in stats.rows if r.name == name)
+
+
+def stats_ratio(stats, rpt_name: str, baseline_name: str) -> float | None:
+    """The ``EvasionStats`` ratio of an RPT definition's probability to a baseline's."""
+    return next(v for a, b, v in stats.ratios if (a, b) == (rpt_name, baseline_name))
+
+
 def assert_same_graph(a: HetGraph, b: HetGraph) -> None:
     """The same ids, index and schema, and every array equal in dtype, shape and bytes."""
     assert a.ids == b.ids and a.index == b.index and a.schema == b.schema

@@ -18,6 +18,8 @@ from rptdetect.matcher import NeighborIndex
 from rptdetect.model import ForwardResult, ModelConfig, ModelParams, _check_batch
 from rptdetect.patterns import RptPattern
 
+from conftest import node_x
+
 
 def _elu(x):
     """Feature transform of stages 2-4 (``ad.elu`` in the model step)."""
@@ -39,11 +41,11 @@ def project(graph: HetGraph, params: ModelParams,
         if key not in params.arrays:
             raise MissingProjection(f"no projection matrix for node type {graph.types[i]!r}")
         P = params.arrays[key]
-        if P.shape[1] != graph.x[i].size:
+        if P.shape[1] != node_x(graph, i).size:
             raise ShapeMismatch(
                 f"projection for type {graph.types[i]!r} expects input "
-                f"{P.shape[1]}, node has {graph.x[i].size}")
-        out[i] = P @ graph.x[i]
+                f"{P.shape[1]}, node has {node_x(graph, i).size}")
+        out[i] = P @ node_x(graph, i)
     return out
 
 
@@ -161,7 +163,7 @@ def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int
             f, alpha = inner_rpt_attention(enc, params, pid, config)
             summaries[pid] = f
             alpha_rec[(i, pid)] = alpha
-        z, beta = cross_rpt_attention(summaries, graph.x[i], params, config)
+        z, beta = cross_rpt_attention(summaries, node_x(graph, i), params, config)
         if not summaries:
             degenerate.add(i)
         z_map[i] = z

@@ -33,7 +33,7 @@ from rptdetect.training import (
     train_downstream_classifier,
 )
 
-from conftest import brute_force_instances, random_typed_graph
+from conftest import brute_force_instances, node_x, random_typed_graph, stats_ratio, stats_row
 from gradcheck import finite_diff_check
 from reference_model import attention
 
@@ -97,9 +97,9 @@ def benchmark_runs():
                            replace(BENCH_TRAIN, seed=seed, ablation=ablation))
             f1[variant].append(result.metrics.f1)
             if variant == "full":
-                Xtr = np.stack([graph.x[graph.index[i]] for i in result.train_ids])
+                Xtr = np.stack([node_x(graph, graph.index[i]) for i in result.train_ids])
                 ytr = [labels[i] for i in result.train_ids]
-                Xte = np.stack([graph.x[graph.index[i]] for i in result.test_ids])
+                Xte = np.stack([node_x(graph, graph.index[i]) for i in result.test_ids])
                 yte = [labels[i] for i in result.test_ids]
                 clf = train_downstream_classifier(Xtr, ytr, seed=seed,
                                                   class_weight="balanced")
@@ -186,9 +186,9 @@ def test_rpt_vs_background_ratio_recovers_configured_signal():
           for k in (1, 2, 3)}
     stats = evasion_ratio_stats(graph, index, mp, ko,
                                 labels_to_indices(graph, labels))
-    agg = stats.row("rpt::all")
+    agg = stats_row(stats, "rpt::all")
     assert agg.pairs >= 1000, f"only {agg.pairs} labeled pairs"
-    ratio = stats.ratio("rpt::all", "background")
+    ratio = stats_ratio(stats, "rpt::all", "background")
     assert ratio == pytest.approx(8.0, rel=0.20), f"ratio {ratio:.2f}"
 
 

@@ -5,6 +5,8 @@ import gc
 import hashlib
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,12 +28,13 @@ from rptdetect.hetgraph import (
     save_labels,
     validate_labels,
 )
-from rptdetect.synth import GenConfig, generate
+from rptdetect.synth import GenConfig, generate, scaled_config
 
 from conftest import (
     assert_same_graph,
     load_both,
     make_graph,
+    node_x,
     random_typed_graph,
     small_schema,
     tax_schema,
@@ -70,8 +73,8 @@ def test_type_codes_and_dense_features_follow_the_nodes():
     for i, t in enumerate(g.types):
         assert g.type_names[g.type_code[i]] == t
         assert g.nodes_of_type(t)[g.row_in_type[i]] == i
-        np.testing.assert_array_equal(g.type_features(t)[g.row_in_type[i]], g.x[i])
-        np.testing.assert_array_equal(g.x[i], [float(i), float(i)])
+        np.testing.assert_array_equal(g.type_features(t)[g.row_in_type[i]], node_x(g, i))
+        np.testing.assert_array_equal(node_x(g, i), [float(i), float(i)])
     assert g.type_features("event").shape == (0, 2)
     np.testing.assert_array_equal(g.type_features("person"), [[2.0, 2.0], [4.0, 4.0]])
 
@@ -278,7 +281,8 @@ def test_writers_match_csv_writer_on_odd_names_and_values(tmp_path):
         [["id", "label"]] + [[k, str(v)] for k, v in labels.items()])
     again = load_graph(paths["schema"], paths["nodes"], paths["edges"])
     assert again.ids == g.ids and again.types == g.types and again.edges == g.edges
-    for a, b in zip(again.x, g.x):
+    for i in range(len(g)):
+        a, b = node_x(again, i), node_x(g, i)
         assert a.tobytes() == b.tobytes()  # -0.0 keeps its sign, 5e-324 its value
     assert load_labels(tmp_path / "labels.csv") == labels
 
@@ -335,7 +339,8 @@ def test_csv_parse_pauses_garbage_collection_and_leaves_it_as_found(tmp_path, mo
 
 
 def sidecar_bytes(files, blocks) -> bytes:
-    """``graph.bin`` built from its documented layout: MAGIC, the sha256 of the three files
+    """``graph.bin`` built from the layout ``hetgraph._write_sidecar`` documents: MAGIC, the
+    sha256 of the three files
     each prefixed by its 8-byte length, the sha256 of the rest; then the header's length,
     the header (the edge count and the ids), the type, source, target and edge type codes
     as ``<i8``, the values as ``<f8`` and any ``tail`` bytes."""
@@ -410,6 +415,134 @@ def test_sidecar_arrays_that_break_a_load_check_give_way_to_the_parse(tmp_path, 
                         lambda *a, _read=hetgraph._read_records: parses.append(a) or _read(*a))
     assert_same_graph(load_graph(paths["schema"], paths["nodes"], paths["edges"]), g)
     assert len(parses) == 2
+
+
+def ghost_graph(n: int = 40):
+    """A graph of n nodes, persons and companies interleaved (every third node a person,
+    investing in the next two), whose schema also declares a node type ("ghost") and an
+    edge type ("haunts") that hold nothing; with its (id, type, values) nodes and
+    (source, target, type) edges."""
+    schema = Schema(node_types={"company": 2, "person": 2, "ghost": 1},
+                    edge_types={"invest": EdgeType("person", "company"),
+                                "haunts": EdgeType("ghost", "ghost")})
+    values = np.random.default_rng(4).normal(size=(n, 2))
+    nodes = [(f"n{k:05d}", "company" if k % 3 else "person", values[k]) for k in range(n)]
+    edges = [(f"n{k:05d}", f"n{t:05d}", "invest")
+             for k in range(0, n, 3) for t in (k + 1, k + 2) if t < n]
+    return make_graph(schema, nodes, edges), nodes, edges
+
+
+@pytest.mark.parametrize("block", [1, 3, 10**6])
+@pytest.mark.parametrize("build", [odd_graph, ghost_graph])
+def test_every_block_size_writes_the_same_bytes(tmp_path, monkeypatch, build, block):
+    """Blocks of one row, of three (types mixed within a block) and of more rows than
+    any file has give the rows ``csv.writer`` writes and the documented sidecar."""
+    g, nodes, edges = build()
+    monkeypatch.setattr(hetgraph, "BLOCK", block)
+    paths = save_graph(g, tmp_path / "data")
+    files = [open(paths[k], "rb").read() for k in ("schema", "nodes", "edges")]
+    assert files[1] == csv_writer_bytes([["id", "type", "attrs"]] + [
+        [i, t, *map(repr, x.tolist())] for i, t, x in nodes])
+    assert files[2] == csv_writer_bytes([["source", "target", "type"]] + [list(e) for e in edges])
+    blocks = {"ids": list(g.ids), "edges": len(g.src), "code": g.type_code, "src": g.src,
+              "dst": g.dst, "ecode": g.edge_code,
+              "values": np.concatenate([np.ravel(x) for *_, x in nodes])}
+    assert open(paths["sidecar"], "rb").read() == sidecar_bytes(files, blocks)
+    loaded, parsed = load_both(tmp_path / "data", monkeypatch)
+    assert_same_graph(loaded, g)
+    assert_same_graph(parsed, g)
+
+
+def move_a_target(data: bytes) -> bytes:
+    """The last edge whose target ``n...k`` ends in a digit below 9 and is the first of its
+    person's two companies, pointed at the second: a one-byte edit."""
+    lines = data.split(b"\n")
+    j = max(j for j, line in enumerate(lines[1:-1], 1)
+            if int(line.split(b",")[1][1:]) % 3 == 1 and line.split(b",")[1][-1:] != b"9")
+    source, target, etype = lines[j].split(b",")
+    lines[j] = b",".join([source, target[:-1] + bytes([target[-1] + 1]), etype])
+    return b"\n".join(lines)
+
+
+def bump_the_last_value(data: bytes) -> bytes:
+    """The first digit of the last node's first attribute changed: a one-byte edit past
+    the first block the sidecar key reads."""
+    line = data.rindex(b"\n", 0, -1) + 1
+    k = data.index(b",", data.index(b",", line) + 1) + 1
+    k += data[k:k + 1] == b"-"
+    assert k > hetgraph.BLOCK << 8
+    return data[:k] + (b"3" if data[k:k + 1] == b"2" else b"2") + data[k + 1:]
+
+
+STALE_EDITS = {
+    "schema-dim": ("schema.json", lambda data: data.replace(b'"dim": 1', b'"dim": 3'),
+                   lambda g, again: again.schema.node_types["ghost"] == 3),
+    "node-value": ("nodes.csv", bump_the_last_value,
+                   lambda g, again: node_x(again, len(g) - 1)[0] != node_x(g, len(g) - 1)[0]),
+    "edge-target": ("edges.csv", move_a_target,
+                    lambda g, again: (again.dst != g.dst).sum() == 1),
+    "edge-line-dropped": ("edges.csv", lambda data: data[:data.rindex(b"\n", 0, -1) + 1],
+                          lambda g, again: len(again.src) == len(g.src) - 1),
+}
+
+
+@pytest.mark.parametrize("edit", STALE_EDITS)
+def test_a_stale_sidecar_gives_way_to_the_parse(tmp_path, monkeypatch, edit):
+    """Each edit keeps the file's length but the last, and the files still load: the
+    streamed key must cover every byte of every file to pass the sidecar over."""
+    g, _, _ = ghost_graph(6000)
+    paths = save_graph(g, tmp_path / "data")
+    name, change, edited = STALE_EDITS[edit]
+    path = tmp_path / "data" / name
+    before = path.read_bytes()
+    path.write_bytes(change(before))
+    assert path.read_bytes() != before
+    assert edit == "edge-line-dropped" or len(path.read_bytes()) == len(before)
+    parses = []
+    monkeypatch.setattr(hetgraph, "_read_records",
+                        lambda *a, _read=hetgraph._read_records: parses.append(a) or _read(*a))
+    again = load_graph(paths["schema"], paths["nodes"], paths["edges"])
+    assert len(parses) == 2
+    assert edited(g, again)
+    monkeypatch.undo()
+    (tmp_path / "data" / "graph.bin").unlink()
+    assert_same_graph(again, load_graph(paths["schema"], paths["nodes"], paths["edges"]))
+
+
+@pytest.fixture(scope="module")
+def mid_graph():
+    """A generated graph of 5,000 nodes."""
+    return generate(scaled_config(GenConfig(seed=2), 5000))[0]
+
+
+def traced(call):
+    """``call()``'s result, and the traced memory it held at its end and at its peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return (result, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_graph_holds_less_than_half_of_nodes_csv(tmp_path, mid_graph):
+    save_graph(mid_graph, tmp_path / "warm")  # first-call costs stay out of the count
+    _, _, peak = traced(lambda: save_graph(mid_graph, tmp_path / "data"))
+    size = (tmp_path / "data" / "nodes.csv").stat().st_size
+    assert peak < size / 2, (peak, size)
+
+
+def test_load_graph_with_a_sidecar_holds_less_than_its_csv_files(tmp_path, monkeypatch,
+                                                                  mid_graph):
+    """Above the graph it returns, a load through ``graph.bin`` peaks below the three
+    files' total size: they are hashed in blocks, never read whole."""
+    paths = save_graph(mid_graph, tmp_path)
+    files = [paths[k] for k in ("schema", "nodes", "edges")]
+    load_graph(*files)
+    monkeypatch.setattr(hetgraph, "_read_records", None)  # the sidecar must serve the load
+    loaded, held, peak = traced(lambda: load_graph(*files))
+    assert_same_graph(loaded, mid_graph)
+    assert peak - held < sum(map(os.path.getsize, files)), (peak, held)
 
 
 def test_labels_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from rptdetect.model import ModelConfig, ModelParams, forward, init_params, load
 from rptdetect.patterns import bundled_patterns
 from rptdetect.synth import GenConfig, generate
 
-from conftest import make_graph, small_schema
+from conftest import make_graph, node_x, small_schema
 from gradcheck import finite_diff_check
 from reference_model import (
     attention,
@@ -55,7 +55,7 @@ def test_projection_matches_direct_product(rng):
     graph, _, _, params, _ = toy_setup()
     h = project(graph, params)
     for i in range(len(graph)):
-        expected = params.arrays[f"proj::{graph.types[i]}"] @ graph.x[i]
+        expected = params.arrays[f"proj::{graph.types[i]}"] @ node_x(graph, i)
         np.testing.assert_allclose(h[i], expected, atol=1e-12)
 
 
@@ -139,14 +139,14 @@ def test_cross_attention_uniform_when_scores_tie(rng):
     for pid in params.pattern_ids:
         params.arrays[f"attn_cross::{pid}"][...] = params.arrays[
             f"attn_cross::{params.pattern_ids[0]}"]
-    _, beta = cross_rpt_attention(summaries, graph.x[0], params, config)
+    _, beta = cross_rpt_attention(summaries, node_x(graph, 0), params, config)
     np.testing.assert_allclose(list(beta.values()), [1 / 5] * 5, atol=1e-12)
 
 
 def test_cross_attention_single_pattern_gets_full_weight(rng):
     graph, _, index, params, config = toy_setup()
     f = rng.normal(size=config.embed_dim)
-    z, beta = cross_rpt_attention({"PCCP": f}, graph.x[0], params, config)
+    z, beta = cross_rpt_attention({"PCCP": f}, node_x(graph, 0), params, config)
     assert beta == {"PCCP": 1.0}
     act = lambda x: np.where(x >= 0, x, np.expm1(np.minimum(x, 0)))
     W, b = params.arrays["cross_w"], params.arrays["cross_b"]
@@ -157,7 +157,7 @@ def test_cross_attention_matches_direct_recomputation(rng):
     graph, _, index, params, config = toy_setup()
     summaries = {pid: rng.normal(size=config.embed_dim)
                  for pid in params.pattern_ids}
-    x = graph.x[graph.company_nodes()[0]]
+    x = node_x(graph, graph.company_nodes()[0])
     z, beta = cross_rpt_attention(summaries, x, params, config)
     act = lambda v: np.where(v >= 0, v, np.expm1(np.minimum(v, 0)))
     leaky = lambda v: np.where(v >= 0, v, 0.2 * v)

@@ -26,6 +26,8 @@ from conftest import (
     hub_graph,
     make_graph,
     random_typed_graph,
+    stats_ratio,
+    stats_row,
     tax_schema,
 )
 
@@ -69,10 +71,10 @@ def test_unlabeled_neighbors_excluded_from_both_sides():
     g = community_graph()
     # B unlabeled: PCCP pairs from A must skip it entirely
     stats = full_stats(g, {"A": 1, "C": 0})
-    row = stats.row("PCCP")
+    row = stats_row(stats, "PCCP")
     assert row.pairs == 0 and row.probability is None
     # PCCCP connects A to labeled C
-    row = stats.row("PCCCP")
+    row = stats_row(stats, "PCCCP")
     assert row.pairs == 1 and row.hits == 0 and row.probability == 0.0
 
 
@@ -112,7 +114,7 @@ def test_rpt_rows_match_a_loop_over_brute_force_instances(rng):
                 if j in y:
                     pairs += 1
                     hits += y[j]
-        row = stats.row(p.pattern_id)
+        row = stats_row(stats, p.pattern_id)
         assert (row.pairs, row.hits) == (pairs, hits), p.pattern_id
         total += pairs
     assert total > 0
@@ -135,7 +137,7 @@ def test_k_order_for_evader_centers_only_gives_the_same_tables():
     full = evasion_ratio_stats(graph, index, mp, everywhere, y)
     assert fast.rows == full.rows
     assert fast.ratios == full.ratios
-    assert all(fast.row(f"{k}-order").pairs > 0 for k in (1, 2, 3))
+    assert all(stats_row(fast, f"{k}-order").pairs > 0 for k in (1, 2, 3))
 
 
 def test_k_order_map_missing_a_center_raises():
@@ -154,7 +156,7 @@ def test_background_row_counts_zero_instance_companies():
              ("A", "B", "transaction")]
     g = make_graph(tax_schema(), nodes, edges)
     stats = full_stats(g, {"A": 1, "B": 1, "solo1": 1, "solo2": 0})
-    bg = stats.row("background")
+    bg = stats_row(stats, "background")
     assert bg.pairs == 2 and bg.hits == 1
 
 
@@ -165,10 +167,10 @@ def test_planted_ratio_recovers_generator_parameters():
         label_coverage=1.0, invest_coverage=0.1, transaction_density=1.0,
         feature_dim=3, seed=11))
     stats = full_stats(graph, labels)
-    agg = stats.row("rpt::all")
-    bg = stats.row("background")
+    agg = stats_row(stats, "rpt::all")
+    bg = stats_row(stats, "background")
     assert agg.pairs >= 300
-    ratio = stats.ratio("rpt::all", "background")
+    ratio = stats_ratio(stats, "rpt::all", "background")
     assert ratio == pytest.approx(8.0, rel=0.25)
     assert 0.05 < bg.probability < 0.16
     text = ratio_table_text(stats)

@@ -3,13 +3,16 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_synth
+from conftest import node_x
 
+from rptdetect import hetgraph
 from rptdetect.errors import InfeasibleConfig
 from rptdetect.hetgraph import load_graph, load_labels, save_graph
 from rptdetect.matcher import enumerate_instances
@@ -226,6 +229,34 @@ def test_edge_case_configs_export_pinned_bytes(name, tmp_path):
     assert got == EDGE_DIGESTS[name]
 
 
+@pytest.mark.parametrize("block", [1, 3, 10**6])
+@pytest.mark.parametrize("name", ["small", *sorted(EDGE_CASES)])
+def test_every_block_size_writes_the_pinned_bytes(name, block, tmp_path, monkeypatch):
+    """Rows, ids and map entries written one, three or all at a time.  ``no-items`` has a
+    node type with no nodes and edge types with no edges; ``one-item`` has no community."""
+    monkeypatch.setattr(hetgraph, "BLOCK", block)
+    graph, labels, truth = generate(SMALL if name == "small" else EDGE_CASES[name])
+    export(graph, labels, tmp_path)
+    save_ground_truth(truth, tmp_path / "communities.json")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == (SMALL_DIGESTS if name == "small" else EDGE_DIGESTS[name])
+    if name == "one-item":
+        assert b'"communities": [],' in (tmp_path / "communities.json").read_bytes()
+
+
+def test_save_ground_truth_holds_less_than_its_file(tmp_path):
+    _, _, truth = generate(scaled_config(GenConfig(seed=2), 5000))
+    save_ground_truth(truth, tmp_path / "warm.json")  # first-call costs stay out of the count
+    tracemalloc.start()
+    try:
+        save_ground_truth(truth, tmp_path / "communities.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "communities.json").stat().st_size
+    assert peak < size, (peak, size)
+
+
 def test_attempt_limit_binds_before_every_transaction_is_placed():
     config = EDGE_CASES["attempt-limit-binds"]
     graph, _, _ = generate(config)
@@ -336,8 +367,8 @@ def test_null_model_labels_independent_of_structure():
 def test_class_shift_moves_company_features():
     strong = GenConfig(**{**SMALL.__dict__, "class_shift": 5.0})
     graph, labels, _ = generate(strong)
-    pos = np.stack([graph.x[graph.index[i]] for i, y in labels.items() if y == 1])
-    neg = np.stack([graph.x[graph.index[i]] for i, y in labels.items() if y == 0])
+    pos = np.stack([node_x(graph, graph.index[i]) for i, y in labels.items() if y == 1])
+    neg = np.stack([node_x(graph, graph.index[i]) for i, y in labels.items() if y == 0])
     gap = np.linalg.norm(pos.mean(axis=0) - neg.mean(axis=0))
     assert gap > 3.0
 
