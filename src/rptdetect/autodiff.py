@@ -1,11 +1,11 @@
 """Reverse mode for the model step, and the two fused attention levels.
 
-A labeled batch records one backward closure per stage on a ``Tape``, with a
-zeroed gradient laid out like the parameters' flat buffer.  ``Tape.backward``
-runs the closures once, last recorded first, and each adds into named views of
-that gradient in a fixed order, so identical inputs give bit-identical
-gradients.  The fused ops ``instance_level`` and ``pattern_level`` are
-plain-array forward passes that return their hand-written backward passes.
+A labeled batch's ``Tape`` holds its backward pass and a zeroed gradient laid
+out like the parameters' flat buffer; ``Tape.backward`` runs the pass once, and
+it adds into named views of that gradient in a fixed order, so identical inputs
+give bit-identical gradients.  The fused ops ``instance_level`` and
+``pattern_level`` are plain-array forward passes that return their hand-written
+backward passes.
 """
 
 from __future__ import annotations
@@ -22,21 +22,17 @@ QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class Tape:
-    """A labeled batch's backward stages in record order, and the gradient ``grad`` they
-    fill: zeroed views, by parameter name, into ``grad.flat``.  A stage is called as
-    ``stage(up)``, ``up`` holding each intermediate array's gradient by name."""
+    """A labeled batch's gradient ``grad`` (zeroed views, by parameter name, into
+    ``grad.flat``) and its backward pass, ``run(grad)``, which fills it."""
 
-    def __init__(self, grad, stages: list[Callable[[dict], None]]):
-        self.grad = grad
-        self.stages = stages
+    def __init__(self, grad, run: Callable[[dict], None]):
+        self.grad, self.run = grad, run
 
     @QUIET
     def backward(self) -> np.ndarray:
-        """Run the stages once, last recorded first, and drop them; returns ``grad.flat``."""
-        up: dict = {}
-        for stage in reversed(self.stages):
-            stage(up)
-        self.stages = []
+        """Run the pass once and drop it, with the arrays it holds; returns ``grad.flat``."""
+        run, self.run = self.run, lambda grad: None
+        run(self.grad)
         return self.grad.flat
 
 
@@ -101,7 +97,7 @@ def _gather_grad(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
     over (row, column) cells, adding the gathered rows in index order as
     ``np.add.at`` would."""
     d = g.shape[1]
-    cells = ((idx * d)[:, None] + np.arange(d)).ravel()
+    cells = np.arange(n_rows * d).reshape(n_rows, d).take(idx, axis=0).ravel()
     return np.bincount(cells, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
@@ -134,7 +130,7 @@ def instance_level(H: np.ndarray, idx: np.ndarray, heads: Sequence[np.ndarray],
     if not (idx.ndim == 2 and offsets[0] == 0 and offsets[-1] == n_inst and sizes.min() > 0):
         raise ShapeMismatch("instance_level: offsets must cut the instance rows into "
                             "non-empty segments")
-    C = H[idx.ravel()].reshape(n_inst, -1)
+    C = H.take(idx.ravel(), axis=0).reshape(n_inst, -1)
     WhT = np.concatenate(heads).T.copy()
     enc, d_enc = elu(C @ WhT)
     if attn is None:
@@ -150,7 +146,7 @@ def instance_level(H: np.ndarray, idx: np.ndarray, heads: Sequence[np.ndarray],
         g_b += g.sum(axis=0)
         g_f = g @ W_T.T
         g_W_T += f.T @ g
-        g = (g_f * d_f)[np.arange(len(sizes)).repeat(sizes)]
+        g = (g_f * d_f).repeat(sizes, axis=0)
         g_enc = g * alpha[:, None]
         if attn is not None:
             g_logits = _segment_softmax_grad(alpha, (g * enc).sum(axis=1), offsets) * d_logits
@@ -159,8 +155,8 @@ def instance_level(H: np.ndarray, idx: np.ndarray, heads: Sequence[np.ndarray],
         g_enc = g_enc * d_enc
         g_C = g_enc @ WhT.T
         g_W = (C.T @ g_enc).T
-        for g_h, g_W_h in zip(g_heads, np.split(g_W, len(heads))):
-            g_h += g_W_h
+        for h, g_h in enumerate(g_heads):
+            g_h += g_W[h * len(g_h):(h + 1) * len(g_h)]
         return _gather_grad(idx.ravel(), g_C.reshape(idx.size, -1), len(H))
 
     return m, alpha, backward
@@ -232,6 +228,6 @@ def pattern_level(q: np.ndarray, W_T: np.ndarray, b: np.ndarray,
                 g_q_k = g_s[:, None] * v[:d]
                 g_q = g_q_k if g_q is None else g_q + g_q_k
                 g_vs[k] += np.concatenate([q.T @ g_s, full[k].T @ g_s])
-        return g_q, [gm[rows] for (_, _, rows, _), gm in zip(columns, g_full)]
+        return g_q, [gm.take(rows, axis=0) for (_, _, rows, _), gm in zip(columns, g_full)]
 
     return z @ w + w0, beta, z, backward

@@ -148,7 +148,12 @@ class HetGraph:
         for k, t in enumerate(self.type_names):
             members = np.flatnonzero(code == k)
             self.row_in_type[members] = np.arange(members.size)
-            self._features[t] = values[starts[members, None] + np.arange(dims[k])]
+            if members.size and members[-1] - members[0] == members.size - 1:
+                # one run of nodes: one slice, copied so that no view pins the load's buffer
+                at = starts[members[0]]
+                self._features[t] = values[at:at + members.size * dims[k]].reshape(-1, dims[k]).copy()
+            else:
+                self._features[t] = values[starts[members, None] + np.arange(dims[k])]
         return self
 
     # --- structure accessors -------------------------------------------------

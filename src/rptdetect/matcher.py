@@ -36,20 +36,6 @@ ROW_BUDGET = 1 << 16
 WALK_BUDGET = 1 << 22
 
 
-def _bfs_role_order(pattern: RptPattern) -> list[str]:
-    """Anchor first, then roles in breadth-first order over the pattern graph,
-    each role's neighbors in canonical order.
-
-    Guarantees every role after the first is adjacent to an already-ordered
-    role, so candidates can always be drawn from a neighbor list.
-    """
-    order = [pattern.anchor]
-    for cur in order:  # the loop reaches the roles it appends: a breadth-first walk
-        order += [r for r in pattern.role_names if r not in order
-                  and any({s, t} == {cur, r} for s, t, _ in pattern.edges)]
-    return order
-
-
 def _base_candidates(graph: HetGraph, pattern: RptPattern, role: str,
                      injective: bool) -> np.ndarray:
     """Mask of the nodes of the role's type with every incident edge type the role needs.
@@ -140,7 +126,7 @@ def _join(graph: HetGraph, pattern: RptPattern, injective: bool,
     by ascending anchor and in depth-first walk order within one.  With ``exists`` (not
     injective), each level keeps only the distinct rows on the anchor and the columns a
     later level reads: the last keeps one row per anchor that has any match."""
-    order = _bfs_role_order(pattern)
+    order = pattern.role_order()
     pos = {r: k for k, r in enumerate(order)}
     # the edges each role must satisfy against itself and earlier roles, by position
     checks: list[list[tuple[int, int, str]]] = [[] for _ in order]
@@ -231,7 +217,7 @@ def enumerate_instances(graph: HetGraph, pattern: RptPattern, *,
     bounds distinct instances per anchor node; hitting it raises
     ``InstanceCapExceeded`` unless ``cap_mode="truncate"``, which logs a
     warning and keeps the first ``cap`` a depth-first walk over the roles in
-    ``_bfs_role_order``, candidates ascending, meets.  With ``anchors``, only
+    ``RptPattern.role_order``, candidates ascending, meets.  With ``anchors``, only
     their rows: the same as without, since the cap cuts each anchor on its own.
     """
     _check(graph, pattern, cap, cap_mode)
@@ -312,9 +298,9 @@ class NeighborIndex:
     def gather(self, pattern_id: str, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The anchors' instance rows back to back, in anchor order, and each anchor's count."""
         ptr = self.anchor_ptr[pattern_id]
-        start = ptr[anchors]
-        counts = ptr[anchors + 1] - start
-        return self.nodes[pattern_id][_ranges(start, counts)], counts
+        start = ptr.take(anchors)
+        counts = ptr.take(anchors + 1) - start
+        return self.nodes[pattern_id].take(_ranges(start, counts), axis=0), counts
 
 
 def build_neighbor_index(graph: HetGraph, patterns: Sequence[RptPattern], *,

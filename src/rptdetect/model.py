@@ -11,12 +11,13 @@ Pipeline per company node i:
   5. a linear readout plus sigmoid turns the fused embedding into the
      evasion probability, trained with binary cross-entropy.
 
-``forward`` runs the whole pipeline for a batch on plain arrays, with the
-fused ops ``autodiff.instance_level`` for stages 2-3 and
-``autodiff.pattern_level`` for 4-5.  A labeled batch also records its fixed
-model step on an ``autodiff.Tape``, whose one backward pass fills a flat
-gradient laid out like the parameters' buffer.  The readable node-at-a-time
-reference that the tests check it against is ``tests/reference_model.py``.
+``plan_batches`` does the batches' parameter-independent work once per node
+order; ``forward`` does one planned batch's parameter work on plain arrays, with
+the fused ops ``autodiff.instance_level`` (stages 2-3) and ``pattern_level``
+(4-5).  A labeled batch also records its step on an ``autodiff.Tape``, whose
+one backward pass fills a flat gradient laid out like the parameters' buffer.
+The node-at-a-time reference the tests check it against is
+``tests/reference_model.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -78,12 +79,14 @@ class ModelConfig:
 class FlatArrays(dict):
     """Named float64 views into one flat buffer, ``flat``, which Adam steps: keys are fixed."""
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
+    def __init__(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None):
+        """``flat``, when given, is the buffer to view, laid out as ``arrays`` would be."""
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-        self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()] + [np.zeros(0)])
-        off = 0
+        if flat is None:
+            flat = np.concatenate([a.reshape(-1) for a in arrays.values()] + [np.zeros(0)])
+        self.flat, off = flat, 0
         for k, a in arrays.items():
-            super().__setitem__(k, self.flat[off:off + a.size].reshape(a.shape))
+            super().__setitem__(k, flat[off:off + a.size].reshape(a.shape))
             off += a.size
 
     def __setitem__(self, name, value):
@@ -156,25 +159,54 @@ def init_params(schema: Schema, patterns: Sequence[RptPattern],
 # --- batched model step -----------------------------------------------------------
 
 @dataclass
+class BatchPlan:
+    """One batch's parameter-independent inputs, from ``plan_batches``.
+
+    ``levels``: per pattern with rows in the batch, (each instance's ``H`` rows, anchor
+    first, a zeroed role at the last, zero row; the batch rows with instances; their
+    segment offsets).  ``blocks``: per node type read, (projection name, feature rows,
+    first and end ``H`` row).  ``y``: the labels, None when planned without them.
+    """
+
+    batch: list[int]
+    pattern_ids: list[str]
+    levels: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    blocks: list[tuple[str, np.ndarray, int, int]]
+    Xb: np.ndarray
+    y: np.ndarray | None
+
+
+@dataclass
 class ForwardResult:
-    """One batch's outputs, keyed by node.
+    """One batch's outputs, row r for node ``batch[r]``.
 
     ``tape`` is the batch's ``ad.Tape`` when it was labeled, else None.
     ``betas`` is [batch row, pattern column], zero where ``present`` is not
     set; ``inner`` holds per pattern (batch rows, segment offsets, instance
-    weights).
+    weights).  ``p``, ``z`` and ``degenerate`` key the rows by node on access.
     """
 
     batch: list[int]
     loss: float | None
-    p: dict[int, float]
-    z: dict[int, np.ndarray]
-    degenerate: set[int]
+    probs: np.ndarray
+    embeddings: np.ndarray
     tape: ad.Tape | None
     betas: np.ndarray
     present: np.ndarray
     pattern_ids: list[str]
     inner: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @property
+    def p(self) -> dict[int, float]:
+        return dict(zip(self.batch, self.probs.tolist()))
+
+    @property
+    def z(self) -> dict[int, np.ndarray]:
+        return dict(zip(self.batch, self.embeddings))
+
+    @property
+    def degenerate(self) -> set[int]:
+        return {i for i, on in zip(self.batch, self.present.any(axis=1).tolist()) if not on}
 
 
 def _check_batch(graph: HetGraph, batch: list[int], company: str,
@@ -191,86 +223,105 @@ def _check_batch(graph: HetGraph, batch: list[int], company: str,
             raise ValueError(f"batch node {graph.ids[i]} has no label")
 
 
+def plan_batches(graph: HetGraph, index: NeighborIndex, order: Sequence[int],
+                 params: ModelParams, config: ModelConfig, batch_size: int,
+                 labels: dict[int, int] | None = None) -> Iterator[BatchPlan]:
+    """``order`` cut into batches of ``batch_size``, planned in one pass and yielded in turn.
+
+    The order is checked (``_check_batch``) and each pattern's rows gathered once, roles
+    anchor first.  A batch's ``H`` has a row per node a role reads (no non-company node
+    under the company-only ablation), types in code order, nodes ascending, then a zero row.
+    """
+    company, order = params.company_type, np.asarray(order, dtype=np.intp)
+    _check_batch(graph, order.tolist(), company, labels)
+    y = None if labels is None else np.array([labels[i] for i in order.tolist()], np.float64)
+    cuts = list(range(0, len(order), batch_size)) + [len(order)]
+    patterns = {p.pattern_id: p for p in index.patterns}
+    pattern_ids = [pid for pid in params.pattern_ids if pid in patterns]
+    # a node's rank in (type code, node) order, so that a type's nodes are one run of
+    # ranks; int32 halves the rows the whole order holds
+    rank = np.empty(len(graph), dtype=np.int32)
+    rank[np.argsort(graph.type_code, kind="stable")] = np.arange(len(graph))
+    type_ends = np.cumsum(np.bincount(graph.type_code, minlength=len(graph.type_names))).tolist()
+    # per pattern: the order's rows as ranks, roles anchor first (all, and those read); the
+    # roles read; the positions with rows, their first rows, each batch's first position
+    gathered = []
+    for pid in pattern_ids:
+        nodes, counts = index.gather(pid, order)
+        ranks, a = rank.take(nodes), patterns[pid].role_names.index(patterns[pid].anchor)
+        ranks[:, :a + 1] = ranks[:, [a, *range(a)]]
+        read = np.array([not config.company_only or t == company
+                         for _, t in patterns[pid].anchor_first_roles()])
+        has = np.flatnonzero(counts)
+        gathered.append((pid, ranks, ranks if read.all() else ranks[:, read], read, has,
+                         np.concatenate(([0], np.cumsum(counts[has]))),
+                         has.searchsorted(cuts).tolist()))
+    Xs = graph.type_features(company).take(graph.row_in_type.take(order), axis=0)
+
+    row = np.empty(len(graph), dtype=np.intp)
+    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        marked = np.zeros(len(graph), dtype=bool)
+        marked[rank.take(order[lo:hi])] = True
+        cut = []
+        for pid, ranks, kept, read, has, starts, at in gathered:
+            a, b = at[k], at[k + 1]
+            if a < b:
+                marked[kept[starts[a]:starts[b]]] = True
+                cut.append((pid, ranks[starts[a]:starts[b]], read, has[a:b] - lo,
+                            starts[a:b + 1] - starts[a]))
+        needed = np.flatnonzero(marked)
+        row[needed] = np.arange(len(needed))
+        levels = {}
+        for pid, ranks, read, positions, offsets in cut:
+            idx = row.take(ranks)
+            idx[:, ~read] = len(needed)
+            levels[pid] = (idx, positions, offsets)
+        blocks, ends = [], needed.searchsorted(type_ends).tolist()
+        for t, start, r0, r1 in zip(graph.type_names, [0, *type_ends], [0, *ends], ends):
+            if r0 < r1:
+                if f"proj::{t}" not in params.arrays:
+                    raise MissingProjection(f"no projection matrix for node type {t!r}")
+                blocks.append((f"proj::{t}", graph.type_features(t).take(needed[r0:r1] - start,
+                                                                         axis=0), r0, r1))
+        yield BatchPlan(order[lo:hi].tolist(), pattern_ids, levels, blocks, Xs[lo:hi],
+                        None if y is None else y[lo:hi])
+
+
 @ad.QUIET
-def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
+def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int] | BatchPlan,
             params: ModelParams, config: ModelConfig,
             labels: dict[int, int] | None = None) -> ForwardResult:
     """Run the full pipeline for a batch of company nodes on plain arrays.
 
-    With ``labels`` the mean binary cross-entropy over the batch is computed and
-    the step recorded on an ``ad.Tape`` for its one ``backward``; scoring (no
-    labels) builds none.  Instances come from the index's CSR arrays; a batch
-    may not repeat a node.
+    ``batch`` is a ``BatchPlan`` or a list of nodes, planned here as one batch.
+    With ``labels`` (a plan's must have been planned with them, and its ``y`` is
+    used) the mean binary cross-entropy over the batch is computed and the step
+    recorded on an ``ad.Tape`` for its one ``backward``; scoring builds none.
     """
-    batch = list(batch)
-    company = params.company_type
-    _check_batch(graph, batch, company, labels)
-
+    plan = batch
+    if not isinstance(plan, BatchPlan):
+        plan = next(plan_batches(graph, index, batch, params, config, len(batch), labels))
     P = params.arrays
-    n_batch = len(batch)
-    anchors = np.array(batch, dtype=np.intp)
-    patterns = {p.pattern_id: p for p in index.patterns}
-    pattern_ids = [pid for pid in params.pattern_ids if pid in patterns]
-
-    # per pattern: the batch's instance rows with roles anchor-first, which role
-    # columns read the zero row (non-company roles under the company-only
-    # ablation), the batch rows that have instances, and their segment offsets
-    plan: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-    for pid in pattern_ids:
-        nodes, counts = index.gather(pid, anchors)
-        if not len(nodes):
-            continue
-        roles, names = patterns[pid].anchor_first_roles(), patterns[pid].role_names
-        cols = [names.index(role) for role, _ in roles]
-        zeroed = np.array([config.company_only and rtype != company for _, rtype in roles])
-        positions = np.flatnonzero(counts)
-        offsets = np.concatenate(([0], np.cumsum(counts[positions])))
-        plan[pid] = (nodes[:, cols], zeroed, positions, offsets)
-
-    # project every node a role reads, stacked type by type (types in code order)
-    read = np.zeros(len(graph), dtype=bool)
-    read[anchors] = True
-    for nodes, zeroed, _, _ in plan.values():
-        read[nodes[:, ~zeroed]] = True
-    needed = np.flatnonzero(read)
-    codes = graph.type_code[needed]
-    needed = needed[np.argsort(codes, kind="stable")]
-    type_ends = np.cumsum(np.bincount(codes, minlength=len(graph.type_names))).tolist()
-    projected = []
-    for t, lo, hi in zip(graph.type_names, [0] + type_ends, type_ends):
-        if lo == hi:
-            continue
-        if f"proj::{t}" not in P:
-            raise MissingProjection(f"no projection matrix for node type {t!r}")
-        projected.append((f"proj::{t}", graph.type_features(t)[graph.row_in_type[needed[lo:hi]]],
-                          lo, hi))
-    # a trailing all-zero row, read by the zeroed role columns
-    zero_row = len(needed)
-    H = np.concatenate([X @ P[name].T.copy() for name, X, _, _ in projected]
+    H = np.concatenate([X @ P[name].T.copy() for name, X, _, _ in plan.blocks]
                        + [np.zeros((1, config.proj_dim))])
-    row_of = np.empty(len(graph), dtype=np.intp)
-    row_of[needed] = np.arange(len(needed))
-
-    Xb = graph.type_features(company)[graph.row_in_type[anchors]]
-    q, d_q = ad.elu(Xb @ P["query"].T.copy())
+    q, d_q = ad.elu(plan.Xb @ P["query"].T.copy())
     W_T = P["cross_w"].T.copy()
 
-    present = np.zeros((n_batch, len(pattern_ids)), dtype=bool)
+    present = np.zeros((len(plan.batch), len(plan.pattern_ids)), dtype=bool)
     columns, levels = [], []
     inner: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for c, pid in enumerate(pattern_ids):
-        if pid not in plan:
+    for c, pid in enumerate(plan.pattern_ids):
+        if pid not in plan.levels:
             continue
-        nodes, zeroed, positions, offsets = plan[pid]
-        idx = row_of[nodes]
-        idx[:, zeroed] = zero_row
+        idx, positions, offsets = plan.levels[pid]
         m, alpha, back = ad.instance_level(
             H, idx, [P[f"inst::{pid}::h{h}"] for h in range(config.heads)],
             None if config.inner_uniform else P[f"attn_inst::{pid}"],
             W_T, P["cross_b"], offsets)
         present[positions, c] = True
         columns.append((c, m, positions, P[f"attn_cross::{pid}"]))
-        levels.append((pid, back))
+        if labels is not None:  # a scoring step keeps no backward, so its arrays go now
+            levels.append((pid, back))
         inner[pid] = (positions, offsets, alpha)
     logits, betas, z, back = ad.pattern_level(q, W_T, P["cross_b"], columns, present,
                                               P["readout_w"], P["readout_b"],
@@ -279,48 +330,31 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int],
 
     tape = loss = None
     if labels is not None:
-        y = np.array([labels[i] for i in batch], dtype=np.float64)
-        loss = float((np.maximum(logits, 0.0) - logits * y
+        loss = float((np.maximum(logits, 0.0) - logits * plan.y
                       + np.log1p(np.exp(-np.abs(logits)))).mean())
-        tape = _record_step(params, config, projected, Xb, d_q, levels, back,
-                            (p - y) / n_batch)
-
-    return ForwardResult(
-        batch, loss,
-        p=dict(zip(batch, p.tolist())),
-        z=dict(zip(batch, z.copy())),
-        degenerate={i for i, on in zip(batch, present.any(axis=1).tolist()) if not on},
-        tape=tape, betas=betas, present=present, pattern_ids=pattern_ids, inner=inner)
+        tape = ad.Tape(FlatArrays(P, np.zeros(P.flat.size)), partial(
+            _backward, config, plan, d_q, levels, back, (p - plan.y) / len(plan.batch)))
+    return ForwardResult(plan.batch, loss, p, z, tape, betas, present, plan.pattern_ids, inner)
 
 
-def _record_step(params: ModelParams, config: ModelConfig, projected, Xb, d_q, levels,
-                 pattern_back, g_logits) -> ad.Tape:
-    """A labeled batch's tape: the projection per node type read, the query, each
-    present pattern's instance level, the pattern level and the loss, in that order."""
-    grad = FlatArrays({k: np.zeros(a.shape) for k, a in params.arrays.items()})
-
-    def projection(name, X, lo, hi, up):
-        grad[name] += (X.T @ up["H"][lo:hi]).T
-
-    def query(up):
-        if up["q"] is not None:
-            grad["query"] += (Xb.T @ (up["q"] * d_q)).T
-
-    def instance(pid, back, up):  # after pattern(), the last pattern first
-        g_H = back(up.pop(pid), [grad[f"inst::{pid}::h{h}"] for h in range(config.heads)],
-                   grad[f"attn_inst::{pid}"], grad["cross_w"].T, grad["cross_b"])
-        up["H"] = g_H if "H" not in up else up["H"] + g_H
-
-    def pattern(up):
-        up["q"], g_ms = pattern_back(up.pop("logits"), grad["cross_w"].T, grad["cross_b"],
-                                     [grad[f"attn_cross::{pid}"] for pid, _ in levels],
-                                     grad["readout_w"], grad["readout_b"])
-        up.update((pid, g_m) for (pid, _), g_m in zip(levels, g_ms))
-
+def _backward(config: ModelConfig, plan: BatchPlan, d_q, levels, pattern_back, g_logits,
+              grad: FlatArrays) -> None:
+    """A labeled step's backward pass, adding into ``grad``'s views stage by stage from the
+    loss back: the pattern level, each present pattern's instance level (the last pattern
+    first), the query, the projections."""
+    g_q, g_ms = pattern_back(g_logits, grad["cross_w"].T, grad["cross_b"],
+                             [grad[f"attn_cross::{pid}"] for pid, _ in levels],
+                             grad["readout_w"], grad["readout_b"])
+    g_H = None
+    for (pid, back), g_m in reversed(list(zip(levels, g_ms))):
+        g = back(g_m, [grad[f"inst::{pid}::h{h}"] for h in range(config.heads)],
+                 grad[f"attn_inst::{pid}"], grad["cross_w"].T, grad["cross_b"])
+        g_H = g if g_H is None else g_H + g
+    if g_q is not None:
+        grad["query"] += (plan.Xb.T @ (g_q * d_q)).T
     # with no instance level, no gradient reaches the projections
-    return ad.Tape(grad, ([partial(projection, *part) for part in projected] if levels else [])
-                   + [query, *(partial(instance, *level) for level in levels), pattern,
-                      lambda up: up.update(logits=g_logits)])
+    for name, X, lo, hi in reversed(plan.blocks if levels else []):
+        grad[name] += (X.T @ g_H[lo:hi]).T
 
 
 # --- checkpoints -----------------------------------------------------------------

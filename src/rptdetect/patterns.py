@@ -34,35 +34,25 @@ class RptPattern:
                 raise PatternTypeUnknown(
                     f"pattern {self.pattern_id!r}: edge ({s!r}, {t!r}) uses unknown roles"
                 )
-        if not self._connected():
+        if len(self.role_order()) != len(self.roles):
             raise PatternTypeUnknown(f"pattern {self.pattern_id!r}: roles must be connected")
-
-    def _connected(self) -> bool:
-        if len(self.roles) <= 1:
-            return True
-        adj: dict[str, set[str]] = {r: set() for r, _ in self.roles}
-        for s, t, _ in self.edges:
-            adj[s].add(t)
-            adj[t].add(s)
-        seen = {self.roles[0][0]}
-        frontier = [self.roles[0][0]]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(self.roles)
 
     @property
     def role_names(self) -> tuple[str, ...]:
         return tuple(r for r, _ in self.roles)
 
     def role_type(self, role: str) -> str:
-        for r, t in self.roles:
-            if r == role:
-                return t
-        raise KeyError(role)
+        return dict(self.roles)[role]
+
+    def role_order(self) -> list[str]:
+        """Anchor first, then roles in breadth-first order over the pattern graph,
+        each role's neighbors in canonical order: every role after the first is
+        adjacent to an earlier one.  Roles the anchor does not reach are left out."""
+        order = [self.anchor]
+        for cur in order:  # the loop reaches the roles it appends: a breadth-first walk
+            order += [r for r in self.role_names if r not in order
+                      and any({s, t} == {cur, r} for s, t, _ in self.edges)]
+        return order
 
     def anchor_first_roles(self) -> tuple[tuple[str, str], ...]:
         """Roles with the anchor moved to the front, remainder in canonical order."""

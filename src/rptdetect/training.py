@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hetgraph import HetGraph, labels_to_indices
 from .matcher import NeighborIndex
-from .model import ModelConfig, ModelParams, forward, init_params
+from .model import ModelConfig, ModelParams, forward, init_params, plan_batches
 
 log = logging.getLogger(__name__)
 
@@ -90,16 +90,11 @@ def metrics_from_predictions(y_true: Sequence[int], y_pred: Sequence[int]) -> Me
         raise EmptyTestSet("no samples to evaluate")
     if len(y_true) != len(y_pred):
         raise ValueError("prediction/label length mismatch")
-    tp = fp = fn = tn = 0
-    for y, p in zip(y_true, y_pred):
-        if p == 1 and y == 1:
-            tp += 1
-        elif p == 1 and y == 0:
-            fp += 1
-        elif p == 0 and y == 1:
-            fn += 1
-        else:
-            tn += 1
+    y, p = np.asarray(y_true), np.asarray(y_pred)
+    tp = int(np.count_nonzero((p == 1) & (y == 1)))
+    fp = int(np.count_nonzero((p == 1) & (y == 0)))
+    fn = int(np.count_nonzero((p == 0) & (y == 1)))
+    tn = len(y) - tp - fp - fn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -283,11 +278,6 @@ class TrainResult:
     probabilities: dict[str, float]
 
 
-def _epoch_batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size].tolist()
-
-
 def _run_epoch(graph: HetGraph, index: NeighborIndex, train_idx: list[int],
                labels_idx: dict[int, int], params: ModelParams, mc: ModelConfig,
                state: AdamState, config: TrainConfig, rng: np.random.Generator
@@ -296,21 +286,19 @@ def _run_epoch(graph: HetGraph, index: NeighborIndex, train_idx: list[int],
     order = np.array(train_idx)
     rng.shuffle(order)
     total = 0.0
-    count = 0
     betas, present = [], []
-    for batch in _epoch_batches(order, config.batch_size):
-        res = forward(graph, index, batch, params, mc, labels=labels_idx)
+    for plan in plan_batches(graph, index, order, params, mc, config.batch_size, labels_idx):
+        res = forward(graph, index, plan, params, mc, labels=labels_idx)
         if not math.isfinite(res.loss):
             raise DivergedLoss(f"loss became {res.loss} during training")
         adam_step(params, res.tape.backward(), state, config)
-        total += res.loss * len(batch)
-        count += len(batch)
+        total += res.loss * len(plan.batch)
         betas.append(res.betas)
         present.append(res.present)
     # beta is zero off the mask; the cumulative sum adds node by node in epoch order
     beta_sum = np.cumsum(np.concatenate(betas), axis=0)[-1].tolist()
     beta_n = np.concatenate(present).sum(axis=0).tolist()
-    return (total / count, dict(zip(res.pattern_ids, beta_sum)),
+    return (total / len(order), dict(zip(res.pattern_ids, beta_sum)),
             dict(zip(res.pattern_ids, beta_n)))
 
 
@@ -369,14 +357,14 @@ def score_split(graph: HetGraph, index: NeighborIndex, labels: dict[str, int],
     z: dict[str, np.ndarray] = {}
     p: dict[str, float] = {}
     degenerate = 0
-    for start in range(0, len(nodes), config.batch_size):
-        res = forward(graph, index, nodes[start:start + config.batch_size], params, mc)
-        if not (np.isfinite(list(res.p.values())).all()
-                and np.isfinite(list(res.z.values())).all()):
+    for plan in plan_batches(graph, index, nodes, params, mc, config.batch_size):
+        res = forward(graph, index, plan, params, mc)
+        if not (np.isfinite(res.probs).all() and np.isfinite(res.embeddings).all()):
             raise DivergedLoss("scoring gave a non-finite embedding or probability: "
                                "the parameters diverged")
-        z.update((graph.ids[i], v) for i, v in res.z.items())
-        p.update((graph.ids[i], v) for i, v in res.p.items())
+        ids = [graph.ids[i] for i in plan.batch]
+        z.update(zip(ids, res.embeddings))
+        p.update(zip(ids, res.probs.tolist()))
         degenerate += len(res.degenerate)
     if 2 * degenerate > len(nodes):
         log.warning("%d of %d scored companies have no instance of any pattern; their "

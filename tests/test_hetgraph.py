@@ -593,3 +593,48 @@ def test_validate_labels_clean_and_violations():
     assert len(validate_labels(g, {"jay": 1})) == 1
     assert len(validate_labels(g, {"ghost": 0})) == 1
     assert len(validate_labels(g, {"a": 2})) == 1
+
+
+def gathered_features(nodes, type_names, dims):
+    """Per type, its nodes' attribute rows gathered cell by cell from the node-order
+    values, as ``_build`` gathers interleaved types."""
+    values = np.concatenate([x for _, _, x in nodes])
+    widths = np.array([x.size for _, _, x in nodes])
+    starts, types = np.cumsum(widths) - widths, [t for _, t, _ in nodes]
+    return {t: values[starts[[k for k, u in enumerate(types) if u == t], None]
+                      + np.arange(dims[t])] for t in type_names}
+
+
+@pytest.mark.parametrize("runs", [False, True], ids=["interleaved", "one-run"])
+def test_type_features_equal_the_cell_gather(tmp_path, runs):
+    """Interleaved types take the gather; a type whose nodes are one run takes one slice,
+    copied: through the CSV parse and through ``graph.bin`` alike, each matrix equals the
+    gather in dtype, shape and bytes and owns its data."""
+    g, nodes, edges = ghost_graph(41)
+    if runs:  # persons first, then companies: each type one run of nodes
+        nodes = sorted(nodes, key=lambda node: node[1] == "company")
+        g = make_graph(g.schema, nodes, edges)
+    members = [np.flatnonzero(g.type_code == g.type_names.index(t)) for t in ("company", "person")]
+    assert all((m[-1] - m[0] == m.size - 1) == runs for m in members)
+    paths = save_graph(g, tmp_path)
+    loaded = load_graph(paths["schema"], paths["nodes"], paths["edges"])
+    want = gathered_features(nodes, g.type_names, g.schema.node_types)
+    for graph in (g, loaded):
+        for t in graph.type_names:
+            got = graph.type_features(t)
+            assert got.dtype == want[t].dtype and got.shape == want[t].shape, t
+            assert got.tobytes() == want[t].tobytes() and got.base is None, t
+
+
+def test_build_holds_no_index_as_large_as_a_types_values(mid_graph):
+    """``_build`` keeps each type's attribute matrix; above those, at its peak, it holds
+    less than the largest type's values take: no cell index as large as them."""
+    g = mid_graph
+    values = np.concatenate([g.type_features(g.type_names[c])[r]
+                             for c, r in zip(g.type_code.tolist(), g.row_in_type.tolist())])
+    args = (g.schema, g.ids, g.index, g.type_code, g.src, g.dst, g.edge_code, values, None)
+    hetgraph.HetGraph.__new__(hetgraph.HetGraph)._build(*args)  # first-call costs
+    built, held, peak = traced(lambda: hetgraph.HetGraph.__new__(hetgraph.HetGraph)._build(*args))
+    assert_same_graph(built, g)
+    largest = max(built.type_features(t).nbytes for t in built.type_names)
+    assert peak - held < largest, (peak, held, largest)

@@ -8,8 +8,16 @@ import pytest
 from rptdetect import autodiff as ad
 from rptdetect.errors import DuplicateBatchNode, EmptyBatch, MissingProjection
 from rptdetect.hetgraph import labels_to_indices
-from rptdetect.matcher import build_neighbor_index
-from rptdetect.model import ModelConfig, ModelParams, forward, init_params, load_params, save_params
+from rptdetect.matcher import NeighborIndex, build_neighbor_index
+from rptdetect.model import (
+    ModelConfig,
+    ModelParams,
+    forward,
+    init_params,
+    load_params,
+    plan_batches,
+    save_params,
+)
 from rptdetect.patterns import bundled_patterns
 from rptdetect.synth import GenConfig, generate
 
@@ -283,6 +291,52 @@ def test_forward_matches_reference_on_shuffled_mixed_batch(rng, ablation):
     assert any(not index.has_any(i) for i in batch)
     assert batch != sorted(batch)
     assert_forward_matches_reference(graph, index, batch, params, config, li)
+
+
+def assert_same_plan(a, b):
+    """Two ``BatchPlan``s with equal nodes, patterns and arrays (dtype, shape, bytes)."""
+    assert (a.batch, a.pattern_ids, list(a.levels)) == (b.batch, b.pattern_ids, list(b.levels))
+    assert [(n, lo, hi) for n, _, lo, hi in a.blocks] == [(n, lo, hi) for n, _, lo, hi in b.blocks]
+    arrays = [(x, y) for pid in a.levels for x, y in zip(a.levels[pid], b.levels[pid])]
+    arrays += [(x, y) for (_, x, _, _), (_, y, _, _) in zip(a.blocks, b.blocks)]
+    for x, y in arrays + [(a.Xb, b.Xb), (a.y, b.y)]:
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("ablation", [(), ("hete",)], ids=["full", "hete"])
+def test_whole_order_plan_equals_planning_each_batch_alone(rng, ablation):
+    """An order planned at once gives, batch for batch, what each batch planned alone
+    gives, at one node a batch, at 7 and 128 (a short last batch) and at more than the
+    order holds; a plan steps as the per-node reference computes."""
+    graph, labels, index, params, config = toy_setup(seed=1, companies=40, communities=4,
+                                                     ablation=ablation)
+    li = labels_to_indices(graph, labels)
+    empty = index.pattern_ids[2]  # a pattern with no rows at all
+    index = NeighborIndex(index.patterns, {**index.nodes, empty: index.nodes[empty][:0]},
+                          index.companies, len(graph))
+    order = [int(i) for i in rng.permutation(sorted(li))]
+    assert len(order) % 7 and len(order) < 128
+    some_missing = zeroed = False
+    for size in (1, 7, 128, len(order) + 1):
+        plans = list(plan_batches(graph, index, order, params, config, size, li))
+        assert len(plans) == -(-len(order) // size)
+        for k, plan in enumerate(plans):
+            alone = order[k * size:(k + 1) * size]
+            assert_same_plan(plan, next(plan_batches(graph, index, alone, params, config,
+                                                     size, li)))
+            assert plan.batch == alone and plan.y.tolist() == [li[i] for i in alone]
+            assert empty in plan.pattern_ids and empty not in plan.levels
+            some_missing |= 0 < len(plan.levels) < len(plan.pattern_ids) - 1
+            zero_row = plan.blocks[-1][3] if plan.blocks else 0
+            zeroed |= any((idx == zero_row).any() for idx, _, _ in plan.levels.values())
+            if ablation:
+                assert [name for name, *_ in plan.blocks] == ["proj::company"]
+        for plan in plans[:2]:
+            res = forward(graph, index, plan, params, config, labels=li)
+            ref = forward_reference(graph, index, plan.batch, params, config, labels=li)
+            assert res.loss == pytest.approx(ref.loss, abs=1e-9)
+            assert res.p == pytest.approx(ref.p, abs=1e-10)
+    assert some_missing and zeroed == bool(ablation)
 
 
 def test_attention_weights_normalize():

@@ -298,6 +298,59 @@ def test_trend_is_the_node_by_node_mean_of_beta(monkeypatch, n_patterns):
     assert trend == expected
 
 
+@pytest.mark.parametrize("fault", ["not a company", "unlabeled"])
+def test_train_rejects_a_bad_train_node_before_any_step(monkeypatch, fault):
+    """The whole epoch's order is checked before its first batch steps: a train node
+    that is no company, or has no label, raises the per-batch check's ``ValueError``
+    with no Adam step taken, wherever in the shuffled order it falls."""
+    graph, index, labels = bench_dataset()
+    config = TrainConfig(epochs=2, batch_size=16, embed_dim=8, proj_dim=8, seed=0)
+    train_ids, test_ids = split_dataset(labels, config.psr, config.test_fraction, config.seed)
+    bad = train_ids[0]
+    if fault == "not a company":
+        bad = graph.ids[graph.nodes_of_type("person")[0]]
+        labels = {**labels, bad: 0}
+        monkeypatch.setattr(training, "split_dataset", lambda *a: (train_ids + [bad], test_ids))
+        message = f"batch node {bad} is not of type 'company'"
+    else:
+        monkeypatch.setattr(training, "labels_to_indices", lambda g, ls: {
+            g.index[i]: y for i, y in ls.items() if i != bad})
+        message = f"batch node {bad} has no label"
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(graph, index, labels, config)
+    assert steps == []
+
+
+def test_train_calls_forward_as_the_benchmark_tracer_reads_it(monkeypatch):
+    """``bench/spans.py`` wraps ``training.forward`` and reads the index as its second
+    positional argument, ``labels=`` from the keywords, ``result.batch`` and
+    ``len(result.degenerate)``: one call per training batch with ``labels=`` set, then one
+    per scoring batch without, ``degenerate`` a set of the batch's nodes without instances."""
+    graph, index, labels = bench_dataset()
+    calls = []
+
+    def spy(*args, **kwargs):
+        res = forward(*args, **kwargs)
+        calls.append((args[1], kwargs.get("labels", args[5] if len(args) > 5 else None), res))
+        return res
+
+    monkeypatch.setattr(training, "forward", spy)
+    config = TrainConfig(epochs=2, batch_size=16, embed_dim=8, proj_dim=8, seed=0)
+    result = train(graph, index, labels, config)
+    n_train, n_scored = len(result.train_ids), len(result.train_ids) + len(result.test_ids)
+    labeled = [lab is not None for _, lab, _ in calls]
+    steps = 2 * -(-n_train // 16)
+    assert labeled == [True] * steps + [False] * -(-n_scored // 16)
+    assert all(idx is index for idx, _, _ in calls)
+    scored = [i for _, lab, res in calls if lab is None for i in res.batch]
+    assert scored == [graph.index[i] for i in result.train_ids + result.test_ids]
+    for _, _, res in calls:
+        assert type(res.degenerate) is set
+        assert res.degenerate == {i for i in res.batch if not index.has_any(i)}
+
+
 def test_training_loss_decreases_on_separable_config():
     graph, index, labels = bench_dataset(seed=2)
     config = TrainConfig(epochs=25, batch_size=64, embed_dim=8, proj_dim=8,
