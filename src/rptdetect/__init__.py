@@ -41,43 +41,3 @@ from .training import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUNDLED_METAPATHS",
-    "EdgeType",
-    "GenConfig",
-    "HetGraph",
-    "Metrics",
-    "ModelConfig",
-    "ModelParams",
-    "NeighborIndex",
-    "RptPattern",
-    "Schema",
-    "TrainConfig",
-    "adam_step",
-    "build_neighbor_index",
-    "bundled_patterns",
-    "degree_histogram",
-    "enumerate_instances",
-    "evader_centers",
-    "evaluate",
-    "evasion_ratio_stats",
-    "export",
-    "forward",
-    "generate",
-    "init_params",
-    "k_order_neighbors",
-    "load_graph",
-    "load_labels",
-    "load_params",
-    "load_patterns",
-    "metapath_neighbors",
-    "save_graph",
-    "save_labels",
-    "save_params",
-    "split_dataset",
-    "timing_sweep",
-    "train",
-    "train_downstream_classifier",
-    "validate_labels",
-]

@@ -52,7 +52,9 @@ PSR_GRID = (0.5, 0.4, 0.3, 0.2, 0.1)
 
 
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
-    """Fill unset options from manifest, environment, then defaults."""
+    """Fill unset options from manifest, environment, then defaults, each checked as the
+    command line is: a value outside the option's choices, or a non-integral number for
+    an integer option, is a ``PipelineError`` naming where it came from."""
     manifest = {}
     if getattr(args, "manifest", None):
         manifest = read_json(args.manifest, "manifest", PipelineError)
@@ -68,6 +70,12 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
             setattr(args, dest, cast(value))
         except (TypeError, ValueError) as exc:
             raise PipelineError(f"{source}: bad value {value!r} for {dest!r}") from exc
+        resolved = getattr(args, dest)
+        if dest in CHOICES and resolved not in CHOICES[dest]:
+            raise PipelineError(f"{source}: bad value {value!r} for {dest!r}, "
+                                f"not one of {', '.join(CHOICES[dest])}")
+        if cast is int and isinstance(value, float) and resolved != value:
+            raise PipelineError(f"{source}: bad value {value!r} for {dest!r}, not an integer")
 
 
 def _graph_paths(args: argparse.Namespace) -> tuple[str, str, str]:
@@ -261,15 +269,15 @@ def cmd_stats(args) -> int:
     if args.cap_mode == CAP_ERROR:  # fail as a build over every company would
         for p in pats:
             count_instances(graph, p, cap=args.cap, cap_mode=args.cap_mode)
-    # the RPT rows and the baselines are read only around the evader centers
-    index = build_neighbor_index(graph, pats, cap=args.cap, cap_mode=args.cap_mode,
-                                 anchors=centers)
     mp = {name: metapath_neighbors(graph, path, centers)
           for name, path in BUNDLED_METAPATHS.items()
           if all(t in graph.schema.node_types for t in path[0::2])
           and all(e in graph.schema.edge_types for e in path[1::2])}
     ko = {k: k_order_neighbors(graph, k, centers) for k in range(1, args.korder_max + 1)}
-    stats = evasion_ratio_stats(graph, index, mp, ko, labels)
+    # the RPT rows and the baselines are read only around the evader centers; the index is
+    # handed over unnamed, so it is freed once its rows are counted
+    stats = evasion_ratio_stats(graph, build_neighbor_index(
+        graph, pats, cap=args.cap, cap_mode=args.cap_mode, anchors=centers), mp, ko, labels)
     table = stats_table_text(stats)
     print(table, end="")
     _write_outputs(args.out, {"stats.tsv": table, "ratios.tsv": ratio_table_text(stats)})

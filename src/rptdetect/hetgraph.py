@@ -71,8 +71,8 @@ class HetGraph:
     sorted ``type_names``, and its attributes are row ``row_in_type[i]`` of
     its type's matrix (``type_features``).  Edges are kept exactly as
     ingested, as the parallel arrays ``src``, ``dst`` and ``edge_code`` (an
-    index into the sorted ``edge_names``).  Neighbor CSRs, edge keys and
-    degrees are built from those arrays on first use.
+    index into the sorted ``edge_names``).  Neighbor CSRs and edge keys are
+    built from those arrays on first use.
     """
 
     @classmethod
@@ -181,26 +181,30 @@ class HetGraph:
                         map(self.edge_names.__getitem__, self.edge_code.tolist())))
 
     @cached_property
-    def _edge_keys(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per edge type, the sorted distinct ``source * n + target`` keys of its
-        edges, of its reversed edges, and of the pairs ``has_edges`` accepts (both
-        for an undirected type) closed by ``n * n``, which is above every key."""
+    def _edge_keys(self) -> dict[str, np.ndarray]:
+        """Per edge type, the sorted distinct ``source * n + target`` keys of the pairs
+        ``has_edges`` accepts (both ways for an undirected type) closed by ``n * n``,
+        which is above every key."""
         n, keys = self._n, {}
         for k, r in enumerate(self.edge_names):
             s, t = self.src[self.edge_code == k], self.dst[self.edge_code == k]
-            fwd, bwd = distinct(s * n + t), distinct(t * n + s)
-            either = fwd if self.schema.edge_types[r].directed else distinct(np.r_[fwd, bwd])
-            keys[r] = fwd, bwd, np.append(either, n * n)
+            pairs = s * n + t if self.schema.edge_types[r].directed else np.r_[s * n + t, t * n + s]
+            keys[r] = np.append(distinct(pairs), n * n)
         return keys
 
     @cached_property
     def _typed_csr(self) -> dict[str, tuple[tuple[np.ndarray, np.ndarray], ...]]:
         """Per edge type, the out- and the in-neighbor CSR; for an undirected
-        type both are the CSR of its edges either way."""
+        type both are the CSR of its edges either way.  The reversed keys are
+        built here and dropped: only ``has_edges`` keys stay cached."""
         n, csr = self._n, {}
-        for r, (fwd, bwd, either) in self._edge_keys.items():
-            directed = self.schema.edge_types[r].directed
-            csr[r] = (_csr(fwd, n), _csr(bwd, n)) if directed else (_csr(either[:-1], n),) * 2
+        for k, r in enumerate(self.edge_names):
+            out = _csr(self._edge_keys[r][:-1], n)
+            if self.schema.edge_types[r].directed:
+                s, t = self.src[self.edge_code == k], self.dst[self.edge_code == k]
+                csr[r] = out, _csr(distinct(t * n + s), n)
+            else:
+                csr[r] = out, out
         return csr
 
     @cached_property
@@ -212,7 +216,7 @@ class HetGraph:
     def has_edges(self, s: np.ndarray, t: np.ndarray, etype: str) -> np.ndarray:
         """For each pair of the source and target arrays, True if the typed edge
         exists; undirected types match either way."""
-        keys, key = self._edge_keys[etype][2], s * self._n + t
+        keys, key = self._edge_keys[etype], s * self._n + t
         return keys[keys.searchsorted(key)] == key
 
     def adjacency(self, etype: str | None, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -221,17 +225,6 @@ class HetGraph:
         undirected type) are ``idx[ptr[i]:ptr[i + 1]]``, ascending.  With
         ``etype`` None they are the nodes sharing an edge of any type with i."""
         return self._any_csr if etype is None else self._typed_csr[etype][reverse]
-
-    @cached_property
-    def edge_degrees(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per edge type, every node's (out-degree, in-degree) as two arrays.
-
-        Parallel edges count once each.
-        """
-        n = len(self)
-        return {r: (np.bincount(self.src[self.edge_code == k], minlength=n),
-                    np.bincount(self.dst[self.edge_code == k], minlength=n))
-                for k, r in enumerate(self.edge_names)}
 
     def type_features(self, node_type: str) -> np.ndarray:
         """Attributes of every node of the type as one matrix, rows by ``row_in_type``."""
@@ -323,8 +316,10 @@ def load_schema(path: str | os.PathLike) -> Schema:
         if not (isinstance(spec, dict) and "source" in spec and "target" in spec):
             raise DimensionMismatch(
                 f"schema file {path}: edge type {name!r} needs a 'source' and a 'target'")
-        edge_types[name] = EdgeType(spec["source"], spec["target"],
-                                    bool(spec.get("directed", True)))
+        if not isinstance(spec.get("directed", True), bool):
+            raise DimensionMismatch(f"schema file {path}: edge type {name!r} has 'directed' "
+                                    f"{spec['directed']!r}, not true or false")
+        edge_types[name] = EdgeType(spec["source"], spec["target"], spec.get("directed", True))
     return Schema(node_types, edge_types, raw.get("company_type", "company"))
 
 

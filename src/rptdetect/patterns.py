@@ -156,12 +156,20 @@ def load_patterns(path: str | os.PathLike) -> list[RptPattern]:
     a file that is not one raises ``PatternTypeUnknown`` naming it."""
     raw = read_json(path, "pattern file", PatternTypeUnknown)
     try:
-        return [RptPattern(pattern_id=spec["id"],
-                           roles=tuple((r, t) for r, t in spec["roles"]),
-                           edges=tuple((s, t, e) for s, t, e in spec["edges"]),
-                           anchor=spec["anchor"])
-                for spec in raw["patterns"]]
+        patterns = [RptPattern(pattern_id=spec["id"],
+                               roles=tuple((r, t) for r, t in spec["roles"]),
+                               edges=tuple((s, t, e) for s, t, e in spec["edges"]),
+                               anchor=spec["anchor"])
+                    for spec in raw["patterns"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise PatternTypeUnknown(
             f"pattern file {path}: needs a 'patterns' list of objects with 'id', 'roles', "
             f"'edges' and 'anchor' ({type(exc).__name__}: {exc})") from exc
+    seen = set()
+    for p in patterns:  # an id heads table rows and names checkpoint keys
+        pid = p.pattern_id
+        if not isinstance(pid, str) or not pid or set(pid) & set("\t\r\n") or pid in seen:
+            raise PatternTypeUnknown(f"pattern file {path}: pattern id {pid!r} is not a unique, "
+                                     f"non-empty string free of tabs and line breaks")
+        seen.add(pid)
+    return patterns

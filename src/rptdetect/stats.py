@@ -59,6 +59,24 @@ def evader_centers(graph: HetGraph, labels: dict[int, int]) -> list[int]:
     return centers
 
 
+def _member_counts(graph: HetGraph, index: NeighborIndex, centers: list[int]):
+    """Per pattern, its id and how many centers hold each node among their distinct company
+    members other than themselves: the ``center * n + member`` keys of each company role
+    column of the rows anchored at a center, with no gathered copy of the rows."""
+    n, company = len(graph), graph.schema.company_type
+    centered = np.zeros(n, dtype=bool)
+    centered[centers] = True
+    for p in index.patterns:
+        nodes = index.nodes[p.pattern_id]
+        owner = nodes[:, p.role_names.index(p.anchor)]
+        mine, keys = centered[owner], []
+        for k, (_, t) in enumerate(p.roles):
+            if t == company:
+                keep = mine & (nodes[:, k] != owner)
+                keys.append(distinct(owner[keep] * n + nodes[keep, k]))
+        yield p.pattern_id, np.bincount(distinct(np.concatenate(keys)) % n, minlength=n)
+
+
 def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
                         metapaths: dict[int | str, CenterSets],
                         k_orders: dict[int, CenterSets],
@@ -67,33 +85,29 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
 
     ``labels`` is keyed by node index.  The index must cover the ``evader_centers``,
     and every metapath and k-order map must hold a set for each; a missing center
-    raises ``KeyError``.  The background row's mark of the labeled companies that anchor
-    any instance comes from the existence pass, not from the index.  Raises
-    ``NoLabeledPairs`` when there is no labeled evader.
+    raises ``KeyError``.  The index is read first and then let go, so a caller that
+    hands it over keeps none of it through the walks.  The background row's mark of
+    the labeled companies that anchor any instance comes from the existence pass,
+    not from the index.  Raises ``NoLabeledPairs`` when there is no labeled evader.
     """
     centers = evader_centers(graph, labels)
     n = len(graph)
     labeled = np.array(sorted(labels), dtype=np.intp)
     y = np.zeros(n, dtype=np.int64)
     y[labeled] = [labels[i] for i in labeled.tolist()]
-    # before any walk caches its hop plans: the nodes that anchor an instance of any pattern
-    anchored = anchoring_nodes(graph, index.patterns, labeled)
 
     def row(name: str, kind: str, counts: np.ndarray) -> StatsRow:
         """A definition's row from how many centers' sets hold each labeled node."""
         return StatsRow(name, kind, int(counts.sum()), int(counts @ y[labeled]))
 
-    rows: list[StatsRow] = []
-    # per pattern, each center's distinct company members other than itself
-    is_company = graph.type_code == graph.type_names.index(graph.schema.company_type)
-    center_rows = np.array(centers, dtype=np.intp)
-    for pid in index.pattern_ids:
-        members, counts = index.gather(pid, center_rows)
-        owner = np.repeat(center_rows, counts)[:, None]
-        pairs = distinct((owner * n + members)[is_company[members] & (members != owner)])
-        rows.append(row(pid, KIND_RPT, np.bincount(pairs % n, minlength=n)[labeled]))
+    rows = [row(pid, KIND_RPT, counts[labeled])
+            for pid, counts in _member_counts(graph, index, centers)]
+    patterns = index.patterns
+    del index  # the rest reads none of it
     rows.append(StatsRow(AGGREGATE_NAME, KIND_RPT_AGGREGATE,
                          sum(r.pairs for r in rows), sum(r.hits for r in rows)))
+    # the nodes that anchor an instance of any pattern
+    anchored = anchoring_nodes(graph, patterns, labeled)
 
     walked = ([(str(m), KIND_METAPATH, metapaths[m]) for m in sorted(metapaths, key=str)]
               + [(f"{k}-order", KIND_KORDER, k_orders[k]) for k in sorted(k_orders)])
@@ -101,6 +115,7 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
     rows += [row(name, kind, c) for (name, kind, _), c in zip(walked, counts)]
 
     # labeled companies that anchor no instance of any pattern
+    is_company = graph.type_code == graph.type_names.index(graph.schema.company_type)
     rows.append(row(BACKGROUND_NAME, KIND_REFERENCE, (is_company & ~anchored)[labeled]))
 
     baselines = [r for r in rows if r.kind in (KIND_METAPATH, KIND_KORDER, KIND_REFERENCE)]

@@ -48,6 +48,32 @@ def make_graph(schema: Schema, nodes, edges) -> HetGraph:
                                  np.array([a.size for a in attrs], dtype=np.intp), edges)
 
 
+def edge_degrees(graph: HetGraph) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per edge type, every node's (out-degree, in-degree) as two arrays, from one
+    ``bincount`` per end; each of a run of parallel edges counts."""
+    n = len(graph)
+    return {r: (np.bincount(graph.src[graph.edge_code == k], minlength=n),
+                np.bincount(graph.dst[graph.edge_code == k], minlength=n))
+            for k, r in enumerate(graph.edge_names)}
+
+
+def adjacency_corner_graph():
+    """Parallel edges, self-loops, an undirected type, isolated nodes, an unused type."""
+    schema = Schema(
+        node_types={"company": 1, "person": 1, "item": 1},
+        edge_types={"transaction": EdgeType("company", "company"),
+                    "invest": EdgeType("person", "company"),
+                    "partner": EdgeType("company", "company", directed=False),
+                    "sell": EdgeType("company", "item")})
+    nodes = [(f"c{k}", "company") for k in range(5)] + [("p0", "person"),
+                                                        ("p1", "person"), ("i0", "item")]
+    edges = [("c0", "c1", "transaction"), ("c0", "c1", "transaction"),
+             ("c1", "c1", "transaction"), ("c2", "c0", "transaction"),
+             ("p0", "c0", "invest"), ("p0", "c0", "invest"), ("p1", "c2", "invest"),
+             ("c1", "c3", "partner"), ("c1", "c3", "partner"), ("c2", "c2", "partner")]
+    return make_graph(schema, nodes, edges), edges
+
+
 def node_x(graph: HetGraph, i: int) -> np.ndarray:
     """Node i's attribute vector: a view of its row in ``type_features``."""
     return graph.type_features(graph.types[i])[graph.row_in_type[i]]

@@ -9,13 +9,14 @@ import logging
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rptdetect
-from rptdetect import cli
+from rptdetect import cli, stats
 from rptdetect.cli import main
 from rptdetect.hetgraph import labels_to_indices, load_graph, load_labels, save_graph, save_labels
 from rptdetect.matcher import (
@@ -127,6 +128,25 @@ def test_match_reports_positive_counts(dataset, tmp_path, capsys):
     counts = {row.split("\t")[0]: int(row.split("\t")[1]) for row in table[1:]}
     assert set(counts) == {"PCCP", "PCCCP", "PCICP", "PCPCP", "PCPCCP"}
     assert all(v > 0 for v in counts.values())
+
+
+def test_stats_lets_go_of_the_index_before_the_walks(dataset, tmp_path, monkeypatch):
+    built, gone = [], []
+    build, count = cli.build_neighbor_index, stats.count_members
+
+    def remember(*args, **kwargs):
+        index = build(*args, **kwargs)
+        built.append(weakref.ref(index))
+        return index
+
+    def check(*args, **kwargs):
+        gone.append([ref() is None for ref in built])
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_neighbor_index", remember)
+    monkeypatch.setattr(stats, "count_members", check)
+    assert main(["stats", "--graph", str(dataset), "--out", str(tmp_path)]) == 0
+    assert gone == [[True]]
 
 
 def test_stats_writes_tables(dataset, tmp_path):
@@ -566,7 +586,10 @@ def test_schema_node_type_without_integer_dim_fails_naming_the_type(dataset, tmp
     lambda schema: json.dumps({**schema, "edge_types": {
         **schema["edge_types"], "invest": {"target": "company"}}}),
     lambda schema: json.dumps([schema]),
-], ids=["not-json", "no-node-types", "no-edge-types", "edge-without-source", "not-object"])
+    lambda schema: json.dumps({**schema, "edge_types": {
+        **schema["edge_types"], "invest": {**schema["edge_types"]["invest"], "directed": "false"}}}),
+], ids=["not-json", "no-node-types", "no-edge-types", "edge-without-source", "not-object",
+        "directed-not-a-boolean"])
 def test_malformed_schema_fails_naming_the_file(dataset, tmp_path, capsys, edit):
     bad = tmp_path / "bad"
     assert main(["export", "--graph", str(dataset), "--out", str(bad)]) == 0
@@ -617,12 +640,18 @@ def test_non_utf8_bytes_fail_naming_the_file_and_line(dataset, tmp_path, capsys,
     '[{"id": "X"}]',
     '{"patterns": [{"id": "X", "edges": [], "anchor": "a"}]}',
     '{"patterns": [{"id": "X", "roles": [["a"]], "edges": [], "anchor": "a"}]}',
-], ids=["not-json", "not-an-object", "no-roles", "role-not-a-pair"])
+    *(json.dumps({"patterns": [{"id": pid, "roles": [["p", "person"], ["c", "company"]],
+                                "edges": [["p", "c", "invest"]], "anchor": "c"}
+                               for pid in ids]})
+      for ids in (["X\tY"], ["X\nY"], ["X\rY"], [""], [7], ["PC", "PC"])),
+], ids=["not-json", "not-an-object", "no-roles", "role-not-a-pair", "id-with-tab",
+        "id-with-newline", "id-with-carriage-return", "empty-id", "integer-id", "id-twice"])
 def test_malformed_pattern_file_fails_naming_the_file(dataset, tmp_path, capsys, content):
     patterns = tmp_path / "patterns.json"
     patterns.write_text(content)
     assert main(["match", "--graph", str(dataset), "--patterns", str(patterns)]) == 1
-    assert only_error(capsys).startswith(f"error\tPatternTypeUnknown\tpattern file {patterns}:")
+    assert only_stderr_line(capsys).startswith(
+        f"error\tPatternTypeUnknown\tpattern file {patterns}:")
 
 
 @pytest.mark.parametrize("command", ["stats", "train"])
@@ -697,6 +726,30 @@ def test_malformed_manifest_fails_naming_the_file(dataset, tmp_path, capsys, con
     assert main(["train", "--graph", str(dataset), "--manifest", str(manifest),
                  "--out", str(tmp_path / "run")]) == 1
     assert only_error(capsys).startswith(f"error\tPipelineError\tmanifest {manifest}:")
+
+
+@pytest.mark.parametrize("command, values", [
+    ("stats", {"cap_mode": "bogus"}),
+    ("train", {"cap_mode": "bogus"}),
+    ("train", {"ablation": "bogus"}),
+    ("train", {"epochs": 1.7}),
+], ids=["stats-cap-mode", "train-cap-mode", "train-ablation", "train-non-integral-epochs"])
+def test_manifest_value_outside_the_option_fails_naming_the_file(dataset, tmp_path, capsys,
+                                                                 command, values):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(values))
+    ((dest, value),) = values.items()
+    assert main([command, "--graph", str(dataset), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert only_stderr_line(capsys).startswith(
+        f"error\tPipelineError\tmanifest {manifest}: bad value {value!r} for {dest!r}")
+
+
+def test_env_value_outside_the_choices_fails_naming_the_variable(dataset, capsys, monkeypatch):
+    monkeypatch.setenv("RPTDETECT_CAP_MODE", "bogus")
+    assert main(["match", "--graph", str(dataset)]) == 1
+    assert only_stderr_line(capsys).startswith(
+        "error\tPipelineError\tRPTDETECT_CAP_MODE: bad value 'bogus' for 'cap_mode'")
 
 
 def test_bad_env_var_value_fails_naming_the_variable(dataset, tmp_path, capsys,

@@ -31,7 +31,9 @@ from rptdetect.hetgraph import (
 from rptdetect.synth import GenConfig, generate, scaled_config
 
 from conftest import (
+    adjacency_corner_graph,
     assert_same_graph,
+    edge_degrees,
     load_both,
     make_graph,
     node_x,
@@ -79,23 +81,6 @@ def test_type_codes_and_dense_features_follow_the_nodes():
     np.testing.assert_array_equal(g.type_features("person"), [[2.0, 2.0], [4.0, 4.0]])
 
 
-def adjacency_corner_graph():
-    """Parallel edges, self-loops, an undirected type, isolated nodes, an unused type."""
-    schema = Schema(
-        node_types={"company": 1, "person": 1, "item": 1},
-        edge_types={"transaction": EdgeType("company", "company"),
-                    "invest": EdgeType("person", "company"),
-                    "partner": EdgeType("company", "company", directed=False),
-                    "sell": EdgeType("company", "item")})
-    nodes = [(f"c{k}", "company") for k in range(5)] + [("p0", "person"),
-                                                        ("p1", "person"), ("i0", "item")]
-    edges = [("c0", "c1", "transaction"), ("c0", "c1", "transaction"),
-             ("c1", "c1", "transaction"), ("c2", "c0", "transaction"),
-             ("p0", "c0", "invest"), ("p0", "c0", "invest"), ("p1", "c2", "invest"),
-             ("c1", "c3", "partner"), ("c1", "c3", "partner"), ("c2", "c2", "partner")]
-    return make_graph(schema, nodes, edges), edges
-
-
 @pytest.mark.parametrize("which", ["corners", "random"])
 def test_adjacency_matches_a_scan_of_the_edge_list(which):
     if which == "corners":
@@ -110,7 +95,7 @@ def test_adjacency_matches_a_scan_of_the_edge_list(which):
         return [idx[ptr[i]:ptr[i + 1]].tolist() for i in range(n)]
 
     for r, et in g.schema.edge_types.items():
-        out_deg, in_deg = g.edge_degrees[r]
+        out_deg, in_deg = edge_degrees(g)[r]
         out_rows, in_rows = rows(*g.adjacency(r)), rows(*g.adjacency(r, True))
         for i in range(n):
             out_edges = [t for s, t, e in g.edges if s == i and e == r]

@@ -20,10 +20,12 @@ from rptdetect.patterns import RptPattern, bundled_patterns
 
 from conftest import (
     InstanceRows,
+    adjacency_corner_graph,
     brute_force_instances,
     brute_force_k_order,
     brute_force_metapath,
     criterion_3_graphs,
+    edge_degrees,
     edge_set,
     hub_graph,
     make_graph,
@@ -640,6 +642,47 @@ def test_undirected_edge_type_matches_either_orientation(injective):
     want = brute_force_instances(pair, both_ways, injective=injective)
     assert want.tolist() == [[0, 1], [1, 0]]
     assert enumerate_instances(pair, both_ways, injective=injective) == want
+
+
+def degree_mask(graph, pattern, role, injective):
+    """The role's candidate mask from per-type degree arrays: every edge the role needs
+    has a node's degree at that end (either end for an undirected type) above zero."""
+    degrees = edge_degrees(graph)
+    keep = np.array([t == pattern.role_type(role) for t in graph.types], dtype=bool)
+    for s, t, etype in pattern.edges:
+        out_deg, in_deg = degrees[etype]
+        for end, deg in ((s, out_deg), (t, in_deg)):
+            if end == role:
+                keep &= (deg if graph.schema.edge_types[etype].directed else out_deg + in_deg) > 0
+    if injective:
+        needed = len({t if s == role else s for s, t, _ in pattern.edges if role in (s, t)})
+        keep &= sum(o + i for o, i in degrees.values()) >= needed
+    return keep
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_candidate_masks_equal_the_degree_masks(injective):
+    corner, _ = adjacency_corner_graph()
+    loops = RptPattern(  # a directed and an undirected self-loop, an undirected edge
+        "LOOPS", roles=(("a", "company"), ("b", "company"), ("p", "person")),
+        edges=(("a", "a", "transaction"), ("a", "b", "partner"), ("b", "b", "partner"),
+               ("p", "b", "invest")), anchor="a")
+    back = RptPattern("BACK", roles=(("a", "company"), ("b", "company")),
+                      edges=(("b", "a", "partner"), ("a", "b", "transaction")), anchor="a")
+    self_loop = RptPattern("SELF", roles=(("a", "company"),),
+                           edges=(("a", "a", "transaction"),), anchor="a")
+    cases = [(g, bundled_patterns() + [self_loop]) for g in (*criterion_3_graphs(), hub_graph())]
+    cases.append((corner, [pccp(), bundled("PCPCP"), loops, back, self_loop]))
+    kinds = set()
+    for g, patterns in cases:
+        for p in patterns:
+            for role in p.role_names:
+                want = degree_mask(g, p, role, injective)
+                assert np.array_equal(matcher._base_candidates(g, p, role, injective), want)
+                kinds |= {(g.schema.edge_types[e].directed, s == t, bool(want.any()))
+                          for s, t, e in p.edges if role in (s, t)}
+    # directed and undirected types, self-loops or not, each with some node kept
+    assert {(d, loop, True) for d in (True, False) for loop in (True, False)} <= kinds
 
 
 def test_pattern_file_round_trip(tmp_path):

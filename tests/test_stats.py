@@ -273,6 +273,20 @@ def test_blocked_counts_equal_a_set_tally(one_word_blocks, which, every_company)
         assert_counts_equal_set_tally(g, y, every_company)
 
 
+def test_a_callers_own_index_is_intact_after_the_stats():
+    g, y = tally_cases("hub")[0]
+    index = build_neighbor_index(g, bundled_patterns(), cap=64, cap_mode="truncate")
+    before = {pid: (index.nodes[pid].copy(), index.anchor_ptr[pid].copy())
+              for pid in index.pattern_ids}
+    mp = {name: metapath_neighbors(g, path) for name, path in BUNDLED_METAPATHS.items()}
+    first = evasion_ratio_stats(g, index, mp, {1: k_order_neighbors(g, 1)}, y)
+    assert set(index.nodes) == set(index.anchor_ptr) == set(before)
+    for pid, (nodes, ptr) in before.items():
+        assert np.array_equal(index.nodes[pid], nodes)
+        assert np.array_equal(index.anchor_ptr[pid], ptr)
+    assert evasion_ratio_stats(g, index, mp, {1: k_order_neighbors(g, 1)}, y) == first
+
+
 def test_blocked_counter_missing_center_raises(one_word_blocks):
     g, y = wide_graph()
     centers = evader_centers(g, y)
@@ -293,7 +307,8 @@ def test_counting_all_centers_stays_within_twice_one_block(one_word_blocks):
     sets = [metapath_neighbors(graph, path, centers) for path in BUNDLED_METAPATHS.values()]
     sets += [k_order_neighbors(graph, k, centers) for k in (1, 2, 3)]
     labeled = np.array(sorted(y), dtype=np.intp)
-    matcher.count_members(sets, centers[:64], labeled)  # builds the CSRs and hop plans
+    matcher.count_members(sets, centers[:64], labeled)  # builds the CSRs
+    assert not any(s._plans for s in sets)  # each walk's hop plans went with its last block
 
     def traced_peak(block):
         tracemalloc.start()
