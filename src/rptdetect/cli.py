@@ -9,7 +9,6 @@ plot-ready delimited tables plus JSON checkpoints, never images.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -53,8 +52,8 @@ PSR_GRID = (0.5, 0.4, 0.3, 0.2, 0.1)
 
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
     """Fill unset options from manifest, environment, then defaults, each checked as the
-    command line is: a value outside the option's choices, or a non-integral number for
-    an integer option, is a ``PipelineError`` naming where it came from."""
+    command line is: a value that is no string or number, is outside the option's choices
+    or is non-integral for an integer option is a ``PipelineError`` naming its source."""
     manifest = {}
     if getattr(args, "manifest", None):
         manifest = read_json(args.manifest, "manifest", PipelineError)
@@ -67,8 +66,10 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
         source, value = ((f"manifest {args.manifest}", manifest[dest]) if dest in manifest
                          else (env, os.environ.get(env, default)))
         try:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise TypeError("JSON true, false, null, a list or an object")
             setattr(args, dest, cast(value))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise PipelineError(f"{source}: bad value {value!r} for {dest!r}") from exc
         resolved = getattr(args, dest)
         if dest in CHOICES and resolved not in CHOICES[dest]:
@@ -211,15 +212,9 @@ def cmd_generate(args) -> int:
         invest_coverage=args.invest_coverage, degree_exponent=args.exponent,
         seed=args.seed,
     )
-    enabled = gc.isenabled()
-    gc.disable()  # the generator and writers build no cycles: collections would only scan
-    try:
-        graph, labels, truth = generate(config)
-        export_dataset(graph, labels, args.out)
-        save_ground_truth(truth, os.path.join(args.out, "communities.json"))
-    finally:
-        if enabled:
-            gc.enable()
+    graph, labels, truth = generate(config)
+    export_dataset(graph, labels, args.out)
+    save_ground_truth(truth, os.path.join(args.out, "communities.json"))
     print(f"wrote dataset: {len(graph)} nodes, {len(graph.src)} edges, "
           f"{len(labels)} labels -> {args.out}")
     return 0

@@ -8,7 +8,6 @@ all-or-nothing; any violation aborts before a graph object exists.
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -161,18 +160,16 @@ class HetGraph:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def type_mask(self, node_type: str) -> np.ndarray:
+        """Per node, whether it is of the type: all False for a type the schema lacks."""
+        return self.type_code == (self.type_names.index(node_type)
+                                  if node_type in self.type_names else -1)
+
     def nodes_of_type(self, node_type: str) -> list[int]:
-        if node_type not in self.schema.node_types:
-            return []
-        return np.flatnonzero(self.type_code == self.type_names.index(node_type)).tolist()
+        return np.flatnonzero(self.type_mask(node_type)).tolist()
 
     def company_nodes(self) -> list[int]:
         return self.nodes_of_type(self.schema.company_type)
-
-    @cached_property
-    def types(self) -> list[str]:
-        """Each node's type name."""
-        return list(map(self.type_names.__getitem__, self.type_code.tolist()))
 
     @cached_property
     def edges(self) -> list[tuple[int, int, str]]:
@@ -257,13 +254,15 @@ def validate_labels(graph: HetGraph, labels: dict[str, int]) -> list[str]:
     """List violations instead of raising: unknown ids, non-company nodes, bad values."""
     violations = []
     company = graph.schema.company_type
+    is_company = graph.type_mask(company)
     for node_id, y in labels.items():
         if node_id not in graph.index:
             violations.append(f"label on unknown node id {node_id!r}")
             continue
-        t = graph.types[graph.index[node_id]]
-        if t != company:
-            violations.append(f"label on node {node_id!r} of type {t!r} "
+        i = graph.index[node_id]
+        if not is_company[i]:
+            violations.append(f"label on node {node_id!r} of type "
+                              f"{graph.type_names[graph.type_code[i]]!r} "
                               f"(only {company!r} may be labeled)")
         if y not in (0, 1):
             violations.append(f"label for {node_id!r} must be 0 or 1, got {y!r}")
@@ -332,14 +331,8 @@ def _read_records(path: str | os.PathLike) -> tuple[list[str] | None, list[list[
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DimensionMismatch(f"{path} line {line}: not UTF-8 ({exc.reason})") from exc
-    enabled = gc.isenabled()
-    gc.disable()  # the records hold no cycles: collections would only scan them
-    try:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        return next(reader, None), list(reader)
-    finally:
-        if enabled:
-            gc.enable()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return next(reader, None), list(reader)
 
 
 def _key(paths: Iterable[str | os.PathLike]) -> bytes:

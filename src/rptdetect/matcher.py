@@ -47,7 +47,7 @@ def _base_candidates(graph: HetGraph, pattern: RptPattern, role: str,
     parallel ones each, as the role has distinct neighbor roles, itself included
     for a self-loop.
     """
-    keep = graph.type_code == graph.type_names.index(pattern.role_type(role))
+    keep = graph.type_mask(pattern.role_type(role))
     for s, t, etype in pattern.edges:
         for end, reverse in ((s, False), (t, True)):
             if end == role:  # a non-empty CSR row; an undirected type's two are one
@@ -321,19 +321,29 @@ class CenterSets(Mapping):
     """Per center, the nodes a walk from it reaches, the center excluded.  Each of the
     walk's ``steps`` names the CSRs (``adjacency`` arguments) a node pulls the next
     frontier through; a set is the last frontier, or with ``ball`` every node seen,
-    companies only.  Only the walk is held: a lookup walks the center's block of
-    ``width`` centers and keeps the last block it walked."""
+    companies only.  Only the walk and the ascending ``centers`` are held: a lookup
+    walks the center's block of ``width`` centers and keeps the last block it walked."""
 
     def __init__(self, graph: HetGraph, centers: Sequence[int], steps: list, ball: bool = False):
         self.graph, self.steps, self.ball = graph, steps, ball
-        self.centers = list(dict.fromkeys(centers))
-        self._pos = dict(zip(self.centers, range(len(self.centers))))
+        self.centers = distinct(np.asarray(centers, dtype=np.intp))
         # 64 centers per uint64 word of a node's row; six such matrices fit WALK_BUDGET bytes
         self.width = 64 * max(1, WALK_BUDGET // max(6 * 8 * len(graph), 1))
         self._plans, self._last = {}, (-1, None)
 
+    def places(self, centers: Sequence[int]) -> np.ndarray:
+        """Each center's place in ``centers``; the first one not held raises ``KeyError``."""
+        c = np.asarray(centers, dtype=np.intp)
+        at = self.centers.searchsorted(c)
+        held = np.append(self.centers, -1)[at] == c  # past the end: -1, which is no node
+        if not held.all():
+            raise KeyError(int(c[held.argmin()]))
+        return at
+
     def __getitem__(self, center: int) -> frozenset[int]:
-        j = self._pos[center]
+        if not isinstance(center, (int, np.integer)):  # a key that is no integer is not held
+            raise KeyError(center)
+        j = int(self.places([center])[0])
         lo = j - j % self.width
         if self._last[0] != lo:
             for bits in self.walk(self.centers[lo:lo + self.width]):
@@ -342,7 +352,7 @@ class CenterSets(Mapping):
         return frozenset(np.flatnonzero(word & np.uint64(1)).tolist())
 
     def __iter__(self):
-        return iter(self.centers)
+        return iter(self.centers.tolist())
 
     def __len__(self) -> int:
         return len(self.centers)
@@ -359,7 +369,7 @@ class CenterSets(Mapping):
         at = (lambda a: a) if rows is None else (lambda a: a.take(rows, axis=0))
         keep = ~at(own)
         if self.ball:
-            keep[at(graph.type_code) != graph.type_names.index(graph.schema.company_type)] = 0
+            keep[~at(graph.type_mask(graph.schema.company_type))] = 0
         seen = frontier = own
         for step, csrs in enumerate(self.steps, 1):
             last = step == len(self.steps)
@@ -386,8 +396,7 @@ def count_members(sets: Sequence[CenterSets], centers: Sequence[int],
     ``ball`` sets share one walk that counts at every radius; a walk's hop plans are
     dropped after its last block.  A center a set does not hold raises ``KeyError``."""
     for s in sets:
-        for c in centers:
-            s._pos[c]  # raises KeyError for a center the set does not hold
+        s.places(centers)
     counts = [np.zeros(len(rows), dtype=np.int64) for _ in sets]
     balls = [k for k, s in enumerate(sets) if s.ball]
     for walk in [[k] for k, s in enumerate(sets) if not s.ball] + [balls] * bool(balls):

@@ -63,18 +63,6 @@ class ModelConfig:
             if a not in ABLATIONS:
                 raise ValueError(f"unknown ablation flag {a!r}")
 
-    @property
-    def inner_uniform(self) -> bool:
-        return "inner" in self.ablation or "att" in self.ablation
-
-    @property
-    def cross_uniform(self) -> bool:
-        return "cross" in self.ablation or "att" in self.ablation
-
-    @property
-    def company_only(self) -> bool:
-        return "hete" in self.ablation
-
 
 class FlatArrays(dict):
     """Named float64 views into one flat buffer, ``flat``, which Adam steps: keys are fixed."""
@@ -183,7 +171,7 @@ class ForwardResult:
     ``tape`` is the batch's ``ad.Tape`` when it was labeled, else None.
     ``betas`` is [batch row, pattern column], zero where ``present`` is not
     set; ``inner`` holds per pattern (batch rows, segment offsets, instance
-    weights).  ``p``, ``z`` and ``degenerate`` key the rows by node on access.
+    weights).  ``degenerate`` is the set of batch nodes with no instance.
     """
 
     batch: list[int]
@@ -197,14 +185,6 @@ class ForwardResult:
     inner: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @property
-    def p(self) -> dict[int, float]:
-        return dict(zip(self.batch, self.probs.tolist()))
-
-    @property
-    def z(self) -> dict[int, np.ndarray]:
-        return dict(zip(self.batch, self.embeddings))
-
-    @property
     def degenerate(self) -> set[int]:
         return {i for i, on in zip(self.batch, self.present.any(axis=1).tolist()) if not on}
 
@@ -216,8 +196,9 @@ def _check_batch(graph: HetGraph, batch: list[int], company: str,
     if len(set(batch)) != len(batch):
         repeated = next(i for i, n in Counter(batch).items() if n > 1)
         raise DuplicateBatchNode(f"batch node {graph.ids[repeated]} appears more than once")
+    is_company = graph.type_mask(company)
     for i in batch:
-        if graph.types[i] != company:
+        if not is_company[i]:
             raise ValueError(f"batch node {graph.ids[i]} is not of type {company!r}")
         if labels is not None and i not in labels:
             raise ValueError(f"batch node {graph.ids[i]} has no label")
@@ -250,7 +231,7 @@ def plan_batches(graph: HetGraph, index: NeighborIndex, order: Sequence[int],
         nodes, counts = index.gather(pid, order)
         ranks, a = rank.take(nodes), patterns[pid].role_names.index(patterns[pid].anchor)
         ranks[:, :a + 1] = ranks[:, [a, *range(a)]]
-        read = np.array([not config.company_only or t == company
+        read = np.array(["hete" not in config.ablation or t == company
                          for _, t in patterns[pid].anchor_first_roles()])
         has = np.flatnonzero(counts)
         gathered.append((pid, ranks, ranks if read.all() else ranks[:, read], read, has,
@@ -316,7 +297,7 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int] | BatchP
         idx, positions, offsets = plan.levels[pid]
         m, alpha, back = ad.instance_level(
             H, idx, [P[f"inst::{pid}::h{h}"] for h in range(config.heads)],
-            None if config.inner_uniform else P[f"attn_inst::{pid}"],
+            None if {"inner", "att"} & set(config.ablation) else P[f"attn_inst::{pid}"],
             W_T, P["cross_b"], offsets)
         present[positions, c] = True
         columns.append((c, m, positions, P[f"attn_cross::{pid}"]))
@@ -325,7 +306,7 @@ def forward(graph: HetGraph, index: NeighborIndex, batch: Sequence[int] | BatchP
         inner[pid] = (positions, offsets, alpha)
     logits, betas, z, back = ad.pattern_level(q, W_T, P["cross_b"], columns, present,
                                               P["readout_w"], P["readout_b"],
-                                              config.cross_uniform)
+                                              bool({"cross", "att"} & set(config.ablation)))
     p = ad.sigmoid(logits)
 
     tape = loss = None

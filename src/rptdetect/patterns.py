@@ -172,4 +172,7 @@ def load_patterns(path: str | os.PathLike) -> list[RptPattern]:
             raise PatternTypeUnknown(f"pattern file {path}: pattern id {pid!r} is not a unique, "
                                      f"non-empty string free of tabs and line breaks")
         seen.add(pid)
+        if not all(isinstance(name, str) for name in (p.anchor, *sum(p.roles + p.edges, ()))):
+            raise PatternTypeUnknown(f"pattern file {path}: pattern {pid!r} has a role, type "
+                                     f"or anchor name that is not a string")
     return patterns

@@ -51,9 +51,8 @@ def evader_centers(graph: HetGraph, labels: dict[int, int]) -> list[int]:
     ``labels`` is keyed by node index.  Raises ``NoLabeledPairs`` when there is
     no labeled evader to center any pair on.
     """
-    company = graph.schema.company_type
-    centers = sorted(i for i, y in labels.items()
-                     if y == 1 and graph.types[i] == company)
+    is_company = graph.type_mask(graph.schema.company_type)
+    centers = sorted(i for i, y in labels.items() if y == 1 and is_company[i])
     if not centers:
         raise NoLabeledPairs("no labeled tax-evasion companies to center pairs on")
     return centers
@@ -115,7 +114,7 @@ def evasion_ratio_stats(graph: HetGraph, index: NeighborIndex,
     rows += [row(name, kind, c) for (name, kind, _), c in zip(walked, counts)]
 
     # labeled companies that anchor no instance of any pattern
-    is_company = graph.type_code == graph.type_names.index(graph.schema.company_type)
+    is_company = graph.type_mask(graph.schema.company_type)
     rows.append(row(BACKGROUND_NAME, KIND_REFERENCE, (is_company & ~anchored)[labeled]))
 
     baselines = [r for r in rows if r.kind in (KIND_METAPATH, KIND_KORDER, KIND_REFERENCE)]

@@ -74,9 +74,14 @@ def adjacency_corner_graph():
     return make_graph(schema, nodes, edges), edges
 
 
+def node_types(graph: HetGraph) -> list[str]:
+    """Each node's type name, by node index."""
+    return [graph.type_names[c] for c in graph.type_code.tolist()]
+
+
 def node_x(graph: HetGraph, i: int) -> np.ndarray:
     """Node i's attribute vector: a view of its row in ``type_features``."""
-    return graph.type_features(graph.types[i])[graph.row_in_type[i]]
+    return graph.type_features(graph.type_names[graph.type_code[i]])[graph.row_in_type[i]]
 
 
 def stats_row(stats, name: str):
@@ -231,26 +236,25 @@ def brute_force_instances(graph: HetGraph, pattern: RptPattern,
 
 def brute_force_metapath(graph: HetGraph, metapath: list[str]) -> dict[int, set[int]]:
     """Recursive typed-path walk, independent of the production traversal."""
-    node_types = metapath[0::2]
-    edge_types = metapath[1::2]
+    types, path_types, edge_types = node_types(graph), metapath[0::2], metapath[1::2]
 
     def step(node: int, depth: int) -> set[int]:
         if depth == len(edge_types):
             return {node}
         etype = edge_types[depth]
-        want = node_types[depth + 1]
+        want = path_types[depth + 1]
         out: set[int] = set()
         for s, t, r in graph.edges:
             if r != etype:
                 continue
-            if s == node and graph.types[t] == want:
+            if s == node and types[t] == want:
                 out |= step(t, depth + 1)
-            if t == node and graph.types[s] == want:
+            if t == node and types[s] == want:
                 out |= step(s, depth + 1)
         return out
 
     result = {}
-    for start in graph.nodes_of_type(node_types[0]):
+    for start in graph.nodes_of_type(path_types[0]):
         result[start] = step(start, 0) - {start}
     return result
 
@@ -268,7 +272,7 @@ def brute_force_k_order(graph: HetGraph, k: int) -> dict[int, set[int]]:
         power = power @ A
         reach |= power
     np.fill_diagonal(reach, False)
-    company = [graph.types[i] == graph.schema.company_type for i in range(n)]
+    company = [t == graph.schema.company_type for t in node_types(graph)]
     return {i: {j for j in range(n) if reach[i, j] and company[j]} for i in range(n)}
 
 

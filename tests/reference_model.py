@@ -1,7 +1,8 @@
 """The model's per-node reference: the stages of ``rptdetect.model`` one node at a time.
 
 Each stage reads ``params.arrays`` directly and works in plain numpy, with no
-tape and no batching, so the tests can check ``model.forward`` against it.
+tape and no batching, so the tests can check ``model.forward`` against it.  The
+ablation flags are read from ``config.ablation`` here, not from the model.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from rptdetect.matcher import NeighborIndex
 from rptdetect.model import ForwardResult, ModelConfig, ModelParams, _check_batch
 from rptdetect.patterns import RptPattern
 
-from conftest import node_x
+from conftest import node_types, node_x
 
 
 def _elu(x):
@@ -31,19 +32,35 @@ def _leaky_relu(x):
     return np.where(x >= 0, x, 0.2 * x)
 
 
+def inner_uniform(config: ModelConfig) -> bool:
+    """Whether the ablation makes the instance-level weights uniform."""
+    return "inner" in config.ablation or "att" in config.ablation
+
+
+def cross_uniform(config: ModelConfig) -> bool:
+    """Whether the ablation makes the pattern-level weights uniform."""
+    return "cross" in config.ablation or "att" in config.ablation
+
+
+def company_only(config: ModelConfig) -> bool:
+    """Whether the ablation zeroes every non-company role."""
+    return "hete" in config.ablation
+
+
 def project(graph: HetGraph, params: ModelParams,
             nodes: Sequence[int] | None = None) -> dict[int, np.ndarray]:
     """Shared-space vectors: h_i = P[type(i)] @ x_i."""
     out: dict[int, np.ndarray] = {}
     targets = range(len(graph)) if nodes is None else nodes
+    types = node_types(graph)
     for i in targets:
-        key = f"proj::{graph.types[i]}"
+        key = f"proj::{types[i]}"
         if key not in params.arrays:
-            raise MissingProjection(f"no projection matrix for node type {graph.types[i]!r}")
+            raise MissingProjection(f"no projection matrix for node type {types[i]!r}")
         P = params.arrays[key]
         if P.shape[1] != node_x(graph, i).size:
             raise ShapeMismatch(
-                f"projection for type {graph.types[i]!r} expects input "
+                f"projection for type {types[i]!r} expects input "
                 f"{P.shape[1]}, node has {node_x(graph, i).size}")
         out[i] = P @ node_x(graph, i)
     return out
@@ -61,7 +78,7 @@ def encode_instance(row: np.ndarray, h: dict[int, np.ndarray], params: ModelPara
     mapping = dict(zip(pattern.role_names, row.tolist()))
     parts = []
     for role, rtype in pattern.anchor_first_roles():
-        if config.company_only and rtype != params.company_type:
+        if company_only(config) and rtype != params.company_type:
             parts.append(np.zeros(config.proj_dim))
         else:
             parts.append(h[mapping[role]])
@@ -78,7 +95,7 @@ def inner_rpt_attention(encodings: np.ndarray, params: ModelParams,
     if encodings.ndim != 2 or encodings.shape[0] < 1:
         raise ShapeMismatch("need at least one instance encoding")
     n = encodings.shape[0]
-    if config.inner_uniform:
+    if inner_uniform(config):
         alpha = np.full(n, 1.0 / n)
     else:
         e = _leaky_relu(encodings @ params.arrays[f"attn_inst::{pattern_id}"])
@@ -104,7 +121,7 @@ def cross_rpt_attention(summaries: dict[str, np.ndarray], x_i: np.ndarray,
         return _elu(W @ q + b), {}
     d = config.embed_dim
     m = {pid: _elu(W @ summaries[pid] + b) for pid in present}
-    if config.cross_uniform:
+    if cross_uniform(config):
         beta = np.full(len(present), 1.0 / len(present))
     else:
         logits = np.array([
@@ -176,6 +193,12 @@ def forward_reference(graph: HetGraph, index: NeighborIndex, batch: Sequence[int
     loss = float(np.mean(losses)) if losses else None
     return SimpleNamespace(batch=batch, loss=loss, p=p_map, z=z_map, degenerate=degenerate,
                            alpha=alpha_rec, beta=beta_rec)
+
+
+def outputs(res: ForwardResult) -> tuple[dict, dict]:
+    """``forward``'s probabilities and embeddings keyed by node, as ``forward_reference``
+    keys them: (p, z)."""
+    return dict(zip(res.batch, res.probs.tolist())), dict(zip(res.batch, res.embeddings))
 
 
 def attention(res: ForwardResult) -> tuple[dict, dict]:

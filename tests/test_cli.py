@@ -1,7 +1,6 @@
 """End-to-end CLI tests over a small synthetic dataset."""
 
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -984,23 +983,3 @@ def test_match_counts_equal_the_enumerated_rows(dataset, tmp_path, injective):
         anchors = rows[:, p.role_names.index(p.anchor)]
         want.append(f"{p.pattern_id}\t{len(rows)}\t{len(set(anchors.tolist()))}")
     assert read(tmp_path / "instances.tsv").splitlines() == want
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_generate_pauses_garbage_collection_and_leaves_it_as_found(tmp_path, monkeypatch,
-                                                                   enabled):
-    during, export = [], cli.export_dataset
-    monkeypatch.setattr(cli, "export_dataset",
-                        lambda *a: during.append(gc.isenabled()) or export(*a))
-    was = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        assert main(["generate", "--out", str(tmp_path / "a"), *DATASET_FLAGS]) == 0
-        assert gc.isenabled() == enabled
-        monkeypatch.setattr(cli, "save_ground_truth", no_load)
-        with pytest.raises(AssertionError):
-            main(["generate", "--out", str(tmp_path / "b"), *DATASET_FLAGS])
-        assert gc.isenabled() == enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert during == [False, False]

@@ -1,7 +1,6 @@
 """Graph storage, ingestion validation, and histogram tests."""
 
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -33,9 +32,12 @@ from rptdetect.synth import GenConfig, generate, scaled_config
 from conftest import (
     adjacency_corner_graph,
     assert_same_graph,
+    criterion_3_graphs,
     edge_degrees,
+    hub_graph,
     load_both,
     make_graph,
+    node_types,
     node_x,
     random_typed_graph,
     small_schema,
@@ -48,7 +50,7 @@ def test_minimal_graph_loads():
                    [("jay", "acme", "invest")])
     assert len(g) == 2
     assert len(g.edges) == 1
-    assert g.types[g.index["jay"]] == "person"
+    assert node_types(g)[g.index["jay"]] == "person"
 
 
 def test_full_tax_schema_loads():
@@ -72,13 +74,26 @@ def test_type_codes_and_dense_features_follow_the_nodes():
     g = make_graph(tax_schema(), [(i, t, np.full(2, float(k)))
                                   for k, (i, t) in enumerate(nodes)], [])
     assert g.type_names == ("company", "event", "item", "person")
-    for i, t in enumerate(g.types):
+    for i, (_, t) in enumerate(nodes):
         assert g.type_names[g.type_code[i]] == t
         assert g.nodes_of_type(t)[g.row_in_type[i]] == i
         np.testing.assert_array_equal(g.type_features(t)[g.row_in_type[i]], node_x(g, i))
         np.testing.assert_array_equal(node_x(g, i), [float(i), float(i)])
     assert g.type_features("event").shape == (0, 2)
     np.testing.assert_array_equal(g.type_features("person"), [[2.0, 2.0], [4.0, 4.0]])
+
+
+def test_type_mask_equals_a_comparison_of_each_nodes_type_name():
+    corner, _ = adjacency_corner_graph()
+    for g in (*criterion_3_graphs(), hub_graph(), corner):  # some declare a type with no node
+        types = node_types(g)
+        for t in g.schema.node_types:
+            mask = g.type_mask(t)
+            assert mask.dtype == bool and mask.tolist() == [u == t for u in types]
+            assert g.nodes_of_type(t) == np.flatnonzero(mask).tolist()
+        # a type the schema lacks: no node, as nodes_of_type gives none
+        assert g.type_mask("no-such-type").tolist() == [False] * len(g)
+        assert g.nodes_of_type("no-such-type") == []
 
 
 @pytest.mark.parametrize("which", ["corners", "random"])
@@ -265,7 +280,7 @@ def test_writers_match_csv_writer_on_odd_names_and_values(tmp_path):
     assert (tmp_path / "labels.csv").read_bytes() == csv_writer_bytes(
         [["id", "label"]] + [[k, str(v)] for k, v in labels.items()])
     again = load_graph(paths["schema"], paths["nodes"], paths["edges"])
-    assert again.ids == g.ids and again.types == g.types and again.edges == g.edges
+    assert again.ids == g.ids and node_types(again) == node_types(g) and again.edges == g.edges
     for i in range(len(g)):
         a, b = node_x(again, i), node_x(g, i)
         assert a.tobytes() == b.tobytes()  # -0.0 keeps its sign, 5e-324 its value
@@ -299,28 +314,6 @@ def test_load_sees_an_edit_made_after_save(tmp_path, monkeypatch, name, edit):
     monkeypatch.undo()
     (tmp_path / "data" / "graph.bin").unlink()
     assert_same_graph(again, load_graph(paths["schema"], paths["nodes"], paths["edges"]))
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_csv_parse_pauses_garbage_collection_and_leaves_it_as_found(tmp_path, monkeypatch,
-                                                                     enabled):
-    g, _, _ = odd_graph()
-    paths = save_graph(g, tmp_path)
-    (tmp_path / "graph.bin").unlink()
-    during, reader = [], csv.reader
-    monkeypatch.setattr(csv, "reader", lambda *a: during.append(gc.isenabled()) or reader(*a))
-    was = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        load_graph(paths["schema"], paths["nodes"], paths["edges"])
-        assert gc.isenabled() == enabled
-        (tmp_path / "edges.csv").write_text("source,target,type\nx\n")
-        with pytest.raises(DimensionMismatch):
-            load_graph(paths["schema"], paths["nodes"], paths["edges"])
-        assert gc.isenabled() == enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert during == [False] * 4
 
 
 def sidecar_bytes(files, blocks) -> bytes:

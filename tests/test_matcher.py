@@ -29,6 +29,7 @@ from conftest import (
     edge_set,
     hub_graph,
     make_graph,
+    node_types,
     random_typed_graph,
     small_schema,
     tax_schema,
@@ -606,6 +607,22 @@ def test_lookups_walk_one_block_at_a_time(monkeypatch):
         assert got == want
 
 
+def test_unsorted_repeated_centers_give_the_sets_of_sorted_distinct_ones(monkeypatch):
+    monkeypatch.setattr(matcher, "WALK_BUDGET", 8)  # blocks of 64 centers
+    g = hop_branch_graph()
+    path = ["company", "transaction", "company", "transaction", "company"]
+    companies = g.company_nodes()
+    messy = np.random.default_rng(0).permutation(companies + companies[::3]).tolist()
+    assert len(companies) > 64 and messy != sorted(set(messy))
+    for build in (lambda c: metapath_neighbors(g, path, c), lambda c: k_order_neighbors(g, 2, c)):
+        got, want = build(messy), build(companies)
+        assert got.centers.tolist() == list(got) == companies and len(got) == len(companies)
+        assert got == want and {c: got[c] for c in messy} == {c: want[c] for c in messy}
+        with pytest.raises(KeyError):
+            got[max(companies) + 1]
+        assert "x" not in got and 1.5 not in got and got.get(-1) is None
+
+
 def test_k_order_rejects_bad_radius():
     g = make_graph(small_schema(), [("a", "company")], [])
     with pytest.raises(ValueError):
@@ -648,7 +665,7 @@ def degree_mask(graph, pattern, role, injective):
     """The role's candidate mask from per-type degree arrays: every edge the role needs
     has a node's degree at that end (either end for an undirected type) above zero."""
     degrees = edge_degrees(graph)
-    keep = np.array([t == pattern.role_type(role) for t in graph.types], dtype=bool)
+    keep = np.array([t == pattern.role_type(role) for t in node_types(graph)], dtype=bool)
     for s, t, etype in pattern.edges:
         out_deg, in_deg = degrees[etype]
         for end, deg in ((s, out_deg), (t, in_deg)):

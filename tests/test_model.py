@@ -21,14 +21,18 @@ from rptdetect.model import (
 from rptdetect.patterns import bundled_patterns
 from rptdetect.synth import GenConfig, generate
 
-from conftest import make_graph, node_x, small_schema
+from conftest import make_graph, node_types, node_x, small_schema
 from gradcheck import finite_diff_check
 from reference_model import (
     attention,
+    company_only,
     cross_rpt_attention,
+    cross_uniform,
     encode_instance,
     forward_reference,
     inner_rpt_attention,
+    inner_uniform,
+    outputs,
     project,
 )
 
@@ -62,8 +66,8 @@ def test_projection_identity_and_zero():
 def test_projection_matches_direct_product(rng):
     graph, _, _, params, _ = toy_setup()
     h = project(graph, params)
-    for i in range(len(graph)):
-        expected = params.arrays[f"proj::{graph.types[i]}"] @ node_x(graph, i)
+    for i, t in enumerate(node_types(graph)):
+        expected = params.arrays[f"proj::{t}"] @ node_x(graph, i)
         np.testing.assert_allclose(h[i], expected, atol=1e-12)
 
 
@@ -191,7 +195,7 @@ def test_forward_zero_params_give_log2_loss():
     li = labels_to_indices(graph, labels)
     batch = sorted(li)[:8]
     res = forward(graph, index, batch, params, config, labels=li)
-    for p in res.p.values():
+    for p in res.probs.tolist():
         assert p == pytest.approx(0.5)
     assert res.loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -201,9 +205,9 @@ def test_forward_loss_matches_recomputation_from_probabilities():
     li = labels_to_indices(graph, labels)
     batch = sorted(li)[:10]
     res = forward(graph, index, batch, params, config, labels=li)
-    manual = -np.mean([
-        li[i] * math.log(res.p[i]) + (1 - li[i]) * math.log(1 - res.p[i])
-        for i in batch])
+    p, _ = outputs(res)
+    manual = -np.mean([li[i] * math.log(p[i]) + (1 - li[i]) * math.log(1 - p[i])
+                       for i in batch])
     assert res.loss == pytest.approx(manual, abs=1e-9)
 
 
@@ -252,18 +256,18 @@ def test_scoring_forward_builds_no_tape(monkeypatch):
     # scoring takes the same arithmetic as a labeled step
     trained = forward(graph, index, batch, params, config, labels=li)
     assert isinstance(trained.tape, ad.Tape)
-    assert res.p == trained.p
-    assert all(res.z[i].tobytes() == trained.z[i].tobytes() for i in batch)
+    assert res.probs.tolist() == trained.probs.tolist()
+    assert res.embeddings.tobytes() == trained.embeddings.tobytes()
 
 
 def assert_forward_matches_reference(graph, index, batch, params, config, li):
     res = forward(graph, index, batch, params, config, labels=li)
     ref = forward_reference(graph, index, batch, params, config, labels=li)
-    alpha, beta = attention(res)
+    (alpha, beta), (p, z) = attention(res), outputs(res)
     assert res.loss == pytest.approx(ref.loss, abs=1e-9)
     for i in batch:
-        assert res.p[i] == pytest.approx(ref.p[i], abs=1e-10)
-        np.testing.assert_allclose(res.z[i], ref.z[i], atol=1e-9)
+        assert p[i] == pytest.approx(ref.p[i], abs=1e-10)
+        np.testing.assert_allclose(z[i], ref.z[i], atol=1e-9)
         assert beta[i].keys() == ref.beta[i].keys()
         for pid in beta[i]:
             assert beta[i][pid] == pytest.approx(ref.beta[i][pid], abs=1e-10)
@@ -335,7 +339,7 @@ def test_whole_order_plan_equals_planning_each_batch_alone(rng, ablation):
             res = forward(graph, index, plan, params, config, labels=li)
             ref = forward_reference(graph, index, plan.batch, params, config, labels=li)
             assert res.loss == pytest.approx(ref.loss, abs=1e-9)
-            assert res.p == pytest.approx(ref.p, abs=1e-10)
+            assert outputs(res)[0] == pytest.approx(ref.p, abs=1e-10)
     assert some_missing and zeroed == bool(ablation)
 
 
@@ -416,7 +420,8 @@ def test_company_only_ablation_zeroes_other_types():
     row = index.instances(node, "PCCP")[0]
     enc = encode_instance(row, h, params, pattern, config)
     # zeroing person blocks: encoding must ignore person projections entirely
-    h2 = {k: (v if graph.types[k] == "company" else v + 100.0) for k, v in h.items()}
+    types = node_types(graph)
+    h2 = {k: (v if types[k] == "company" else v + 100.0) for k, v in h.items()}
     enc2 = encode_instance(row, h2, params, pattern, config)
     np.testing.assert_allclose(enc, enc2, atol=1e-12)
 
@@ -513,9 +518,9 @@ def test_parameters_off_the_loss_path_get_zero_gradient(ablation):
     res = forward(graph, index, sorted(li)[:6], params, config, labels=li)
     res.tape.backward()
     # no role of the two patterns is an item or an event
-    off = {"proj::item", "proj::event"} | ({"proj::person"} if config.company_only else set())
-    for flag, prefix in ((config.inner_uniform, "attn_inst::"),
-                         (config.cross_uniform, "attn_cross::")):
+    off = {"proj::item", "proj::event"} | ({"proj::person"} if company_only(config) else set())
+    for flag, prefix in ((inner_uniform(config), "attn_inst::"),
+                         (cross_uniform(config), "attn_cross::")):
         off |= {k for k in params.arrays if flag and k.startswith(prefix)}
     assert {k for k, g in res.tape.grad.items() if not g.any()} == off
 

@@ -25,6 +25,7 @@ from conftest import (
     criterion_3_graphs,
     hub_graph,
     make_graph,
+    node_types,
     random_typed_graph,
     stats_ratio,
     stats_row,
@@ -102,14 +103,14 @@ def test_rpt_rows_match_a_loop_over_brute_force_instances(rng):
     y[companies[0]] = 1
     index = build_neighbor_index(graph, bundled_patterns(), cap=10_000)
     stats = evasion_ratio_stats(graph, index, {}, {}, y)
-    total = 0
+    types, total = node_types(graph), 0
     for p in bundled_patterns():
         anchor = p.role_names.index(p.anchor)
         pairs = hits = 0
         for i in evader_centers(graph, y):
             nbrs = {v for row in brute_force_instances(graph, p).tolist()
                     if row[anchor] == i for v in row
-                    if v != i and graph.types[v] == "company"}
+                    if v != i and types[v] == "company"}
             for j in nbrs:
                 if j in y:
                     pairs += 1
@@ -231,16 +232,17 @@ def assert_counts_equal_set_tally(g, y, every_company=False):
     got = {r.name: (r.pairs, r.hits)
            for r in evasion_ratio_stats(g, index, mp, ko, y).rows}
 
+    types = node_types(g)
     want = {pid: set_tally(centers, {
         i: {v for row in index.instances(i, pid).tolist() for v in row
-            if v != i and g.types[v] == "company"} for i in centers}, y)
+            if v != i and types[v] == "company"} for i in centers}, y)
         for pid in index.pattern_ids}
     want["rpt::all"] = tuple(map(sum, zip(*want.values())))
     for name, path in BUNDLED_METAPATHS.items():
         want[name] = set_tally(centers, brute_force_metapath(g, path), y)
     for k in (1, 2, 3):
         want[f"{k}-order"] = set_tally(centers, brute_force_k_order(g, k), y)
-    background = [i for i in y if g.types[i] == "company" and not index.has_any(i)]
+    background = [i for i in y if types[i] == "company" and not index.has_any(i)]
     want["background"] = (len(background), sum(y[i] for i in background))
     assert got == want
 
@@ -293,8 +295,14 @@ def test_blocked_counter_missing_center_raises(one_word_blocks):
     index = build_neighbor_index(g, bundled_patterns(), cap=64, cap_mode="truncate")
     # the center left out sits in the last block
     ko = {1: k_order_neighbors(g, 1, centers[:-1])}
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as missing:
         evasion_ratio_stats(g, index, {}, ko, y)
+    assert missing.value.args == (centers[-1],)
+    # with one left out of the first block too, the error names the first missing center
+    ko = {1: k_order_neighbors(g, 1, centers[:1] + centers[2:-1])}
+    with pytest.raises(KeyError) as missing:
+        evasion_ratio_stats(g, index, {}, ko, y)
+    assert missing.value.args == (centers[1],)
 
 
 def test_counting_all_centers_stays_within_twice_one_block(one_word_blocks):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference_synth
-from conftest import node_x
+from conftest import node_types, node_x
 
 from rptdetect import hetgraph
 from rptdetect.errors import InfeasibleConfig
@@ -38,7 +38,7 @@ def test_generated_graph_validates_against_bundled_schema():
     graph, labels, truth = generate(SMALL)
     assert set(graph.schema.node_types) == {"company", "person", "item", "event"}
     assert len(graph.schema.edge_types) == 6
-    assert all(graph.types[graph.index[i]] == "company" for i in labels)
+    assert all(node_types(graph)[graph.index[i]] == "company" for i in labels)
     assert len(truth.communities) == 12
 
 
@@ -265,7 +265,7 @@ def test_attempt_limit_binds_before_every_transaction_is_placed():
 
 
 def coded(graph):
-    return (graph.ids, graph.types, graph.src.tolist(), graph.dst.tolist(),
+    return (graph.ids, node_types(graph), graph.src.tolist(), graph.dst.tolist(),
             graph.edge_code.tolist(), [graph.type_features(t).tolist() for t in graph.type_names])
 
 

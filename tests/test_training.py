@@ -34,7 +34,7 @@ from rptdetect.training import (
     train_downstream_classifier,
 )
 
-from conftest import make_graph, node_x
+from conftest import make_graph, node_types, node_x
 from reference_model import attention
 
 
@@ -391,8 +391,8 @@ def test_diverged_loss_raises():
     graph, index, labels = bench_dataset(seed=5)
     # overflow-scale attributes drive the forward pass to NaN within an epoch
     with np.errstate(all="ignore"):
-        graph = make_graph(graph.schema, [(i, graph.types[k], node_x(graph, k) * 1e308)
-                                          for k, i in enumerate(graph.ids)],
+        graph = make_graph(graph.schema, [(i, t, node_x(graph, k) * 1e308) for k, (i, t)
+                                          in enumerate(zip(graph.ids, node_types(graph)))],
                            [(graph.ids[s], graph.ids[t], r) for s, t, r in graph.edges])
     config = TrainConfig(epochs=5, batch_size=64, embed_dim=8, proj_dim=8,
                          test_fraction=0.3, seed=5)
